@@ -9,9 +9,7 @@ printed with 17 significant digits so re-parsing is bit-exact.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,22 +107,6 @@ def to_dimensionless(radius_nm: float, wavelength_nm: float, epsilon_r: complex)
     tau = epsilon_r - 1
     indicator = delta_omega * math.sqrt(abs(1 + tau))
     return delta_omega, tau, indicator
-
-
-def _thread_count():
-    raw = os.environ.get("DIERES_THREADS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _grid_map(fn, values):
-    workers = _thread_count()
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
 
 
 def _complex_value(raw, default=None):
@@ -269,15 +251,12 @@ def _cmd_mie(cfg):
 def _cmd_cross_sections(cfg):
     delta = float(cfg["delta"])
     tau = _complex_value(cfg.get("tau"), delta ** -2)
-    omegas = _omega_grid(cfg)
-
-    def one(om):
-        config = mie.ScatterConfig(delta, tau, float(om))
-        table = mie.mie_coefficients(config, _incident(cfg, float(om)))
-        rep = mie.cross_sections(table)
-        return [float(om), rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged]
-
-    rows = _grid_map(one, omegas)
+    rows = []
+    for om in _omega_grid(cfg):
+        om = float(om)
+        config = mie.ScatterConfig(delta, tau, om)
+        rep = mie.cross_sections(mie.mie_coefficients(config, _incident(cfg, om)))
+        rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
     return CsvTable(
         ["omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"],
         ["-"] * 6,
@@ -290,9 +269,8 @@ def _cmd_scatter_functions(cfg):
     model = _model(cfg)
     tau = model.evaluate(delta)
     omega0 = quasistatic.quasi_static_pole(model)
-    omegas = _omega_grid(cfg)
-
-    def one(om):
+    rows = []
+    for om in _omega_grid(cfg):
         om = float(om)
         try:
             s_tilde = quasistatic.scatter_fn_explicit(om, delta, tau)
@@ -302,9 +280,7 @@ def _cmd_scatter_functions(cfg):
             s_hat = quasistatic.scatter_fn_general(om, omega0, model.c_tau)
         except quasistatic.PoleError:
             s_hat = complex(math.nan, math.nan)
-        return [om, s_tilde.real, s_tilde.imag, s_hat.real, s_hat.imag]
-
-    rows = _grid_map(one, omegas)
+        rows.append([om, s_tilde.real, s_tilde.imag, s_hat.real, s_hat.imag])
     return CsvTable(
         ["omega", "re_s_tilde", "im_s_tilde", "re_s_hat", "im_s_hat"],
         ["-"] * 5,

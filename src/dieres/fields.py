@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    riccati_H,
-    riccati_J,
+    radial_pair,
     solid_harmonic_gradient_deg1,
     sph_bessel_j,
     sph_hankel1,
@@ -105,12 +104,7 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
             _, v = vsh_UV(n, m, xh)
             out[off] = -scale * np.asarray(f)[:, None] * v
         else:
-            if variant == "entire":
-                f = sph_bessel_j(n, k * ro)
-                big = riccati_J(n, k * ro)
-            else:
-                f = sph_hankel1(n, k * ro)
-                big = riccati_H(n, k * ro)
+            f, big = radial_pair(n, k * ro, "j" if variant == "entire" else "h")
             u, _ = vsh_UV(n, m, xh)
             y = sph_harmonic(n, m, xh)
             pref = 1.0 / (1j * k * ro)
@@ -154,8 +148,12 @@ def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.nd
     if omega == 0:
         raise ValueError("far-field pattern needs a nonzero frequency")
     u, v = vsh_UV(n, m, xhat)
-    coeff = -math.sqrt(n * (n + 1)) / omega * np.exp(-1j * (n + 1) * math.pi / 2)
-    return coeff * (v if family == "TE" else u)
+    return _farfield_coefficient(n, omega) * (v if family == "TE" else u)
+
+
+def _farfield_coefficient(n, omega):
+    """-sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2}: the far-field factor of order n."""
+    return -math.sqrt(n * (n + 1)) / omega * np.exp(-1j * (n + 1) * math.pi / 2)
 
 
 def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:

@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, multipole_field
-from .specfun import riccati_H, riccati_J, sph_bessel_j, sph_hankel1, vsh_table
+from .fields import IncidentWave, _farfield_coefficient, multipole_field
+from .specfun import radial_pair, riccati_H, riccati_J, vsh_table
 
 
 class ResonanceError(ArithmeticError):
@@ -57,32 +57,36 @@ def default_n_max(delta, tau, omega) -> int:
     return max(8, math.ceil(interior) + 8)
 
 
+def _arguments(delta, tau, omega):
+    """Exterior and interior arguments delta omega and delta omega sqrt(1 + tau)."""
+    return delta * omega, delta * omega * np.sqrt(complex(1 + tau))
+
+
+def _matching(fx, bigfx, jy, bigjy, tau):
+    """TE and TM matching products f_n(x) J_n(y) - j_n(y) F_n(x), the first
+    term divided by 1 + tau for TM.  With f = h^(1) they are the Mie
+    denominators, with f = j the numerators of the radial factors."""
+    return fx * bigjy - jy * bigfx, fx * bigjy / (1 + tau) - jy * bigfx
+
+
 def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
     """Shared TE/TM denominators D_TE = h_n(dw) J_n(dw_t) - j_n(dw_t) H_n(dw)
     and D_TM with the extra (1+tau)^-1 on the first product.
 
     These are exactly the resonance functions whose complex zeros are the
-    dielectric resonances.
+    dielectric resonances.  One recurrence pass per argument; j_n(dw), which
+    only the numerators need, is not evaluated.
     """
-    x = delta * omega
-    y = delta * omega * np.sqrt(complex(1 + tau))
-    h, bigh = sph_hankel1(n, x), riccati_H(n, x)
-    j, bigj = sph_bessel_j(n, y), riccati_J(n, y)
-    d_te = h * bigj - j * bigh
-    d_tm = h * bigj / (1 + tau) - j * bigh
-    return d_te, d_tm
+    x, y = _arguments(delta, tau, omega)
+    return _matching(*radial_pair(n, x, "h"), *radial_pair(n, y, "j"), tau)
 
 
 def _radial_factors(n, delta, tau, omega):
-    x = delta * omega
-    y = delta * omega * np.sqrt(complex(1 + tau))
-    jx, bigjx = sph_bessel_j(n, x), riccati_J(n, x)
-    jy, bigjy = sph_bessel_j(n, y), riccati_J(n, y)
-    hx, bighx = sph_hankel1(n, x), riccati_H(n, x)
-    den_te = hx * bigjy - jy * bighx
-    den_tm = hx * bigjy / (1 + tau) - jy * bighx
-    num_te = -jy * bigjx + bigjy * jx
-    num_tm = bigjy * jx / (1 + tau) - jy * bigjx
+    x, y = _arguments(delta, tau, omega)
+    hx, bighx = radial_pair(n, x, "h")
+    jy, bigjy = radial_pair(n, y, "j")
+    den_te, den_tm = _matching(hx, bighx, jy, bigjy, tau)
+    num_te, num_tm = _matching(*radial_pair(n, x, "j"), jy, bigjy, tau)
     scale_te = abs(hx * bigjy) + abs(jy * bighx)
     scale_tm = abs(hx * bigjy / (1 + tau)) + abs(jy * bighx)
     return (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm)
@@ -165,14 +169,13 @@ def far_field(t: MieTable, xhat) -> np.ndarray:
     if not orders:
         return out[0] if single else out
     angular = vsh_table(max(orders), pts)
+    coeff = {n: _farfield_coefficient(n, omega) for n in orders}
     for (n, m), g in t.gamma.items():
         if g != 0:
-            coeff = -math.sqrt(n * (n + 1)) / omega * np.exp(-1j * (n + 1) * math.pi / 2)
-            out += g * coeff * angular[(n, m)][1]
+            out += g * coeff[n] * angular[(n, m)][1]
     for (n, m), e in t.eta.items():
         if e != 0:
-            coeff = -math.sqrt(n * (n + 1)) / omega * np.exp(-1j * (n + 1) * math.pi / 2)
-            out += e * coeff * angular[(n, m)][0]
+            out += e * coeff[n] * angular[(n, m)][0]
     return out[0] if single else out
 
 
@@ -230,8 +233,7 @@ def coefficient_asymptotics(n: int, cfg: ScatterConfig) -> CoefficientAsymptotic
     if abs(x) >= 1:
         raise ValueError("asymptotics need |delta omega| < 1")
     y = cfg.delta * cfg.omega_tau
-    bigj_y = riccati_J(n, y)
-    j_y = sph_bessel_j(n, y)
+    j_y, bigj_y = radial_pair(n, y)
     predicted_tm = riccati_J(n, x) / riccati_H(n, x)
     if n == 1:
         predicted_te = (1j / 3) * x ** 3 * (bigj_y - 2 * j_y) / (bigj_y + j_y)

@@ -16,7 +16,7 @@ from .multipole import ball_quadrature
 from .resonance import ContrastModel
 from .specfun import (
     bessel_zero,
-    riccati_J,
+    radial_pair,
     solid_harmonic_gradient_deg1,
     sph_bessel_j,
     sph_harmonic,
@@ -110,8 +110,7 @@ def eigenmode_norm(label: EigenModeLabel) -> float:
         ).real
         return math.sqrt(n * (n + 1) * lommel)
     r, w = _radial_quadrature()
-    jj = np.asarray(sph_bessel_j(n, k * r)).real
-    big = np.asarray(riccati_J(n, k * r)).real
+    jj, big = (a.real for a in radial_pair(n, k * r))
     val = n * (n + 1) / k ** 2 * np.sum(w * (big ** 2 + n * (n + 1) * jj ** 2))
     return math.sqrt(val)
 
@@ -193,8 +192,7 @@ def scatter_fn_explicit(omega: complex, delta: float, tau: complex) -> complex:
     """Mie-derived scattering function (8 pi^2/3)(2 j_1 - J_1)/(J_1 + j_1)
     evaluated at the interior argument delta omega sqrt(1 + tau)."""
     t = delta * omega * np.sqrt(complex(1 + tau))
-    big = riccati_J(1, t)
-    small = sph_bessel_j(1, t)
+    small, big = radial_pair(1, t)
     den = big + small
     if abs(den) < 1e-12 * (abs(big) + abs(small)):
         raise PoleError("scattering function pole: J_1 + j_1 vanishes at this frequency")
@@ -431,14 +429,11 @@ def averaged_cross_sections(omega: float, delta: float, model: ContrastModel):
 def te_matching_matrix(n: int, k: float) -> np.ndarray:
     """2x2 interior/exterior TE trace-matching system; singular exactly at
     zeros of j_{n-1} since its determinant is n j_n(k) + J_n(k) = k j_{n-1}(k)."""
-    return np.array(
-        [[sph_bessel_j(n, k), -1.0], [riccati_J(n, k), float(n)]], dtype=complex
-    )
+    j, big = radial_pair(n, k)
+    return np.array([[j, -1.0], [big, float(n)]], dtype=complex)
 
 
 def tm_matching_matrix(n: int, k: float) -> np.ndarray:
     """2x2 TM trace-matching system; singular exactly at zeros of j_n."""
-    return np.array(
-        [[sph_bessel_j(n, k), 0.0], [riccati_J(n, k) / (1j * k), -(2 * n + 1.0)]],
-        dtype=complex,
-    )
+    j, big = radial_pair(n, k)
+    return np.array([[j, 0.0], [big / (1j * k), -(2 * n + 1.0)]], dtype=complex)

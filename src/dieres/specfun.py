@@ -2,10 +2,19 @@
 real Bessel zeros, and scalar/vector spherical harmonics.
 
 All evaluators are elementwise over numpy arrays (scalars in, scalars out).
-Evaluation strategy: power series for small arguments, closed trigonometric
-forms for low orders, upward recurrence for Hankel functions (their growth in
-the order makes it stable), and a normalized downward (Miller) recurrence for
-j_n when |z| < n, where upward recurrence is unstable.
+Every radial function of order n reads f_{n-1} and f_n from one pass per
+argument, chosen element by element:
+
+- j_n for |z| <= 1: the ascending power series;
+- j_n for n <= 2 and |z| > 1, or for |Re z| >= n and |Im z| <= 0.1 |Re z|,
+  and y_n and h_n^(1) everywhere: upward recurrence from the closed forms of
+  f_0 and f_1 (one loop shared by the three kinds; growth in the order keeps
+  it stable for y and h, and for j only while the argument is near the real
+  axis and past the order);
+- j_n otherwise: one normalized downward (Miller) recurrence that yields
+  j_{n-1} and j_n together.
+
+See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
 
 import math
@@ -16,6 +25,9 @@ import numpy as np
 MAX_ORDER = 64
 # e^{|Im z|} factors in sin/cos/exp overflow doubles past this.
 _IM_OVERFLOW = 700.0
+# Riccati combination F_0 = z f_{-1} of each kind: j_{-1} = cos z / z,
+# y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z.
+_RICCATI_0 = {"j": np.cos, "y": np.sin, "h": lambda z: np.exp(1j * z)}
 
 
 def _flatten(z):
@@ -34,7 +46,7 @@ def _check_args(n, z):
         raise ValueError("order n must be >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order n={n} exceeds supported maximum {MAX_ORDER}")
-    if np.any(np.abs(z.imag) > _IM_OVERFLOW):
+    if (np.abs(z.imag) > _IM_OVERFLOW).any():
         raise OverflowError("spherical Bessel argument overflows double range")
 
 
@@ -57,92 +69,98 @@ def _double_factorial(k):
     return float(math.prod(range(k, 0, -2)))
 
 
-def _j0_closed(z):
-    out = np.ones_like(z)
-    nz = z != 0
-    out[nz] = np.sin(z[nz]) / z[nz]
-    return out
+def _series(n, z):
+    return _jn_series(n - 1, z), _jn_series(n, z)
 
 
-def _j1_closed(z):
-    out = np.zeros_like(z)
-    nz = z != 0
-    zz = z[nz]
-    out[nz] = np.sin(zz) / zz ** 2 - np.cos(zz) / zz
-    return out
+def _closed(kind, z):
+    """f_0 and f_1 in closed form (z nonzero)."""
+    if kind == "h":
+        e = np.exp(1j * z)
+        return -1j * e / z, -e * (z + 1j) / z ** 2
+    s, c = np.sin(z), np.cos(z)
+    if kind == "j":
+        return s / z, s / z ** 2 - c / z
+    return -c / z, -c / z ** 2 - s / z
 
 
-def _jn_upward(n, z):
-    jm, j = _j0_closed(z), _j1_closed(z)
-    if n == 0:
-        return jm
+def _upward(n, z, kind="j"):
+    fm, f = _closed(kind, z)
     for k in range(1, n):
-        jm, j = j, (2 * k + 1) / z * j - jm
-    return j
+        fm, f = f, (2 * k + 1) / z * f - fm
+    return fm, f
 
 
 def _jn_miller(n, z):
     # downward recurrence from a padded start order, normalized against the
-    # larger of j_0/j_1 to dodge zeros of the reference
+    # larger of j_0/j_1 to dodge zeros of the reference.  With |z| > 1 a step
+    # grows the larger of the two iterates by less than 2k + 2, and this
+    # regime has |Re z| < max(n, 10 |Im z|) <= 7000, so k < 7200: eight steps
+    # from below 1e250 stay below 1e284 and the rescaling test runs every
+    # eighth step.
     start = n + 30 + int(np.max(np.abs(z)))
     f_hi = np.zeros_like(z)
     f_lo = np.full_like(z, 1e-280)
-    target = np.zeros_like(z)
-    f0 = f1 = None
+    kept = {}
     for k in range(start, 0, -1):
         f_hi, f_lo = f_lo, (2 * k + 1) / z * f_lo - f_hi
-        if k - 1 == n:
-            target = f_lo.copy()
-        if k - 1 == 1:
-            f1 = f_lo.copy()
-        if k - 1 == 0:
-            f0 = f_lo.copy()
-        big = np.abs(f_lo) > 1e250
-        if np.any(big):
-            for arr in (f_lo, f_hi, target, f1, f0):
-                if arr is not None:
+        if k - 1 in (n, n - 1, 1, 0):
+            kept[k - 1] = f_lo.copy()
+        if k % 8 == 0:
+            big = np.maximum(np.abs(f_lo), np.abs(f_hi)) > 1e250
+            if big.any():
+                for arr in (f_lo, f_hi, *kept.values()):
                     arr[big] *= 1e-250
-    j0, j1 = _j0_closed(z), _j1_closed(z)
+    j0, j1 = _closed("j", z)
     use0 = np.abs(j0) >= np.abs(j1)
-    scale = np.where(use0, j0, j1) / np.where(use0, f0, f1)
-    return target * scale
+    scale = np.where(use0, j0, j1) / np.where(use0, kept[0], kept[1])
+    return kept[n - 1] * scale, kept[n] * scale
+
+
+def _pass(n, z, kind):
+    """(f_{n-1}, f_n), n >= 1, of the flat array z from one pass per element."""
+    if kind not in _RICCATI_0:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind != "j":
+        if (z == 0).any():
+            raise ZeroDivisionError(f"{'y_n' if kind == 'y' else 'h_n^(1)'} has a pole at z = 0")
+        return _upward(n, z, kind)
+    small = np.abs(z) <= 1.0
+    if n <= 2:
+        upward = ~small
+    else:
+        re = np.abs(z.real)
+        upward = (re >= n) & (np.abs(z.imag) <= 0.1 * re)
+    prev, f = np.empty_like(z), np.empty_like(z)
+    for mask, method in ((upward, _upward), (small, _series), (~(small | upward), _jn_miller)):
+        if mask.any():
+            if mask.all():
+                return method(n, z)
+            prev[mask], f[mask] = method(n, z[mask])
+    return prev, f
+
+
+def _one_pass(n, z, kind):
+    """Flat z, (f_{n-1}, f_n) of one pass (f_0 first for n = 0) and the
+    function that gives a result z's shape."""
+    flat, shape, scalar = _flatten(z)
+    _check_args(n, flat)
+    return flat, _pass(max(n, 1), flat, kind), lambda a: _restore(a, shape, scalar)
+
+
+def _value(n, z, kind):
+    _, (prev, f), restore = _one_pass(n, z, kind)
+    return restore(f if n else prev)
 
 
 def sph_bessel_j(n: int, z) -> complex:
     """Spherical Bessel function of the first kind j_n(z), complex z allowed."""
-    flat, shape, scalar = _flatten(z)
-    _check_args(n, flat)
-    out = np.empty_like(flat)
-    mag = np.abs(flat)
-    small = mag <= 1.0
-    if n <= 2:
-        upward = ~small
-        miller = np.zeros_like(small)
-    else:
-        upward = ~small & (mag >= n)
-        miller = ~small & (mag < n)
-    if np.any(small):
-        out[small] = _jn_series(n, flat[small])
-    if np.any(upward):
-        out[upward] = _jn_upward(n, flat[upward])
-    if np.any(miller):
-        out[miller] = _jn_miller(n, flat[miller])
-    return _restore(out, shape, scalar)
+    return _value(n, z, "j")
 
 
 def sph_bessel_y(n: int, z) -> complex:
     """Spherical Bessel function of the second kind y_n(z); z must be nonzero."""
-    flat, shape, scalar = _flatten(z)
-    _check_args(n, flat)
-    if np.any(flat == 0):
-        raise ZeroDivisionError("y_n has a pole at z = 0")
-    ym = -np.cos(flat) / flat
-    if n == 0:
-        return _restore(ym, shape, scalar)
-    y = -np.cos(flat) / flat ** 2 - np.sin(flat) / flat
-    for k in range(1, n):
-        ym, y = y, (2 * k + 1) / flat * y - ym
-    return _restore(y, shape, scalar)
+    return _value(n, z, "y")
 
 
 def sph_hankel1(n: int, z) -> complex:
@@ -151,70 +169,51 @@ def sph_hankel1(n: int, z) -> complex:
     Computed by upward recurrence from the closed forms of h_0, h_1 so that
     j + iy cancellation is avoided for Im z > 0.
     """
-    flat, shape, scalar = _flatten(z)
-    _check_args(n, flat)
-    if np.any(flat == 0):
-        raise ZeroDivisionError("h_n^(1) has a pole at z = 0")
-    e = np.exp(1j * flat)
-    hm = -1j * e / flat
-    if n == 0:
-        return _restore(hm, shape, scalar)
-    h = -e * (flat + 1j) / flat ** 2
-    for k in range(1, n):
-        hm, h = h, (2 * k + 1) / flat * h - hm
-    return _restore(h, shape, scalar)
+    return _value(n, z, "h")
 
 
-def sph_bessel_jp(n: int, z) -> complex:
-    """Derivative j_n'(z) via the recurrence j_n' = j_{n-1} - (n+1)/z j_n."""
+def radial_pair(n: int, z, kind: str = "j"):
+    """f_n(z) and its Riccati combination F_n(z) = f_n(z) + z f_n'(z)
+    = z f_{n-1}(z) - n f_n(z), both from one recurrence pass, for f = j
+    (kind "j"), y ("y") or h^(1) ("h")."""
+    flat, (prev, f), restore = _one_pass(n, z, kind)
     if n == 0:
-        return -(sph_bessel_j(1, z))
-    flat, shape, scalar = _flatten(z)
+        return restore(prev), restore(_RICCATI_0[kind](flat))
+    return restore(f), restore(flat * prev - n * f)
+
+
+def _derivative(n, z, kind):
+    # f_n' = f_{n-1} - (n+1)/z f_n from the pass of radial_pair, f_0' = -f_1
+    flat, (prev, f), restore = _one_pass(n, z, kind)
+    if n == 0:
+        return restore(-f)
     out = np.zeros_like(flat)
     zero = flat == 0
     if n == 1:
         out[zero] = 1.0 / 3.0
     nz = ~zero
-    if np.any(nz):
-        zz = flat[nz]
-        out[nz] = np.asarray(sph_bessel_j(n - 1, zz)) - (n + 1) / zz * np.asarray(sph_bessel_j(n, zz))
-    return _restore(out, shape, scalar)
+    out[nz] = prev[nz] - (n + 1) / flat[nz] * f[nz]
+    return restore(out)
+
+
+def sph_bessel_jp(n: int, z) -> complex:
+    """Derivative j_n'(z) via the recurrence j_n' = j_{n-1} - (n+1)/z j_n."""
+    return _derivative(n, z, "j")
 
 
 def sph_bessel_yp(n: int, z) -> complex:
     """Derivative y_n'(z) via the same recurrence."""
-    if n == 0:
-        return -(sph_bessel_y(1, z))
-    flat, shape, scalar = _flatten(z)
-    out = np.asarray(sph_bessel_y(n - 1, flat)) - (n + 1) / flat * np.asarray(sph_bessel_y(n, flat))
-    return _restore(out, shape, scalar)
-
-
-def sph_hankel1p(n: int, z) -> complex:
-    """Derivative of h_n^(1) via the same recurrence."""
-    if n == 0:
-        return -(sph_hankel1(1, z))
-    flat, shape, scalar = _flatten(z)
-    out = np.asarray(sph_hankel1(n - 1, flat)) - (n + 1) / flat * np.asarray(sph_hankel1(n, flat))
-    return _restore(out, shape, scalar)
+    return _derivative(n, z, "y")
 
 
 def riccati_J(n: int, z) -> complex:
     """Trace combination j_n(z) + z j_n'(z), reduced to z j_{n-1}(z) - n j_n(z)."""
-    flat, shape, scalar = _flatten(z)
-    if n == 0:
-        return _restore(np.cos(flat), shape, scalar)
-    out = flat * np.asarray(sph_bessel_j(n - 1, flat)) - n * np.asarray(sph_bessel_j(n, flat))
-    return _restore(out, shape, scalar)
+    return radial_pair(n, z, "j")[1]
 
 
 def riccati_H(n: int, z) -> complex:
     """Trace combination h_n^(1)(z) + z (h_n^(1))'(z) = z h_{n-1}^(1)(z) - n h_n^(1)(z)."""
-    flat, shape, scalar = _flatten(z)
-    if n == 0:
-        return _restore(np.exp(1j * flat), shape, scalar)
-    out = flat * np.asarray(sph_hankel1(n - 1, flat)) - n * np.asarray(sph_hankel1(n, flat))
-    return _restore(out, shape, scalar)
+    return radial_pair(n, z, "h")[1]
 
 
 def small_arg_leading(n: int, t, kind: str) -> complex:

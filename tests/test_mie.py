@@ -16,9 +16,10 @@ from dieres.mie import (
     far_field,
     mie_coefficients,
     mie_denominators,
+    _radial_factors,
     scattered_field,
 )
-from dieres.specfun import riccati_J, sph_bessel_j
+from dieres.specfun import riccati_J, sph_bessel_j, vsh_table
 
 
 def _wave(omega, d=None, e0=None):
@@ -78,6 +79,23 @@ def test_radial_factor_m_independent():
         for r in ratios[1:]:
             assert_allclose(r, ratios[0], rtol=1e-12)
         assert_allclose(ratios[0], t.radial_te(n), rtol=1e-12)
+
+
+def test_radial_factors_shared_by_table_and_denominators():
+    # a lossy sphere whose high orders take the Miller path on both arguments
+    cfg = ScatterConfig(0.2, complex(60, 3), 2.1)
+    w = _wave(2.1, d=[0.3, -0.4, 0.87])
+    full = mie_coefficients(cfg, w)
+    bare = MieTable(cfg, w)
+    angular = vsh_table(cfg.n_max, w.direction)
+    for n in range(1, cfg.n_max + 1):
+        pref = 4 * math.pi * 1j ** n / math.sqrt(n * (n + 1))
+        for m in range(-n, n + 1):
+            u, v = angular[(n, m)]
+            assert full.gamma[(n, m)] == pref * np.dot(np.conj(v), w.polarization) * bare.radial_te(n)
+            assert full.eta[(n, m)] == pref * np.dot(np.conj(u), w.polarization) * bare.radial_tm(n)
+        (_, den_te, _), (_, den_tm, _) = _radial_factors(n, cfg.delta, cfg.tau, cfg.omega)
+        assert mie_denominators(n, cfg.delta, cfg.tau, cfg.omega) == (den_te, den_tm)
 
 
 def test_near_resonant_magnetic_dipole_dominance():
