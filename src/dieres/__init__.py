@@ -60,6 +60,7 @@ from .resonance import (
 from .specfun import (
     angles_to_unit,
     bessel_zero,
+    harmonic_table,
     radial_pair,
     riccati_H,
     riccati_J,

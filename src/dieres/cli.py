@@ -252,15 +252,21 @@ def _cmd_cross_sections(cfg):
     delta = float(cfg["delta"])
     tau = _complex_value(cfg.get("tau"), delta ** -2)
     rows = []
+    meta = []
     for om in _omega_grid(cfg):
         om = float(om)
         config = mie.ScatterConfig(delta, tau, om)
-        rep = mie.cross_sections(mie.mie_coefficients(config, _incident(cfg, om)))
+        try:
+            rep = mie.cross_sections(mie.mie_coefficients(config, _incident(cfg, om)))
+        except mie.ResonanceError as exc:
+            meta.append(f"failed omega={om}: {exc}")
+            continue
         rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
     return CsvTable(
         ["omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"],
         ["-"] * 6,
         rows,
+        meta=meta,
     )
 
 

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (
-    radial_pair,
-    solid_harmonic_gradient_deg1,
-    sph_bessel_j,
-    sph_hankel1,
-    sph_harmonic,
-    vsh_UV,
-)
+from .specfun import harmonic_table, radial_pair, solid_harmonic_gradient_deg1, vsh_UV
 
 
 @dataclass(frozen=True)
@@ -74,14 +67,31 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
     replaces j_n by the first-kind Hankel function (and J_n by H_n) and is
     singular at the origin.
     """
-    if variant not in ("entire", "radiating"):
-        raise ValueError(f"unknown variant {variant!r}")
     if family not in ("TE", "TM"):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("multipole fields start at n = 1")
+    if abs(m) > n:
+        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+    coeffs = np.zeros((2, (n + 1) ** 2), dtype=complex)
+    coeffs[int(family == "TM"), n * (n + 1) + m] = 1.0
+    return _multipole_sum(variant, *coeffs, k, x)
+
+
+def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
+    """Sum of te[j] TE_{n,m} + tm[j] TM_{n,m} over multipole fields of one
+    variant, the coefficients stacked at j = n(n+1) + m (entry 0 unused).
+
+    One harmonic table at the directions of x and one radial pass per order
+    with a nonzero coefficient.  In the (theta-hat, phi-hat, x-hat) frame,
+    with grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
+    TE = -f_n (d_theta phi-hat - d_phi theta-hat) and
+    TM = -(F_n (d_theta theta-hat + d_phi phi-hat) + n(n+1) f_n Y x-hat) / (i k r).
+    """
+    if variant not in ("entire", "radiating"):
+        raise ValueError(f"unknown variant {variant!r}")
     k = complex(k)
-    if family == "TM" and k == 0:
+    if k == 0 and tm.any():
         raise ValueError("TM fields need a nonzero wavenumber")
     single = np.asarray(x).ndim == 1
     pts, r = _radius_split(x)
@@ -90,28 +100,29 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
     if np.any(origin):
         if variant == "radiating":
             raise ValueError("radiating fields are singular at x = 0")
-        if family == "TM" and n == 1:
-            out[origin] = (2j / 3) * solid_harmonic_gradient_deg1(m)
         # entire TE fields and TM fields with n >= 2 vanish at the origin
+        out[origin] = (2j / 3) * sum(c * solid_harmonic_gradient_deg1(m) for m, c in zip((-1, 0, 1), tm[1:4]))
     off = ~origin
     if np.any(off):
-        po = pts[off]
         ro = r[off]
-        xh = po / ro[:, None]
-        scale = math.sqrt(n * (n + 1))
-        if family == "TE":
-            f = sph_bessel_j(n, k * ro) if variant == "entire" else sph_hankel1(n, k * ro)
-            _, v = vsh_UV(n, m, xh)
-            out[off] = -scale * np.asarray(f)[:, None] * v
-        else:
+        xh = pts[off] / ro[:, None]
+        n_max = math.isqrt(len(te) - 1)
+        table = harmonic_table(n_max, xh)
+        comp = np.zeros((3, len(ro)), dtype=complex)  # theta-hat, phi-hat, x-hat
+        for n in range(1, n_max + 1):
+            rows = slice(n * n, (n + 1) ** 2)
+            g, e = te[rows], tm[rows]
+            if not (g.any() or e.any()):
+                continue
             f, big = radial_pair(n, k * ro, "j" if variant == "entire" else "h")
-            u, _ = vsh_UV(n, m, xh)
-            y = sph_harmonic(n, m, xh)
-            pref = 1.0 / (1j * k * ro)
-            out[off] = (
-                -scale * (pref * np.asarray(big))[:, None] * u
-                - n * (n + 1) * (pref * np.asarray(f) * y)[:, None] * xh
-            )
+            # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
+            (g_t, e_t), (g_p, e_p), (_, e_y) = (np.stack([g, e]) @ part[rows]
+                                                for part in (table.d_theta, table.d_phi, table.y))
+            comp[0] += f * g_p
+            comp[1] -= f * g_t
+            if e.any():
+                comp -= np.stack([big * e_t, big * e_p, n * (n + 1) * f * e_y]) / (1j * k * ro)
+        out[off] = comp[0][:, None] * table.theta_hat + comp[1][:, None] * table.phi_hat + comp[2][:, None] * xh
     return out[0] if single else out
 
 
@@ -122,20 +133,21 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
         raise ValueError(f"unknown kind {kind!r}")
     if n < 1:
         raise ValueError("exterior harmonic fields start at n = 1")
+    if abs(m) > n:
+        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
     single = np.asarray(x).ndim == 1
     pts, r = _radius_split(x)
     if np.any(r == 0):
         raise ValueError("exterior harmonic fields are singular at x = 0")
     xh = pts / r[:, None]
-    scale = math.sqrt(n * (n + 1))
+    table = harmonic_table(n, xh)
+    j = n * (n + 1) + m
+    d_t, d_p = table.d_theta[j][:, None], table.d_phi[j][:, None]
     if kind == "Eh":
-        _, v = vsh_UV(n, m, xh)
-        out = -scale * (r ** -(n + 1))[:, None] * v
+        out = -(r ** -(n + 1))[:, None] * (d_t * table.phi_hat - d_p * table.theta_hat)
     else:
-        u, _ = vsh_UV(n, m, xh)
-        y = sph_harmonic(n, m, xh)
-        rad = r ** -(n + 2)
-        out = (n * (n + 1) * (rad * y))[:, None] * xh - scale * n * rad[:, None] * u
+        rad = (r ** -(n + 2))[:, None]
+        out = rad * (n * (n + 1) * table.y[j][:, None] * xh - n * (d_t * table.theta_hat + d_p * table.phi_hat))
     return out[0] if single else out
 
 
@@ -162,21 +174,9 @@ def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:
     conjugated vector harmonics of the incident direction."""
     if N < 1:
         raise ValueError("need at least one expansion order")
-    if N > 64:
-        raise ValueError("expansion order capped at 64")
-    single = np.asarray(x).ndim == 1
-    pts, _ = _radius_split(x)
-    total = np.zeros((len(pts), 3), dtype=complex)
-    d = w.direction
-    e0 = w.polarization
-    for n in range(1, N + 1):
-        coeff = -4 * math.pi * 1j ** n / math.sqrt(n * (n + 1))
-        for m in range(-n, n + 1):
-            u_d, v_d = vsh_UV(n, m, d)
-            a_te = np.dot(np.conj(v_d), e0)
-            a_tm = np.dot(np.conj(u_d), e0)
-            if a_te != 0:
-                total += coeff * a_te * multipole_field("entire", "TE", n, m, w.omega, pts)
-            if a_tm != 0:
-                total += coeff * a_tm * multipole_field("entire", "TM", n, m, w.omega, pts)
-    return total[0] if single else total
+    table = harmonic_table(N, w.direction)
+    # conj(U).e0 and conj(V).e0 in the frame of the incident direction
+    e_t, e_p = table.theta_hat @ w.polarization, table.phi_hat @ w.polarization
+    d_t, d_p = np.conj(table.d_theta), np.conj(table.d_phi)
+    coeff = np.array([0.0] + [-4 * math.pi * 1j ** n / (n * (n + 1)) for n in table.degree[1:]])
+    return _multipole_sum("entire", coeff * (d_t * e_p - d_p * e_t), coeff * (d_t * e_t + d_p * e_p), w.omega, x)

@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _farfield_coefficient, multipole_field
-from .specfun import radial_pair, riccati_H, riccati_J, vsh_table
+from .fields import IncidentWave, _farfield_coefficient, _multipole_sum
+from .specfun import harmonic_table, radial_pair, riccati_H, riccati_J, vsh_table
 
 
 class ResonanceError(ArithmeticError):
@@ -140,42 +140,41 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     return MieTable(cfg, w, gamma, eta)
 
 
+def _stacked(t):
+    """gamma and eta stacked at k = n(n+1) + m up to the highest order present."""
+    n_max = max((n for n, _ in (*t.gamma, *t.eta)), default=0)
+    te, tm = np.zeros((2, (n_max + 1) ** 2), dtype=complex)
+    for stack, coeffs in ((te, t.gamma), (tm, t.eta)):
+        for (n, m), c in coeffs.items():
+            stack[n * (n + 1) + m] = c
+    return te, tm
+
+
 def scattered_field(t: MieTable, x) -> np.ndarray:
     """Scattered wave outside the sphere: sum of radiating multipole fields
     weighted by the table coefficients."""
-    single = np.asarray(x).ndim == 1
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(pts, axis=-1)
+    r = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=-1)
     if np.any(r <= t.config.delta):
         raise ValueError("scattered field is only represented for |x| > delta")
-    out = np.zeros((len(pts), 3), dtype=complex)
-    omega = t.config.omega
-    for (n, m), g in t.gamma.items():
-        if g != 0:
-            out += g * multipole_field("radiating", "TE", n, m, omega, pts)
-    for (n, m), e in t.eta.items():
-        if e != 0:
-            out += e * multipole_field("radiating", "TM", n, m, omega, pts)
-    return out[0] if single else out
+    return _multipole_sum("radiating", *_stacked(t), t.config.omega, x)
 
 
 def far_field(t: MieTable, xhat) -> np.ndarray:
-    """Scattering amplitude: the tangential far-field pattern of the series."""
+    """Scattering amplitude: the tangential far-field pattern of the series,
+    sum of c_n (gamma V_n^m + eta U_n^m) taken in the (theta-hat, phi-hat)
+    frame, where sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and V_n^m its
+    rotation by x-hat."""
     single = np.asarray(xhat).ndim == 1
-    pts = np.atleast_2d(np.asarray(xhat, dtype=float))
-    out = np.zeros((len(pts), 3), dtype=complex)
-    omega = t.config.omega
-    orders = {n for (n, _) in t.gamma} | {n for (n, _) in t.eta}
-    if not orders:
-        return out[0] if single else out
-    angular = vsh_table(max(orders), pts)
-    coeff = {n: _farfield_coefficient(n, omega) for n in orders}
-    for (n, m), g in t.gamma.items():
-        if g != 0:
-            out += g * coeff[n] * angular[(n, m)][1]
-    for (n, m), e in t.eta.items():
-        if e != 0:
-            out += e * coeff[n] * angular[(n, m)][0]
+    te, tm = _stacked(t)
+    n_max = math.isqrt(len(te) - 1)
+    table = harmonic_table(n_max, np.atleast_2d(np.asarray(xhat, dtype=float)))
+    orders = range(1, n_max + 1)
+    coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) for n in orders],
+                      [2 * n + 1 for n in orders])
+    g, e = coeff * te[1:], coeff * tm[1:]
+    # (theta-hat, phi-hat) components from two-row products, as in fields._multipole_sum
+    f_t, f_p = np.stack([e, g]) @ table.d_theta[1:] + np.stack([-g, e]) @ table.d_phi[1:]
+    out = f_t[:, None] * table.theta_hat + f_p[:, None] * table.phi_hat
     return out[0] if single else out
 
 

@@ -14,14 +14,7 @@ import numpy as np
 from .fields import IncidentWave, multipole_field
 from .multipole import ball_quadrature
 from .resonance import ContrastModel
-from .specfun import (
-    bessel_zero,
-    radial_pair,
-    solid_harmonic_gradient_deg1,
-    sph_bessel_j,
-    sph_harmonic,
-    vsh_UV,
-)
+from .specfun import bessel_zero, harmonic_table, radial_pair, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
 
 
 class PoleError(ArithmeticError):
@@ -304,6 +297,8 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     All quadrature runs on the tensor grid: angular tables on the sphere
     nodes, radial profiles integrated separately.
     """
+    if n_sh < 1:
+        raise ValueError("the harmonic extraction needs n_sh >= 1")
     if quad is None:
         quad = _default_ball_quad()
     omega0 = quasi_static_pole(model)
@@ -322,74 +317,51 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     phase = np.exp(1j * delta * omega * np.outer(r, xa @ d))           # (n_r, n_a)
     trace_inc = (xa @ e0) * np.exp(1j * delta * omega * (xa @ d))      # (n_a,)
 
-    v1 = {j: vsh_UV(1, j, xa)[1] for j in (-1, 0, 1)}                  # V_1^j
-    y1 = {j: sph_harmonic(1, j, xa) for j in (-1, 0, 1)}
-    harm = {(0, 0): np.full(len(xa), 1 / math.sqrt(4 * math.pi), dtype=complex)}
-    uvecs = {}
-    for n in range(1, n_sh + 1):
-        for m in range(-n, n + 1):
-            harm[(n, m)] = sph_harmonic(n, m, xa)
-            uvecs[(n, m)] = vsh_UV(n, m, xa)[0]
+    # one harmonic table on the sphere nodes: Y_n^m for n <= n_sh, U_n^m and V_n^m for n >= 1
+    table = harmonic_table(n_sh, xa)
+    harm, deg = table.y, table.degree                                   # (K, n_a), (K,)
+    uvecs = table.vectors(slice(1, None))[0]                            # (K-1, n_a, 3)
+    v1, y1 = table.vectors(slice(1, 4))[1], harm[1:4]                   # V_1^j, Y_1^j, j = -1, 0, 1
 
     # normalized ground modes: pi * TE_{1,j}(k0, x) = prof(r) V_1^j(xhat)
     prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real  # (n_r,)
-    overlaps = {}
-    for j in (-1, 0, 1):
-        ang = wa * (np.conj(v1[j]) @ e0)                                # (n_a,)
-        overlaps[j] = complex((wr * prof) @ phase @ ang)
+    radial = np.einsum("r,ra->a", wr * prof, phase)                     # (n_a,)
+    overlaps = np.einsum("a,jai,i->j", wa * radial, np.conj(v1), e0)     # (3,)
 
     c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
 
     # second blow-up term (K_B E_j, (T_B|_W)^{-1} P_w incident): the ball
     # potential of a ground mode is lambda0 * mode, and the gradient-sector
     # basis fields meet the tangential modes only through the U/V overlap
-    max_b = top_b = 0.0
-    second = {j: 0.0 for j in (-1, 0, 1)}
-    for n in range(1, n_sh + 1):
-        rad = float(np.sum(wr * prof * r ** (n - 1)))
-        for m in range(-n, n + 1):
-            b = complex(np.sum(wa * np.conj(harm[(n, m)]) * trace_inc))
-            max_b = max(max_b, abs(b))
-            if n == n_sh:
-                top_b = max(top_b, abs(b))
-            if b == 0:
-                continue
-            coef = -(2 * n + 1) / (n + 1) * b / n
-            for j in (-1, 0, 1):
-                ang = math.sqrt(n * (n + 1)) * complex(
-                    np.sum(wa * np.einsum("ai,ai->a", v1[j], np.conj(uvecs[(n, m)])))
-                )
-                second[j] += lam0 * np.conj(coef) * rad * ang
+    b = np.einsum("ka,a->k", np.conj(harm), wa * trace_inc)            # (K,)
+    max_b = np.max(np.abs(b[1:]))
+    top_b = np.max(np.abs(b[deg == n_sh]))
     if max_b > 0 and top_b > 1e-8 * max_b:
         warnings.warn("spherical-harmonic truncation under-resolved; raise n_sh")
+    rad = np.array([np.sum(wr * prof * r ** p) for p in range(n_sh + 1)])  # radial moments r^p
+    n = deg[1:]
+    coef = -(2 * n + 1) / (n + 1) * b[1:] / n
+    ang = np.sqrt(n * (n + 1)) * ((v1 * wa[:, None]).reshape(3, -1) @ np.conj(uvecs).reshape(len(n), -1).T)
+    second = lam0 * np.einsum("jk,k->j", ang, np.conj(coef) * rad[n - 1])
     t2_pref = omega ** 2 * omega0 * model.c_tau / tau / (2 * eps)
 
     m1 = np.zeros(3, dtype=complex)
     m2 = np.zeros((3, 3), dtype=complex)
     phi_rad = float(np.sum(wr * k0 * r ** 2 * np.asarray(sph_bessel_j(1, k0 * r)).real))
     xx_outer = np.einsum("a,ai,ak->aik", wa, xa, xa)
-    for j in (-1, 0, 1):
-        m1 += (c_m * overlaps[j] + t2_pref * second[j]) * mode_potential_integral(j)
-        t_j = phi_rad * np.einsum("a,aik->ik", y1[j], xx_outer)
-        m2 += overlaps[j] * t_j
+    for j, ov, sec, y in zip((-1, 0, 1), overlaps, second, y1):
+        m1 += (c_m * ov + t2_pref * sec) * mode_potential_integral(j)
+        m2 += ov * phi_rad * np.einsum("a,aik->ik", y, xx_outer)
     m2 *= -omega0 / eps
 
     # Q0: solid-harmonic moments of the projected field give the Newtonian
     # potential on the sphere; its normal trace is inverted degree by degree
-    trace = np.zeros(len(xa), dtype=complex)
-    for (n, m), y_nm in harm.items():
-        rad = float(np.sum(wr * prof * r ** n))
-        g = np.zeros(3, dtype=complex)
-        for j in (-1, 0, 1):
-            g += overlaps[j] * rad * np.einsum("a,ai->i", wa * np.conj(y_nm), v1[j])
-        if np.max(np.abs(g)) == 0:
-            continue
-        trace += (xa @ g) * y_nm / (2 * n + 1)
+    g = rad[deg][:, None] * ((np.conj(harm) * wa) @ np.einsum("j,jai->ai", overlaps, v1))  # (K, 3)
+    trace = np.einsum("ka,ka->a", (g / (2 * deg + 1)[:, None]) @ xa.T, harm)
     q0 = np.zeros(3, dtype=complex)
-    for m in (-1, 0, 1):
-        b1 = complex(np.sum(wa * np.conj(y1[m]) * trace))
-        first_moment = np.einsum("a,ai->i", wa * y1[m], xa)
-        q0 += half_plus_np_inverse_factor(1) * b1 * first_moment
+    for y in y1:
+        b1 = complex(np.sum(wa * np.conj(y) * trace))
+        q0 += half_plus_np_inverse_factor(1) * b1 * np.einsum("a,ai->i", wa * y, xa)
     q0 *= -(delta ** 2 * omega ** 2 * omega0) / (2 * eps)
     return ResonantMoments(q0, m1, m2)
 

@@ -17,8 +17,10 @@ argument, chosen element by element:
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
 
+import functools
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,10 +320,13 @@ def angles_to_unit(theta, phi):
 
 
 def _direction_frame(x):
-    """cos(theta), sin(theta), phi and the local (theta-hat, phi-hat) frame."""
+    """cos(theta), sin(theta), phi and the local (theta-hat, phi-hat) frame of
+    the directions x, flattened to P directions so that a single direction
+    takes the same array path as a batch."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
+    if x.shape[-1:] != (3,):
         raise ValueError("directions must have a trailing axis of length 3")
+    x = x.reshape(-1, 3)
     r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r == 0):
         raise ValueError("zero vector is not a direction")
@@ -332,31 +337,96 @@ def _direction_frame(x):
     cp, sp = np.cos(phi), np.sin(phi)
     theta_hat = np.stack([cos_t * cp, cos_t * sp, -sin_t], axis=-1)
     phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return xh, cos_t, sin_t, phi, theta_hat, phi_hat
+    return cos_t, sin_t, phi, theta_hat, phi_hat
 
 
-def _scaled_alp(n, m, cos_t):
-    """Orthonormalized associated Legendre N_n^m divided by sin(theta)^m.
+class HarmonicTable(NamedTuple):
+    """Y_n^m and its surface gradient for 0 <= n <= n_max, |m| <= n, stacked
+    along the first axis at k = n(n+1) + m, with the local frame.
 
-    The sin powers are kept out of the recurrence so that polar evaluations
-    stay finite; Condon-Shortley phase is carried by the diagonal ladder.
+    d_theta and d_phi are the theta-hat and phi-hat components of
+    grad_S Y_n^m = sqrt(n(n+1)) U_n^m (zero for n = 0).
     """
-    q = np.full_like(cos_t, 1.0 / math.sqrt(4 * math.pi), dtype=float)
-    for k in range(1, m + 1):
-        q = -math.sqrt((2 * k + 1) / (2.0 * k)) * q
-    if n == m:
-        return q
-    q_prev, q = q, math.sqrt(2 * m + 3) * cos_t * q
-    for k in range(m + 2, n + 1):
-        a = math.sqrt((4 * k * k - 1.0) / (k * k - m * m))
-        b = math.sqrt((2 * k + 1.0) * ((k - 1) ** 2 - m * m) / ((2 * k - 3.0) * (k * k - m * m)))
-        q_prev, q = q, a * cos_t * q - b * q_prev
-    return q
+
+    y: np.ndarray
+    d_theta: np.ndarray
+    d_phi: np.ndarray
+    theta_hat: np.ndarray
+    phi_hat: np.ndarray
+
+    @property
+    def degree(self):
+        """The degree n of every entry k."""
+        return np.sqrt(np.arange(len(self.y))).astype(int)
+
+    def vectors(self, k):
+        """Cartesian U_n^m and V_n^m = x-hat cross U_n^m of the entries k >= 1
+        (an index or a slice).  x-hat cross theta-hat = phi-hat and x-hat cross
+        phi-hat = -theta-hat, so V needs no cross product."""
+        n = self.degree[k]
+        scale = 1.0 / np.sqrt(n * (n + 1))
+        scale = np.reshape(scale, np.shape(scale) + (1,) * self.theta_hat.ndim)
+        dt, dp = self.d_theta[k][..., None], self.d_phi[k][..., None]
+        return (scale * (dt * self.theta_hat + dp * self.phi_hat),
+                scale * (dt * self.phi_hat - dp * self.theta_hat))
 
 
-def _harmonic_nonneg(n, m, cos_t, sin_t, phi):
-    q = _scaled_alp(n, m, cos_t)
-    return q * sin_t ** m * np.exp(1j * m * phi)
+@functools.lru_cache(maxsize=None)
+def _ladder_columns(n):
+    """Factors of degree n as columns over the orders m: the three-term
+    recurrence a, b (m <= n - 2), the m+-1 ladder identity of the polar
+    derivative (m <= n), and i m and the parity (-1)^m (1 <= m <= n)."""
+    m = np.arange(n + 1)[:, None]
+    low = m[:max(n - 1, 0)]
+    a = np.sqrt((4 * n * n - 1.0) / (n * n - low * low))
+    b = np.sqrt((2 * n + 1.0) * ((n - 1) ** 2 - low * low) / ((2 * n - 3.0) * (n * n - low * low)))
+    return a, b, np.sqrt((n - m) * (n + m + 1)), np.sqrt((n + m) * (n - m + 1)), 1j * m[1:], (-1) ** m[1:]
+
+
+def harmonic_table(n_max: int, x) -> HarmonicTable:
+    """Y_n^m and grad_S Y_n^m for all 0 <= n <= n_max, |m| <= n at unit
+    direction(s) x, from one Legendre ladder.
+
+    The ladder runs degree by degree over all orders at once on the
+    orthonormalized associated Legendre functions divided by sin(theta)^m,
+    so polar evaluations stay finite; the Condon-Shortley phase is carried by
+    the diagonal.  The polar derivative comes from the m+-1 ladder identity
+    and the azimuthal one from the sin-scaled functions (no NaN at the poles).
+    """
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    if n_max > MAX_ORDER:
+        raise ValueError(f"n_max exceeds supported maximum {MAX_ORDER}")
+    cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
+    shape = np.shape(x)[:-1]
+    sin_pow = np.stack([sin_t ** m for m in range(n_max + 1)])
+    phase = np.stack([np.exp(1j * m * phi) for m in range(n_max + 1)])
+    y, d_theta, d_phi = (np.zeros(((n_max + 1) ** 2, len(cos_t)), dtype=complex) for _ in range(3))
+
+    q = np.full_like(cos_t, 1.0 / math.sqrt(4 * math.pi), dtype=float)[None]
+    q_prev = q[:0]
+    for n in range(n_max + 1):
+        a, b, up, down, i_m, parity = _ladder_columns(n)
+        if n > 0:
+            q_prev, q = q, np.concatenate([
+                a * cos_t * q[:n - 1] - b * q_prev[:n - 1],
+                math.sqrt(2 * n + 1) * cos_t * q[n - 1:],
+                -math.sqrt((2 * n + 1) / (2.0 * n)) * q[n - 1:],
+            ])
+        c = n * (n + 1)
+        y[c:c + n + 1] = q * sin_pow[:n + 1] * phase[:n + 1]
+        if n == 0:
+            continue
+        y_up = np.concatenate([y[c + 1:c + n + 1], np.zeros_like(y[c:c + 1])])
+        y_dn = np.concatenate([-np.conj(y[c + 1:c + 2]), y[c:c + n]])
+        d_theta[c:c + n + 1] = 0.5 * (up * y_up / phase[1] - down * y_dn * phase[1])
+        d_phi[c + 1:c + n + 1] = i_m * q[1:] * sin_pow[:n] * phase[1:n + 1]
+        # orders -1..-n from Y_n^{-m} = (-1)^m conj(Y_n^m), and so for the gradient
+        for part in (y, d_theta, d_phi):
+            part[c - 1:c - n - 1:-1] = parity * np.conj(part[c + 1:c + n + 1])
+    k = ((n_max + 1) ** 2,)
+    return HarmonicTable(y.reshape(k + shape), d_theta.reshape(k + shape), d_phi.reshape(k + shape),
+                         theta_hat.reshape(shape + (3,)), phi_hat.reshape(shape + (3,)))
 
 
 def sph_harmonic(n: int, m: int, x) -> complex:
@@ -366,105 +436,28 @@ def sph_harmonic(n: int, m: int, x) -> complex:
     """
     if abs(m) > n:
         raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    _, cos_t, sin_t, phi, _, _ = _direction_frame(x)
-    y = _harmonic_nonneg(n, abs(m), cos_t, sin_t, phi)
-    if m < 0:
-        y = (-1) ** (abs(m) % 2) * np.conj(y)
-    return complex(y) if np.ndim(y) == 0 else y
+    y = harmonic_table(n, x).y[n * (n + 1) + m]
+    return complex(y) if y.ndim == 0 else y.copy()
 
 
 def vsh_UV(n: int, m: int, x):
     """Vector spherical harmonics U_n^m = grad_S Y_n^m / sqrt(n(n+1)) and
-    V_n^m = x-hat cross U_n^m, evaluated at unit direction(s) x.
-
-    The polar-angle derivative is taken through the m+-1 ladder identity and
-    the azimuthal term through the sin-scaled Legendre functions, so the
-    evaluation is finite at the poles (no NaN).
-    """
+    V_n^m = x-hat cross U_n^m, evaluated at unit direction(s) x."""
     if n < 1:
         raise ValueError("vector harmonics need n >= 1")
     if abs(m) > n:
         raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    xh, cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
-    ma = abs(m)
-    eip = np.exp(1j * phi)
-
-    y_up = _harmonic_nonneg(n, ma + 1, cos_t, sin_t, phi) if ma + 1 <= n else 0.0
-    if ma >= 1:
-        y_dn = _harmonic_nonneg(n, ma - 1, cos_t, sin_t, phi)
-    else:
-        # Y_n^{-1} = -conj(Y_n^1)
-        y_dn = -np.conj(_harmonic_nonneg(n, 1, cos_t, sin_t, phi))
-    d_theta = 0.5 * (
-        math.sqrt((n - ma) * (n + ma + 1)) * y_up / eip
-        - math.sqrt((n + ma) * (n - ma + 1)) * y_dn * eip
-    )
-    if ma >= 1:
-        q = _scaled_alp(n, ma, cos_t)
-        az = 1j * ma * q * sin_t ** (ma - 1) * np.exp(1j * ma * phi)
-    else:
-        az = np.zeros_like(cos_t, dtype=complex)
-    if m < 0:
-        sign = (-1) ** (ma % 2)
-        d_theta = sign * np.conj(d_theta)
-        az = sign * np.conj(az)
-
-    scale = 1.0 / math.sqrt(n * (n + 1))
-    u = scale * (np.asarray(d_theta)[..., None] * theta_hat + np.asarray(az)[..., None] * phi_hat)
-    v = np.cross(xh, u)
-    return u, v
+    return harmonic_table(n, x).vectors(n * (n + 1) + m)
 
 
 def vsh_table(n_max: int, x):
-    """All (U_n^m, V_n^m) for 1 <= n <= n_max, |m| <= n at direction(s) x.
-
-    One ladder pass per azimuthal order; much cheaper than repeated vsh_UV
-    calls when a whole partial-wave table is needed.
-    """
+    """All (U_n^m, V_n^m) for 1 <= n <= n_max, |m| <= n at direction(s) x,
+    keyed by (n, m): views into the stacked vectors of one harmonic table."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if n_max > MAX_ORDER:
-        raise ValueError(f"n_max exceeds supported maximum {MAX_ORDER}")
-    xh, cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
-    eip = np.exp(1j * phi)
-
-    q = {}
-    diag = np.full_like(cos_t, 1.0 / math.sqrt(4 * math.pi), dtype=float)
-    for m in range(0, n_max + 1):
-        if m > 0:
-            diag = -math.sqrt((2 * m + 1) / (2.0 * m)) * diag
-        q[(m, m)] = diag
-        if m + 1 <= n_max:
-            q[(m + 1, m)] = math.sqrt(2 * m + 3) * cos_t * q[(m, m)]
-        for n in range(m + 2, n_max + 1):
-            a = math.sqrt((4 * n * n - 1.0) / (n * n - m * m))
-            b = math.sqrt((2 * n + 1.0) * ((n - 1) ** 2 - m * m) / ((2 * n - 3.0) * (n * n - m * m)))
-            q[(n, m)] = a * cos_t * q[(n - 1, m)] - b * q[(n - 2, m)]
-
-    y = {nm: q[nm] * sin_t ** nm[1] * np.exp(1j * nm[1] * phi) for nm in q}
-    out = {}
-    for n in range(1, n_max + 1):
-        scale = 1.0 / math.sqrt(n * (n + 1))
-        for m in range(0, n + 1):
-            y_up = y[(n, m + 1)] if m + 1 <= n else 0.0
-            y_dn = y[(n, m - 1)] if m >= 1 else -np.conj(y[(n, 1)])
-            d_theta = 0.5 * (
-                math.sqrt((n - m) * (n + m + 1)) * y_up / eip
-                - math.sqrt((n + m) * (n - m + 1)) * y_dn * eip
-            )
-            if m >= 1:
-                az = 1j * m * q[(n, m)] * sin_t ** (m - 1) * np.exp(1j * m * phi)
-            else:
-                az = np.zeros_like(cos_t, dtype=complex)
-            for sign in ((1,) if m == 0 else (1, -1)):
-                dt, a = d_theta, az
-                if sign < 0:
-                    parity = (-1) ** (m % 2)
-                    dt = parity * np.conj(d_theta)
-                    a = parity * np.conj(az)
-                u = scale * (np.asarray(dt)[..., None] * theta_hat + np.asarray(a)[..., None] * phi_hat)
-                out[(n, sign * m)] = (u, np.cross(xh, u))
-    return out
+    u, v = harmonic_table(n_max, x).vectors(slice(1, None))
+    keys = [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
+    return {nm: (u[k], v[k]) for k, nm in enumerate(keys)}
 
 
 def solid_harmonic_gradient_deg1(m: int):

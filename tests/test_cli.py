@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dieres import mie
 from dieres.cli import CsvTable, main, parse_csv, run_config, to_dimensionless
 
 
@@ -158,3 +159,24 @@ def test_threaded_sweep_matches_sequential(capsys, monkeypatch):
 def test_run_config_unknown_command():
     with pytest.raises(ValueError):
         run_config({"command": "nope"})
+
+
+def test_cross_sections_records_a_failed_omega(capsys, monkeypatch):
+    args = ["cross-sections", "--delta", "0.1", "--tau", "50", "0",
+            "--omega-min", "1.0", "--omega-max", "1.5", "--omega-count", "6"]
+    _, clean, _ = _run(capsys, *args)
+    real = mie.mie_coefficients
+
+    def singular_at_1_2(cfg, w):
+        if cfg.omega == 1.2:
+            raise mie.ResonanceError(2, "TE")
+        return real(cfg, w)
+
+    monkeypatch.setattr(mie, "mie_coefficients", singular_at_1_2)
+    code, out, _ = _run(capsys, *args)
+    assert code == 0
+    table, ref = parse_csv(out), parse_csv(clean)
+    assert table.meta == ["failed omega=1.2: scattering resonance hit at n=2, family=TE"]
+    assert [row[0] for row in table.rows] == [1.0, 1.1, 1.3, 1.4, 1.5]
+    assert table.rows == [row for row in ref.rows if row[0] != 1.2]
+    assert ref.meta == [] and "# failed" not in clean

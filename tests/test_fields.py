@@ -12,7 +12,7 @@ from dieres.fields import (
     multipole_field,
     plane_wave,
 )
-from dieres.specfun import angles_to_unit
+from dieres.specfun import angles_to_unit, vsh_UV
 
 
 def _fd_curl(f, x, h=1e-5):
@@ -205,6 +205,30 @@ def test_jacobi_anger_converges_to_plane_wave(rng):
     w2 = IncidentWave(d, e0, 1.0)
     err2 = np.linalg.norm(jacobi_anger_partial(w2, 12, x) - plane_wave(w2, x))
     assert err2 <= 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_jacobi_anger_matches_sum_of_multipole_fields(N):
+    rng = np.random.default_rng(N)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    e0 = np.cross(d, rng.normal(size=3))
+    e0 /= np.linalg.norm(e0)
+    w = IncidentWave(d, e0, 1.7)
+    x = np.vstack([np.zeros(3), rng.normal(size=(20, 3))])
+    ref = np.zeros((len(x), 3), dtype=complex)
+    for n in range(1, N + 1):
+        coeff = -4 * math.pi * 1j ** n / math.sqrt(n * (n + 1))
+        for m in range(-n, n + 1):
+            u, v = vsh_UV(n, m, d)
+            ref += coeff * np.dot(np.conj(v), e0) * multipole_field("entire", "TE", n, m, w.omega, x)
+            ref += coeff * np.dot(np.conj(u), e0) * multipole_field("entire", "TM", n, m, w.omega, x)
+    assert np.max(np.abs(jacobi_anger_partial(w, N, x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_jacobi_anger_order_cap():
+    with pytest.raises(ValueError):
+        jacobi_anger_partial(_wave(), 65, np.array([0.1, 0.2, 0.3]))
 
 
 def test_field_sample_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dieres.fields import IncidentWave
+from dieres.fields import IncidentWave, multipole_field
 from dieres.mie import (
     CoefficientAsymptotics,
     MieTable,
@@ -126,6 +126,19 @@ def test_scattered_field_empty_table_and_linearity():
     assert_allclose(scattered_field(doubled, x), 2 * scattered_field(t, x), rtol=1e-12)
     with pytest.raises(ValueError):
         scattered_field(t, np.array([0.05, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("tau, omega", [(complex(60, 3), 2.1), (40.0, 1.3)])
+def test_scattered_field_matches_sum_of_multipole_fields(tau, omega):
+    rng = np.random.default_rng(7)
+    cfg = ScatterConfig(0.2, tau, omega)
+    t = mie_coefficients(cfg, _wave(omega, d=rng.normal(size=3)))
+    x = rng.normal(size=(16, 3))
+    x *= rng.uniform(0.25, 3.0, size=(16, 1)) / np.linalg.norm(x, axis=1)[:, None]
+    ref = sum(g * multipole_field("radiating", "TE", n, m, cfg.omega, x) for (n, m), g in t.gamma.items())
+    ref = ref + sum(e * multipole_field("radiating", "TM", n, m, cfg.omega, x) for (n, m), e in t.eta.items())
+    assert np.max(np.abs(scattered_field(t, x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert_allclose(scattered_field(t, x[3]), scattered_field(t, x)[3], rtol=1e-14)
 
 
 def test_far_field_tangential_and_axis_zero(rng):

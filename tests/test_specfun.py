@@ -9,6 +9,7 @@ from scipy import special
 from dieres.specfun import (
     angles_to_unit,
     bessel_zero,
+    harmonic_table,
     radial_pair,
     riccati_H,
     riccati_J,
@@ -21,6 +22,7 @@ from dieres.specfun import (
     sph_hankel1,
     sph_harmonic,
     vsh_UV,
+    vsh_table,
 )
 
 mpmath.mp.dps = 40
@@ -323,6 +325,52 @@ def test_harmonic_orthonormality(sphere_quad):
             val = np.sum(sphere_quad.weights * ya * np.conj(yb))
             expect = 1.0 if (na, ma) == (nb, mb) else 0.0
             assert_allclose(val, expect, atol=1e-10)
+
+
+# --- one harmonic table behind sph_harmonic, vsh_UV and vsh_table -----------
+
+_RANDOM = np.random.default_rng(20261018).normal(size=(24, 3))
+_TABLE_DIRS = np.vstack([_RANDOM / np.linalg.norm(_RANDOM, axis=1)[:, None], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_harmonic_views_read_one_table(n):
+    table = harmonic_table(12, _TABLE_DIRS)
+    vectors = vsh_table(12, _TABLE_DIRS)
+    for m in range(-n, n + 1):
+        k = n * (n + 1) + m
+        assert np.array_equal(sph_harmonic(n, m, _TABLE_DIRS), table.y[k])
+        # a single direction takes the same path as a batch
+        assert [sph_harmonic(n, m, _TABLE_DIRS[i]) for i in (0, -2, -1)] == list(table.y[k][[0, -2, -1]])
+        if n == 0:
+            continue
+        u, v = vsh_UV(n, m, _TABLE_DIRS)
+        tu, tv = table.vectors(k)
+        assert np.array_equal(u, tu) and np.array_equal(v, tv)
+        assert np.array_equal(vectors[(n, m)][0], u) and np.array_equal(vectors[(n, m)][1], v)
+        assert np.array_equal(vsh_UV(n, m, _TABLE_DIRS[-1])[0], u[-1])
+        # V = x-hat cross U without a cross product: rounding-level difference, none at the poles
+        cross = np.cross(_TABLE_DIRS, u)
+        assert np.max(np.abs(v - cross)) <= 1e-15 * np.max(np.abs(u))
+        assert np.array_equal(v[-2:], cross[-2:])
+
+
+def test_harmonic_table_shapes_and_cap():
+    x = _TABLE_DIRS[:6].reshape(2, 3, 3)
+    table = harmonic_table(4, x)
+    assert table.y.shape == table.d_theta.shape == table.d_phi.shape == (25, 2, 3)
+    assert table.theta_hat.shape == table.phi_hat.shape == (2, 3, 3)
+    assert list(table.degree) == [n for n in range(5) for _ in range(2 * n + 1)]
+    assert np.array_equal(table.y, harmonic_table(4, x.reshape(6, 3)).y.reshape(25, 2, 3))
+    assert np.all(table.d_theta[0] == 0) and np.all(table.d_phi[0] == 0)
+    single = harmonic_table(4, x[0, 0])
+    assert single.y.shape == (25,) and single.theta_hat.shape == (3,)
+    with pytest.raises(ValueError):
+        harmonic_table(65, x)
+    with pytest.raises(ValueError):
+        harmonic_table(-1, x)
+    with pytest.raises(ValueError):
+        harmonic_table(2, np.zeros(3))
 
 
 # --- vector spherical harmonics ----------------------------------------------
