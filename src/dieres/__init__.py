@@ -62,6 +62,7 @@ from .specfun import (
     bessel_zero,
     harmonic_table,
     radial_pair,
+    radial_table,
     riccati_H,
     riccati_J,
     small_arg_leading,

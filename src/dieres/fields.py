@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import harmonic_table, radial_pair, solid_harmonic_gradient_deg1, vsh_UV
+from .specfun import harmonic_table, radial_table, solid_harmonic_gradient_deg1, vsh_UV
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     """Sum of te[j] TE_{n,m} + tm[j] TM_{n,m} over multipole fields of one
     variant, the coefficients stacked at j = n(n+1) + m (entry 0 unused).
 
-    One harmonic table at the directions of x and one radial pass per order
-    with a nonzero coefficient.  In the (theta-hat, phi-hat, x-hat) frame,
-    with grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
+    One harmonic table at the directions of x and one radial table over all
+    orders.  In the (theta-hat, phi-hat, x-hat) frame, with
+    grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
     TE = -f_n (d_theta phi-hat - d_phi theta-hat) and
     TM = -(F_n (d_theta theta-hat + d_phi phi-hat) + n(n+1) f_n Y x-hat) / (i k r).
     """
@@ -108,13 +108,14 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
         xh = pts[off] / ro[:, None]
         n_max = math.isqrt(len(te) - 1)
         table = harmonic_table(n_max, xh)
+        radial, riccati = radial_table(n_max, k * ro, "j" if variant == "entire" else "h")
         comp = np.zeros((3, len(ro)), dtype=complex)  # theta-hat, phi-hat, x-hat
         for n in range(1, n_max + 1):
             rows = slice(n * n, (n + 1) ** 2)
             g, e = te[rows], tm[rows]
             if not (g.any() or e.any()):
                 continue
-            f, big = radial_pair(n, k * ro, "j" if variant == "entire" else "h")
+            f, big = radial[n], riccati[n]
             # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
             (g_t, e_t), (g_p, e_p), (_, e_y) = (np.stack([g, e]) @ part[rows]
                                                 for part in (table.d_theta, table.d_phi, table.y))

@@ -2,6 +2,7 @@
 field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _farfield_coefficient, _multipole_sum
-from .specfun import harmonic_table, radial_pair, riccati_H, riccati_J, vsh_table
+from .specfun import MAX_ORDER, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J, vsh_table
 
 
 class ResonanceError(ArithmeticError):
@@ -44,6 +45,9 @@ class ScatterConfig:
             object.__setattr__(self, "n_max", default_n_max(self.delta, tau, self.omega))
         elif self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > MAX_ORDER:
+            raise ValueError(f"n_max = {self.n_max} exceeds the supported maximum {MAX_ORDER} "
+                             f"(interior size |delta omega sqrt(1 + tau)| = {abs(self.delta * self.omega_tau):.6g})")
 
     @property
     def omega_tau(self) -> complex:
@@ -59,7 +63,7 @@ def default_n_max(delta, tau, omega) -> int:
 
 def _arguments(delta, tau, omega):
     """Exterior and interior arguments delta omega and delta omega sqrt(1 + tau)."""
-    return delta * omega, delta * omega * np.sqrt(complex(1 + tau))
+    return delta * omega, delta * omega * cmath.sqrt(1 + tau)
 
 
 def _matching(fx, bigfx, jy, bigjy, tau):
@@ -81,15 +85,31 @@ def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
     return _matching(*radial_pair(n, x, "h"), *radial_pair(n, y, "j"), tau)
 
 
-def _radial_factors(n, delta, tau, omega):
-    x, y = _arguments(delta, tau, omega)
-    hx, bighx = radial_pair(n, x, "h")
-    jy, bigjy = radial_pair(n, y, "j")
+def _factor_row(hx, bighx, jx, bigjx, jy, bigjy, tau):
+    """TE and TM (num, den, scale) of one order: the numerator and denominator
+    of the radial factor and the size of the two products that cancel in the
+    denominator."""
     den_te, den_tm = _matching(hx, bighx, jy, bigjy, tau)
-    num_te, num_tm = _matching(*radial_pair(n, x, "j"), jy, bigjy, tau)
+    num_te, num_tm = _matching(jx, bigjx, jy, bigjy, tau)
     scale_te = abs(hx * bigjy) + abs(jy * bighx)
     scale_tm = abs(hx * bigjy / (1 + tau)) + abs(jy * bighx)
     return (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm)
+
+
+def _factor_table(n_max, delta, tau, omega):
+    """_factor_row of every order 0..n_max from one radial table per function:
+    h(dw), j(dw) and j(dw_t).  The rows are Python complex, like the pairs
+    mie_denominators reads, so that row n of the table of size n and the
+    denominators of order n agree bit for bit."""
+    x, y = _arguments(delta, tau, omega)
+    tables = [part.tolist() for arg, kind in ((x, "h"), (x, "j"), (y, "j"))
+              for part in radial_table(n_max, arg, kind)]
+    return [_factor_row(*row, tau) for row in zip(*tables)]
+
+
+def _radial_factors(n, delta, tau, omega):
+    """_factor_row of order n from the pass of order n, the one mie_denominators makes."""
+    return _factor_table(n, delta, tau, omega)[n]
 
 
 @dataclass(frozen=True)
@@ -103,12 +123,17 @@ class MieTable:
 
     def radial_te(self, n: int) -> complex:
         """m-independent TE radial factor num/den of order n."""
-        te, _ = _radial_factors(n, self.config.delta, self.config.tau, self.config.omega)
+        te, _ = self._factors(n)
         return te[0] / te[1]
 
     def radial_tm(self, n: int) -> complex:
-        _, tm = _radial_factors(n, self.config.delta, self.config.tau, self.config.omega)
+        _, tm = self._factors(n)
         return tm[0] / tm[1]
+
+    def _factors(self, n):
+        # row n of the table mie_coefficients reads, so the two agree bit for bit
+        c = self.config
+        return _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n]
 
 
 def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
@@ -122,10 +147,9 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     gamma = {}
     eta = {}
     angular = vsh_table(cfg.n_max, w.direction)
+    factors = _factor_table(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)
     for n in range(1, cfg.n_max + 1):
-        (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm) = _radial_factors(
-            n, cfg.delta, cfg.tau, cfg.omega
-        )
+        (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm) = factors[n]
         if abs(den_te) < 1e-14 * scale_te:
             raise ResonanceError(n, "TE")
         if abs(den_tm) < 1e-14 * scale_tm:

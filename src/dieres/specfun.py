@@ -1,22 +1,34 @@
 """Complex-argument spherical Bessel/Hankel functions, Riccati combinations,
 real Bessel zeros, and scalar/vector spherical harmonics.
 
-All evaluators are elementwise over numpy arrays (scalars in, scalars out).
-Every radial function of order n reads f_{n-1} and f_n from one pass per
-argument, chosen element by element:
+Radial functions come in tables.  radial_table(n_max, z, kind) returns f_0..f_N
+and the Riccati combinations F_0..F_N of one kind (j, y or h^(1)) from one pass
+per argument; radial_pair and the value and derivative functions read rows of
+that pass and keep only the rows they return.  The pass is chosen element by
+element from the top order N (at least 1):
 
-- j_n for |z| <= 1: the ascending power series;
-- j_n for n <= 2 and |z| > 1, or for |Re z| >= n and |Im z| <= 0.1 |Re z|,
-  and y_n and h_n^(1) everywhere: upward recurrence from the closed forms of
-  f_0 and f_1 (one loop shared by the three kinds; growth in the order keeps
-  it stable for y and h, and for j only while the argument is near the real
-  axis and past the order);
-- j_n otherwise: one normalized downward (Miller) recurrence that yields
-  j_{n-1} and j_n together.
+- j for |z| <= 1: the ascending power series of every order;
+- j for N <= 2 and |z| > 1, or for |Re z| >= N with |Im z| at most
+  0.1 |Re z| and at most 2 + 0.1 (|Re z| - N), and y and h^(1) elsewhere:
+  upward recurrence from the closed forms of f_0 and f_1 (one loop shared by
+  the three kinds; growth in the order keeps it stable for y and h, and for j
+  only while the argument is near the real axis and past the order);
+- j otherwise: one normalized downward (Miller) recurrence;
+- y for |Im z| > 2, and h^(1) for Im z < -2, where the upward loop would pick
+  up the other Hankel solution: reflected from j and h^(1) at z or conj z,
+  whichever lies in the upper half plane, y = -i (h^(1) - j) and
+  h^(1)(z) = 2 j(z) - conj h^(1)(conj z) (compare Amos, ACM TOMS 12, 265
+  (1986)).
+
+Element types: an array argument runs the pass on numpy arrays, with masks
+splitting the elements between passes.  A 0-d argument (a Python number, a
+numpy scalar or a 0-d array) runs the same pass on Python complex with cmath
+and returns Python complex; the two agree to rounding.
 
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
 
+import cmath
 import functools
 import math
 import threading
@@ -27,42 +39,56 @@ import numpy as np
 MAX_ORDER = 64
 # e^{|Im z|} factors in sin/cos/exp overflow doubles past this.
 _IM_OVERFLOW = 700.0
-# Riccati combination F_0 = z f_{-1} of each kind: j_{-1} = cos z / z,
-# y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z.
-_RICCATI_0 = {"j": np.cos, "y": np.sin, "h": lambda z: np.exp(1j * z)}
+# |Im z| past which y, and h^(1) below the axis, are reflected and upward j
+# needs distance past the order: upward errors grow like e^{2 |Im z|} eps there.
+# Resonant and lossy arguments stay well inside.
+_OFF_AXIS = 2.0
+# for |z| <= 1 term k of the series is at most 1/(2k+1)! and the sum is above
+# 0.8, so the terms past the tenth add less than 1e-22 of it
+_SERIES_TERMS = 10
+_KINDS = ("j", "y", "h")
 
 
-def _flatten(z):
+def _ns(z):
+    """Math namespace of the element type."""
+    return cmath if isinstance(z, complex) else np
+
+
+def _elements(z):
+    """A 0-d z as a Python complex with shape None, else z flattened to a
+    complex array and its shape."""
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        return complex(z), None
     arr = np.asarray(z, dtype=np.complex128)
-    return arr.ravel(), arr.shape, arr.ndim == 0
+    return arr.ravel(), arr.shape
 
 
-def _restore(flat, shape, scalar):
-    if scalar:
-        return complex(flat[0])
-    return flat.reshape(shape)
+def _restore(value, shape):
+    return value if shape is None else value.reshape(shape)
 
 
-def _check_args(n, z):
+def _any(flags):
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def _select(flags, a, b):
+    """a where flags hold, else b."""
+    if isinstance(flags, bool):
+        return a if flags else b
+    return np.where(flags, a, b)
+
+
+def _check(n, z, kind):
     if n < 0:
         raise ValueError("order n must be >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order n={n} exceeds supported maximum {MAX_ORDER}")
-    if (np.abs(z.imag) > _IM_OVERFLOW).any():
+    if _any(abs(z.imag) > _IM_OVERFLOW):
         raise OverflowError("spherical Bessel argument overflows double range")
-
-
-def _jn_series(n, z):
-    # ascending series j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)...(2n+2k+1))
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    z2 = -0.5 * z * z
-    for k in range(1, 40):
-        term = term * z2 / (k * (2 * n + 2 * k + 1))
-        acc = acc + term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(acc)), 1e-300):
-            break
-    return acc * z ** n / _double_factorial(2 * n + 1)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind != "j" and _any(z == 0):
+        raise ZeroDivisionError(f"{'y_n' if kind == 'y' else 'h_n^(1)'} has a pole at z = 0")
 
 
 def _double_factorial(k):
@@ -71,88 +97,135 @@ def _double_factorial(k):
     return float(math.prod(range(k, 0, -2)))
 
 
-def _series(n, z):
-    return _jn_series(n - 1, z), _jn_series(n, z)
+def _jn_series(n, z):
+    # ascending series j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)...(2n+2k+1))
+    term = acc = 1
+    z2 = -0.5 * z * z
+    for k in range(1, _SERIES_TERMS + 1):
+        term = term * z2 / (k * (2 * n + 2 * k + 1))
+        acc = acc + term
+    return acc * z ** n / _double_factorial(2 * n + 1)
+
+
+def _series(top, z, kind, keep):
+    return [_jn_series(k, z) for k in range(0 if keep else top - 1, top + 1)]
 
 
 def _closed(kind, z):
     """f_0 and f_1 in closed form (z nonzero)."""
+    xp = _ns(z)
     if kind == "h":
-        e = np.exp(1j * z)
+        e = xp.exp(1j * z)
         return -1j * e / z, -e * (z + 1j) / z ** 2
-    s, c = np.sin(z), np.cos(z)
+    s, c = xp.sin(z), xp.cos(z)
     if kind == "j":
         return s / z, s / z ** 2 - c / z
     return -c / z, -c / z ** 2 - s / z
 
 
-def _upward(n, z, kind="j"):
+def _riccati_0(kind, z):
+    """F_0 = z f_{-1}: j_{-1} = cos z / z, y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z."""
+    xp = _ns(z)
+    if kind == "h":
+        return xp.exp(1j * z)
+    return xp.cos(z) if kind == "j" else xp.sin(z)
+
+
+def _upward(top, z, kind, keep):
     fm, f = _closed(kind, z)
-    for k in range(1, n):
+    rows = [fm, f]
+    for k in range(1, top):
         fm, f = f, (2 * k + 1) / z * f - fm
-    return fm, f
+        if keep:
+            rows.append(f)
+    return rows if keep else [fm, f]
 
 
-def _jn_miller(n, z):
+def _rescale(f_lo, f_hi):
+    """Factor taking Miller iterates above 1e250 down by 1e-250 (1 for the
+    others), or None when no iterate is that large."""
+    if isinstance(f_lo, complex):
+        return 1e-250 if max(abs(f_lo), abs(f_hi)) > 1e250 else None
+    big = np.maximum(np.abs(f_lo), np.abs(f_hi)) > 1e250
+    return np.where(big, 1e-250, 1.0) if big.any() else None
+
+
+def _miller(top, z, kind, keep):
     # downward recurrence from a padded start order, normalized against the
     # larger of j_0/j_1 to dodge zeros of the reference.  With |z| > 1 a step
     # grows the larger of the two iterates by less than 2k + 2, and this
-    # regime has |Re z| < max(n, 10 |Im z|) <= 7000, so k < 7200: eight steps
+    # regime has |Re z| < N + 10 |Im z| <= 7064, so k < 7200: eight steps
     # from below 1e250 stay below 1e284 and the rescaling test runs every
     # eighth step.
-    start = n + 30 + int(np.max(np.abs(z)))
-    f_hi = np.zeros_like(z)
-    f_lo = np.full_like(z, 1e-280)
-    kept = {}
+    start = top + 30 + int(np.max(np.abs(z), initial=0))
+    f_hi, f_lo = 0 * z, 1e-280 + 0 * z
+    kept = []  # f_top down to f_0, or only f_top, f_{top-1}, f_1 and f_0
     for k in range(start, 0, -1):
         f_hi, f_lo = f_lo, (2 * k + 1) / z * f_lo - f_hi
-        if k - 1 in (n, n - 1, 1, 0):
-            kept[k - 1] = f_lo.copy()
+        if k <= top + 1 and (keep or k >= top or k <= 2):
+            kept.append(f_lo)
         if k % 8 == 0:
-            big = np.maximum(np.abs(f_lo), np.abs(f_hi)) > 1e250
-            if big.any():
-                for arr in (f_lo, f_hi, *kept.values()):
-                    arr[big] *= 1e-250
+            factor = _rescale(f_lo, f_hi)
+            if factor is not None:
+                f_lo, f_hi = f_lo * factor, f_hi * factor
+                kept = [f * factor for f in kept]
     j0, j1 = _closed("j", z)
-    use0 = np.abs(j0) >= np.abs(j1)
-    scale = np.where(use0, j0, j1) / np.where(use0, kept[0], kept[1])
-    return kept[n - 1] * scale, kept[n] * scale
+    use0 = abs(j0) >= abs(j1)
+    scale = _select(use0, j0, j1) / _select(use0, kept[-1], kept[-2])
+    return [f * scale for f in (kept[::-1] if keep else kept[1::-1])]
 
 
-def _pass(n, z, kind):
-    """(f_{n-1}, f_n), n >= 1, of the flat array z from one pass per element."""
-    if kind not in _RICCATI_0:
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind != "j":
-        if (z == 0).any():
-            raise ZeroDivisionError(f"{'y_n' if kind == 'y' else 'h_n^(1)'} has a pole at z = 0")
-        return _upward(n, z, kind)
-    small = np.abs(z) <= 1.0
-    if n <= 2:
-        upward = ~small
+def _reflected(top, z, kind, keep):
+    # y and h^(1) from j and h^(1) at w = z or conj z, whichever lies in the
+    # upper half plane: y(w) = -i (h(w) - j(w)), h^(2)(w) = 2 j(w) - h(w),
+    # y(conj w) = conj y(w) and h^(1)(conj w) = conj h^(2)(w)
+    lower = z.imag < 0
+    w = _select(lower, z.conjugate(), z)
+    rows = [-1j * (h - j) if kind == "y" else 2 * j - h
+            for j, h in zip(_pass(top, w, "j", keep), _upward(top, w, "h", keep))]
+    return [_select(lower, f.conjugate(), f) for f in rows]
+
+
+def _pass(top, z, kind, keep):
+    """f_0..f_top (keep) or f_{top-1}, f_top of z, a Python complex or a flat
+    array, as a list of rows from one pass per element; top >= 1."""
+    if kind == "j":
+        re, im = abs(z.real), abs(z.imag)
+        past_order = (re >= top) & (im <= 0.1 * re) & (im <= _OFF_AXIS + 0.1 * (re - top))
+        choices = ((abs(z) <= 1.0, _series), ((top <= 2) | past_order, _upward), (True, _miller))
     else:
-        re = np.abs(z.real)
-        upward = (re >= n) & (np.abs(z.imag) <= 0.1 * re)
-    prev, f = np.empty_like(z), np.empty_like(z)
-    for mask, method in ((upward, _upward), (small, _series), (~(small | upward), _jn_miller)):
+        off_axis = (abs(z.imag) > _OFF_AXIS) & ((kind == "y") | (z.imag < 0))
+        choices = ((off_axis, _reflected), (True, _upward))
+    # each element takes the first pass whose flag it meets
+    if isinstance(z, complex):
+        for flag, method in choices:
+            if flag:
+                return method(top, z, kind, keep)
+    rows, rest = None, np.ones(len(z), dtype=bool)
+    for flag, method in choices:
+        mask = rest & flag
+        if mask.all():
+            return method(top, z, kind, keep)
         if mask.any():
-            if mask.all():
-                return method(n, z)
-            prev[mask], f[mask] = method(n, z[mask])
-    return prev, f
+            part = method(top, z[mask], kind, keep)
+            rows = rows or [np.empty_like(z) for _ in part]
+            for row, value in zip(rows, part):
+                row[mask] = value
+            rest &= ~mask
+    return rows
 
 
-def _one_pass(n, z, kind):
-    """Flat z, (f_{n-1}, f_n) of one pass (f_0 first for n = 0) and the
-    function that gives a result z's shape."""
-    flat, shape, scalar = _flatten(z)
-    _check_args(n, flat)
-    return flat, _pass(max(n, 1), flat, kind), lambda a: _restore(a, shape, scalar)
+def _one_pass(n, z, kind, keep):
+    """z as _elements gives it, after the checks, the rows of its pass with
+    top order max(n, 1), and z's shape."""
+    z, shape = _elements(z)
+    _check(n, z, kind)
+    return z, _pass(max(n, 1), z, kind, keep), shape
 
 
 def _value(n, z, kind):
-    _, (prev, f), restore = _one_pass(n, z, kind)
-    return restore(f if n else prev)
+    _, (prev, f), shape = _one_pass(n, z, kind, False)
+    return _restore(f if n else prev, shape)
 
 
 def sph_bessel_j(n: int, z) -> complex:
@@ -168,34 +241,50 @@ def sph_bessel_y(n: int, z) -> complex:
 def sph_hankel1(n: int, z) -> complex:
     """Spherical Hankel function of the first kind h_n^(1)(z); z nonzero.
 
-    Computed by upward recurrence from the closed forms of h_0, h_1 so that
-    j + iy cancellation is avoided for Im z > 0.
+    Computed by upward recurrence from the closed forms of h_0, h_1 (reflected
+    from the upper half plane for Im z < -2), so that j + iy cancellation is
+    avoided.
     """
     return _value(n, z, "h")
 
 
+def radial_table(n_max: int, z, kind: str = "j"):
+    """f_0(z)..f_N(z) and their Riccati combinations F_0..F_N, N = n_max,
+    from one recurrence pass per argument, for f = j (kind "j"), y ("y") or
+    h^(1) ("h").  F_n = f_n + z f_n' = z f_{n-1} - n f_n, and F_0 = z f_{-1}.
+
+    Both are arrays of shape (N + 1,) + shape of z, order first.
+    """
+    z, rows, shape = _one_pass(n_max, z, kind, True)
+    rows = rows[:n_max + 1]
+    big = [_riccati_0(kind, z)] + [z * fm - k * f for k, (fm, f) in enumerate(zip(rows, rows[1:]), 1)]
+    out = (n_max + 1,) + (shape or ())
+    return np.array(rows).reshape(out), np.array(big).reshape(out)
+
+
 def radial_pair(n: int, z, kind: str = "j"):
     """f_n(z) and its Riccati combination F_n(z) = f_n(z) + z f_n'(z)
-    = z f_{n-1}(z) - n f_n(z), both from one recurrence pass, for f = j
-    (kind "j"), y ("y") or h^(1) ("h")."""
-    flat, (prev, f), restore = _one_pass(n, z, kind)
+    = z f_{n-1}(z) - n f_n(z): row n of radial_table(n, z, kind), from the
+    same pass without the rows below n - 1."""
+    z, (prev, f), shape = _one_pass(n, z, kind, False)
     if n == 0:
-        return restore(prev), restore(_RICCATI_0[kind](flat))
-    return restore(f), restore(flat * prev - n * f)
+        return _restore(prev, shape), _restore(_riccati_0(kind, z), shape)
+    return _restore(f, shape), _restore(z * prev - n * f, shape)
 
 
 def _derivative(n, z, kind):
-    # f_n' = f_{n-1} - (n+1)/z f_n from the pass of radial_pair, f_0' = -f_1
-    flat, (prev, f), restore = _one_pass(n, z, kind)
+    # f_n' = f_{n-1} - (n+1)/z f_n from the pass of radial_pair, f_0' = -f_1,
+    # and j_n'(0) = 1/3 for n = 1, else 0
+    z, (prev, f), shape = _one_pass(n, z, kind, False)
     if n == 0:
-        return restore(-f)
-    out = np.zeros_like(flat)
-    zero = flat == 0
-    if n == 1:
-        out[zero] = 1.0 / 3.0
-    nz = ~zero
-    out[nz] = prev[nz] - (n + 1) / flat[nz] * f[nz]
-    return restore(out)
+        return _restore(-f, shape)
+    at_zero = 1.0 / 3.0 if n == 1 else 0.0
+    if isinstance(z, complex):
+        return complex(at_zero) if z == 0 else prev - (n + 1) / z * f
+    out = np.full_like(z, at_zero)
+    nz = z != 0
+    out[nz] = prev[nz] - (n + 1) / z[nz] * f[nz]
+    return out.reshape(shape)
 
 
 def sph_bessel_jp(n: int, z) -> complex:

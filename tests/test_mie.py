@@ -201,6 +201,15 @@ def test_optical_theorem_energy_conservation(rng):
         assert abs(rep.Qabs) <= 1e-8 * max(rep.Qs, 1e-30)
 
 
+def test_config_rejects_orders_past_the_cap():
+    # the default truncation on interior size 80 would be 88
+    with pytest.raises(ValueError, match=r"n_max = 88 exceeds the supported maximum 64 \(interior size .* = 80\)"):
+        ScatterConfig(1.0, 15, 20)
+    with pytest.raises(ValueError, match="maximum 64"):
+        ScatterConfig(0.1, 15, 2.0, n_max=65)
+    assert ScatterConfig(0.1, 15, 2.0, n_max=64).n_max == 64
+
+
 def test_cross_sections_reject_complex_omega():
     cfg = ScatterConfig(0.1, 50.0, 2.0 - 0.1j, n_max=4)
     t = MieTable(cfg, _wave(2.0), {(1, 0): 0.1}, {(1, 0): 0.0})
