@@ -7,8 +7,10 @@ printed with 17 significant digits so re-parsing is bit-exact.
 """
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -303,10 +305,10 @@ def _cmd_amplitude(cfg):
     count = int(cfg.get("theta_count", 37))
     config = mie.ScatterConfig(delta, tau, omega)
     table = mie.mie_coefficients(config, _incident(cfg, omega))
+    thetas = np.linspace(0.0, math.pi, count)
+    xh = np.array([[math.sin(t) * math.cos(phi), math.sin(t) * math.sin(phi), math.cos(t)] for t in thetas])
     rows = []
-    for theta in np.linspace(0.0, math.pi, count):
-        xh = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-        ff = mie.far_field(table, xh)
+    for theta, ff in zip(thetas, mie.far_field(table, xh)):
         rows.append([theta, ff[0].real, ff[0].imag, ff[1].real, ff[1].imag, ff[2].real, ff[2].imag])
     return CsvTable(
         ["theta", "re_E1", "im_E1", "re_E2", "im_E2", "re_E3", "im_E3"],
@@ -374,8 +376,19 @@ def run_config(cfg: dict) -> CsvTable:
     return _HANDLERS[command][0](cfg)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal, exponent
+    forms such as -2.5e-05 and -inf included, as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                                                   re.IGNORECASE)
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dieres",
         description="dielectric subwavelength resonances and Mie scattering for high-index spheres",
     )

@@ -3,15 +3,17 @@ field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
 import cmath
+import functools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .fields import IncidentWave, _farfield_coefficient, _multipole_sum
-from .specfun import MAX_ORDER, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J, vsh_table
+from .specfun import MAX_ORDER, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -112,14 +114,71 @@ def _radial_factors(n, delta, tau, omega):
     return _factor_table(n, delta, tau, omega)[n]
 
 
+class _Coefficients(Mapping):
+    """Read-only (n, m) -> coefficient view of a stack at k = n(n+1) + m,
+    1 <= n <= N, |m| <= n."""
+
+    def __init__(self, stack):
+        self._stack = stack
+
+    def __getitem__(self, key):
+        n, m = key
+        if not (1 <= n and abs(m) <= n and n * (n + 2) < len(self._stack)):
+            raise KeyError(key)
+        return self._stack[n * (n + 1) + m]
+
+    def __iter__(self):
+        return ((n, m) for n in range(1, _top(self._stack) + 1) for m in range(-n, n + 1))
+
+    def __len__(self):
+        return len(self._stack) - 1
+
+
+def _top(stack):
+    """The highest order n of a stack at k = n(n+1) + m."""
+    return math.isqrt(len(stack) - 1)
+
+
+def _stacks(*tables):
+    """Read-only stacks of (n, m) mappings or of stacks, all up to the
+    highest order any of them holds, missing entries 0."""
+    if any(len(c) != (_top(c) + 1) ** 2 for c in tables if not isinstance(c, Mapping)):
+        raise ValueError("a coefficient stack has length (n_max + 1)^2")
+    top = max(max((n for n, _ in c), default=0) if isinstance(c, Mapping) else _top(c) for c in tables)
+    out = np.zeros((len(tables), (top + 1) ** 2), dtype=complex)
+    for row, c in zip(out, tables):
+        if not isinstance(c, Mapping):
+            row[:len(c)] = c
+            continue
+        for (n, m), value in c.items():
+            if n < 1 or abs(m) > n:
+                raise ValueError(f"no coefficient of order (n, m) = ({n}, {m})")
+            row[n * (n + 1) + m] = value
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class MieTable:
-    """Scattering coefficients gamma (TE) and eta (TM) for one configuration."""
+    """Scattering coefficients gamma (TE) and eta (TM) for one configuration.
+
+    gamma and eta are given as (n, m) mappings or as stacks at
+    k = n(n+1) + m (entry 0 unused).  The table keeps them stacked in te and
+    tm, up to the highest order either holds and with missing entries 0;
+    gamma and eta become read-only (n, m) views of those stacks.
+    """
 
     config: ScatterConfig
     incident: IncidentWave
-    gamma: dict = field(default_factory=dict)
-    eta: dict = field(default_factory=dict)
+    gamma: Mapping = field(default_factory=dict)
+    eta: Mapping = field(default_factory=dict)
+    te: np.ndarray = field(init=False, repr=False, compare=False)
+    tm: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        te, tm = _stacks(self.gamma, self.eta)
+        for name, value in (("te", te), ("tm", tm), ("gamma", _Coefficients(te)), ("eta", _Coefficients(tm))):
+            object.__setattr__(self, name, value)
 
     def radial_te(self, n: int) -> complex:
         """m-independent TE radial factor num/den of order n."""
@@ -136,42 +195,50 @@ class MieTable:
         return _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n]
 
 
+@functools.lru_cache(maxsize=32)
+def _incidence(n_max, direction, polarization):
+    """The omega-independent part of a coefficient table at one incidence,
+    the unit vectors given as bytes: the harmonic table of the direction (one
+    row of directions) and the TE and TM projections
+    4 pi i^n / sqrt(n(n+1)) conj(V_n^m).e0 and conj(U_n^m).e0 as tuples
+    ordered by k = n(n+1) + m >= 1.  Per entry np.dot, like the products the
+    tests pin; stacked contractions round differently."""
+    d, e0 = (np.frombuffer(v, dtype=float) for v in (direction, polarization))
+    table = harmonic_table(n_max, d[None])
+    for part in table:
+        part.flags.writeable = False
+    u, v = table.vectors(slice(1, None))
+    prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
+    proj_te = tuple(complex(p * np.dot(np.conj(v_k[0]), e0)) for p, v_k in zip(prefs, v))
+    proj_tm = tuple(complex(p * np.dot(np.conj(u_k[0]), e0)) for p, u_k in zip(prefs, u))
+    return table, proj_te, proj_tm
+
+
 def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     """Coefficient table gamma_{n,m}, eta_{n,m} for 1 <= n <= n_max, |m| <= n.
 
     Raises ResonanceError when a denominator is degenerate relative to the
     size of its two products (omega numerically a scattering resonance).
+    The angular part comes from the memo of the incidence; per omega only the
+    radial factors and one scalar product per entry are computed.
     """
     if complex(w.omega) != cfg.omega:
         w = IncidentWave(w.direction, w.polarization, cfg.omega)
-    gamma = {}
-    eta = {}
-    angular = vsh_table(cfg.n_max, w.direction)
     factors = _factor_table(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)
+    ratios_te, ratios_tm = [], []
     for n in range(1, cfg.n_max + 1):
         (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm) = factors[n]
         if abs(den_te) < 1e-14 * scale_te:
             raise ResonanceError(n, "TE")
         if abs(den_tm) < 1e-14 * scale_tm:
             raise ResonanceError(n, "TM")
-        ratio_te = num_te / den_te
-        ratio_tm = num_tm / den_tm
-        pref = 4 * math.pi * 1j ** n / math.sqrt(n * (n + 1))
-        for m in range(-n, n + 1):
-            u_d, v_d = angular[(n, m)]
-            gamma[(n, m)] = pref * np.dot(np.conj(v_d), w.polarization) * ratio_te
-            eta[(n, m)] = pref * np.dot(np.conj(u_d), w.polarization) * ratio_tm
-    return MieTable(cfg, w, gamma, eta)
-
-
-def _stacked(t):
-    """gamma and eta stacked at k = n(n+1) + m up to the highest order present."""
-    n_max = max((n for n, _ in (*t.gamma, *t.eta)), default=0)
-    te, tm = np.zeros((2, (n_max + 1) ** 2), dtype=complex)
-    for stack, coeffs in ((te, t.gamma), (tm, t.eta)):
-        for (n, m), c in coeffs.items():
-            stack[n * (n + 1) + m] = c
-    return te, tm
+        ratios_te += [num_te / den_te] * (2 * n + 1)
+        ratios_tm += [num_tm / den_tm] * (2 * n + 1)
+    _, proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    # Python complex products, which round like the numpy scalar ones
+    te = np.array([0j] + [p * r for p, r in zip(proj_te, ratios_te)])
+    tm = np.array([0j] + [p * r for p, r in zip(proj_tm, ratios_tm)])
+    return MieTable(cfg, w, te, tm)
 
 
 def scattered_field(t: MieTable, x) -> np.ndarray:
@@ -180,7 +247,7 @@ def scattered_field(t: MieTable, x) -> np.ndarray:
     r = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=-1)
     if np.any(r <= t.config.delta):
         raise ValueError("scattered field is only represented for |x| > delta")
-    return _multipole_sum("radiating", *_stacked(t), t.config.omega, x)
+    return _multipole_sum("radiating", t.te, t.tm, t.config.omega, x)
 
 
 def far_field(t: MieTable, xhat) -> np.ndarray:
@@ -189,17 +256,20 @@ def far_field(t: MieTable, xhat) -> np.ndarray:
     frame, where sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and V_n^m its
     rotation by x-hat."""
     single = np.asarray(xhat).ndim == 1
-    te, tm = _stacked(t)
-    n_max = math.isqrt(len(te) - 1)
-    table = harmonic_table(n_max, np.atleast_2d(np.asarray(xhat, dtype=float)))
-    orders = range(1, n_max + 1)
+    table = harmonic_table(_top(t.te), np.atleast_2d(np.asarray(xhat, dtype=float)))
+    out = _far_field_on(t, table)
+    return out[0] if single else out
+
+
+def _far_field_on(t, table):
+    """far_field of t at the directions of a harmonic table of its order, (P, 3)."""
+    orders = range(1, _top(t.te) + 1)
     coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) for n in orders],
                       [2 * n + 1 for n in orders])
-    g, e = coeff * te[1:], coeff * tm[1:]
+    g, e = coeff * t.te[1:], coeff * t.tm[1:]
     # (theta-hat, phi-hat) components from two-row products, as in fields._multipole_sum
     f_t, f_p = np.stack([e, g]) @ table.d_theta[1:] + np.stack([-g, e]) @ table.d_phi[1:]
-    out = f_t[:, None] * table.theta_hat + f_p[:, None] * table.phi_hat
-    return out[0] if single else out
+    return f_t[:, None] * table.theta_hat + f_p[:, None] * table.phi_hat
 
 
 @dataclass(frozen=True)
@@ -215,26 +285,27 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     """Scattering/extinction/absorption cross sections of a populated table.
 
     Qs comes from the closed partial-wave sum (validated elsewhere against
-    sphere quadrature of |far field|^2), Qext from the optical theorem.  Only
+    sphere quadrature of |far field|^2), Qext from the optical theorem, with
+    the forward far field taken on the memoized table of the incidence.  Only
     defined for real omega, where the incident flux is unit.
     """
     omega = t.config.omega
     if omega.imag != 0:
         raise ValueError("cross sections are defined for real frequencies only")
     w = omega.real
-    by_order = {}
-    for n, m in set(t.gamma) | set(t.eta):
-        term = abs(t.gamma.get((n, m), 0.0)) ** 2 + abs(t.eta.get((n, m), 0.0)) ** 2
-        by_order[n] = by_order.get(n, 0.0) + term
-    qs = sum(n * (n + 1) * v for n, v in by_order.items()) / w ** 2
+    n = np.sqrt(np.arange(len(t.te))).astype(int)
+    terms = n * (n + 1) * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
+    qs = float(terms.sum()) / w ** 2
     n_max = t.config.n_max
-    tail = sum(n * (n + 1) * by_order.get(n, 0.0) for n in range(n_max // 2 + 1, n_max + 1)) / w ** 2
+    tail = float(terms[(n_max // 2 + 1) ** 2:(n_max + 1) ** 2].sum()) / w ** 2
     converged = tail <= 1e-12 * max(qs, 1e-300)
     if not converged:
         warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
-    ff = far_field(t, t.incident.direction)
-    qext = 4 * math.pi / w * float(np.imag(np.dot(t.incident.polarization, ff)))
-    return CrossSectionReport(float(qs), qext, qext - float(qs), n_max, converged)
+    e0 = t.incident.polarization
+    table, _, _ = _incidence(_top(t.te), t.incident.direction.tobytes(), e0.tobytes())
+    ff = _far_field_on(t, table)[0]
+    qext = 4 * math.pi / w * float(np.imag(np.dot(e0, ff)))
+    return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
 
 
 class CoefficientAsymptotics(NamedTuple):

@@ -23,7 +23,8 @@ element from the top order N (at least 1):
 Element types: an array argument runs the pass on numpy arrays, with masks
 splitting the elements between passes.  A 0-d argument (a Python number, a
 numpy scalar or a 0-d array) runs the same pass on Python complex with cmath
-and returns Python complex; the two agree to rounding.
+and returns Python complex; the two agree to rounding.  On both, y and h^(1)
+past the double range (high orders at small arguments) raise OverflowError.
 
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
@@ -217,10 +218,23 @@ def _pass(top, z, kind, keep):
 
 def _one_pass(n, z, kind, keep):
     """z as _elements gives it, after the checks, the rows of its pass with
-    top order max(n, 1), and z's shape."""
+    top order max(n, 1), and z's shape.
+
+    y and h^(1) grow with the order below |z| ~ n, and past the double range
+    the recurrence yields inf and then nan; the top row, the largest, tells.
+    """
     z, shape = _elements(z)
     _check(n, z, kind)
-    return z, _pass(max(n, 1), z, kind, keep), shape
+    if shape is not None and kind != "j":
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _pass(max(n, 1), z, kind, keep)
+        finite = np.isfinite(rows[-1]).all()
+    else:
+        rows = _pass(max(n, 1), z, kind, keep)
+        finite = kind == "j" or cmath.isfinite(rows[-1])
+    if not finite:
+        raise OverflowError(f"{'y' if kind == 'y' else 'h^(1)'}_{max(n, 1)}(z) overflows the double range")
+    return z, rows, shape
 
 
 def _value(n, z, kind):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dieres import mie
-from dieres.cli import CsvTable, main, parse_csv, run_config, to_dimensionless
+from dieres.cli import CsvTable, build_parser, main, parse_csv, run_config, to_dimensionless
+from dieres.fields import IncidentWave
 
 
 def _run(capsys, *argv):
@@ -180,3 +181,34 @@ def test_cross_sections_records_a_failed_omega(capsys, monkeypatch):
     assert [row[0] for row in table.rows] == [1.0, 1.1, 1.3, 1.4, 1.5]
     assert table.rows == [row for row in ref.rows if row[0] != 1.2]
     assert ref.meta == [] and "# failed" not in clean
+
+
+def test_negative_floats_in_exponent_form_are_values(tmp_path, capsys):
+    flags = {"delta": 0.1, "tau": [50.0, 0.0], "omega": 2.0, "phi": -1e-03, "theta_count": 5,
+             "direction": [-2.5e-05, 0.0, 1.0], "polarization": [1.0, 0.0, 2.5e-05]}
+    argv = ["amplitude"]
+    for key, value in flags.items():
+        argv += [f"--{key.replace('_', '-')}", *(repr(v) for v in np.atleast_1d(value).tolist())]
+    assert "-2.5e-05" in argv and "-0.001" in argv
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "amplitude", **flags}))
+    assert _run(capsys, "amplitude", "--config", str(path))[1] == out
+    assert build_parser() is build_parser()
+
+
+def test_amplitude_matches_far_field_per_direction(capsys):
+    code, out, _ = _run(capsys, "amplitude", "--delta", "0.15", "--tau", "44", "0", "--omega", "3.1",
+                        "--phi", "0.7", "--theta-count", "9", "--direction", "0.3", "-0.4", "0.87",
+                        "--polarization", "0.8", "0.6", "0")
+    assert code == 0
+    d = np.array([0.3, -0.4, 0.87])
+    e0 = np.array([0.8, 0.6, 0.0])
+    w = IncidentWave(d / np.linalg.norm(d), e0, 3.1)
+    table = mie.mie_coefficients(mie.ScatterConfig(0.15, 44.0, 3.1), w)
+    rows = np.array(parse_csv(out).rows)
+    got = rows[:, 1::2] + 1j * rows[:, 2::2]
+    ref = np.array([mie.far_field(table, np.array([math.sin(t) * math.cos(0.7), math.sin(t) * math.sin(0.7),
+                                                  math.cos(t)])) for t in rows[:, 0]])
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

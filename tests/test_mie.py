@@ -303,3 +303,66 @@ def test_asymptotics_denominator_degenerates_at_pi():
     # J_1(t) + j_1(t) = t j_0(t) vanishes at t = pi
     t = math.pi
     assert abs(riccati_J(1, t) + sph_bessel_j(1, t)) < 1e-14
+
+
+# --- the memo of the incidence ------------------------------------------------
+
+def test_coefficients_bit_identical_cold_and_warm():
+    # a grid whose default truncation varies with omega, at two incidences
+    from dieres.mie import _incidence
+
+    delta, tau = 0.15, complex(60, 2)
+    omegas = np.linspace(0.8, 6.0, 9)
+    waves = [lambda om: _wave(om, d=[0.3, -0.4, 0.87]), lambda om: _wave(om)]
+    assert len({ScatterConfig(delta, tau, om).n_max for om in omegas}) >= 3
+    cold = {}
+    for om in omegas:
+        for i, wave in enumerate(waves):
+            _incidence.cache_clear()
+            cold[om, i] = mie_coefficients(ScatterConfig(delta, tau, om), wave(om))
+    assert _incidence.cache_info().currsize == 1
+    for _ in range(2):
+        for om in omegas:
+            for i, wave in enumerate(waves):
+                warm = mie_coefficients(ScatterConfig(delta, tau, om), wave(om))
+                assert np.array_equal(warm.te, cold[om, i].te) and np.array_equal(warm.tm, cold[om, i].tm)
+                assert cross_sections(warm) == cross_sections(cold[om, i])
+    assert _incidence.cache_info().hits > 0
+
+
+def test_incidence_memo_and_stacks_are_read_only():
+    from dieres.mie import _incidence
+
+    cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=4)
+    w = _wave(2.0, d=[0.3, -0.4, 0.87])
+    t = mie_coefficients(cfg, w)
+    table, proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    assert isinstance(proj_te, tuple) and isinstance(proj_tm, tuple) and len(proj_te) == 24
+    for part in (*table, t.te, t.tm):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+    with pytest.raises(TypeError):
+        t.gamma[(1, 0)] = 1.0
+
+
+def test_dict_built_table_matches_computed_table():
+    cfg = ScatterConfig(0.15, complex(44, 1), 2.9)
+    w = _wave(2.9, d=[0.3, -0.4, 0.87])
+    t = mie_coefficients(cfg, w)
+    rebuilt = MieTable(cfg, w, dict(t.gamma), dict(t.eta))
+    assert rebuilt == t
+    assert np.array_equal(rebuilt.te, t.te) and np.array_equal(rebuilt.tm, t.tm)
+    rep = cross_sections(rebuilt)
+    assert rep == cross_sections(t)
+    # the partial-wave sum against its loop form
+    loop = sum(n * (n + 1) * (abs(g) ** 2 + abs(t.eta[(n, m)]) ** 2) for (n, m), g in t.gamma.items())
+    assert abs(rep.Qs - loop / cfg.omega.real ** 2) <= 1e-14 * rep.Qs
+    assert len(t.gamma) == cfg.n_max * (cfg.n_max + 2)
+    assert list(t.gamma)[:4] == [(1, -1), (1, 0), (1, 1), (2, -2)]
+    # a partial table stacks up to its highest order; missing entries read 0
+    partial = MieTable(cfg, w, {(2, 1): 1.0 + 2.0j}, {})
+    assert len(partial.te) == 9 and partial.gamma[(2, 1)] == 1.0 + 2.0j
+    assert partial.eta[(1, 0)] == 0 and (3, 0) not in partial.gamma
+    with pytest.raises(ValueError):
+        MieTable(cfg, w, {(1, 2): 1.0}, {})

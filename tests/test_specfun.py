@@ -196,6 +196,18 @@ def test_scalar_and_array_errors(n, z, kind, error):
                 call(n, arg, kind)
 
 
+@pytest.mark.parametrize("kind", ["y", "h"])
+def test_overflow_at_small_argument(kind):
+    # y_64(1e-4) is about 1e367: past the double range, not a nan
+    for arg in (1e-4, 1e-4j, np.array([1e-4, 1.0])):
+        for call in (radial_pair, radial_table):
+            with pytest.raises(OverflowError):
+                call(64, arg, kind)
+    with pytest.raises(OverflowError):
+        (sph_bessel_y if kind == "y" else sph_hankel1)(64, 1e-4)
+    assert np.all(np.isfinite(radial_table(12, np.array([1e-4, 1.0]), kind)[0]))
+
+
 def test_h0_closed_form():
     # h_0^(1)(z) = -i e^{iz}/z, so h_0(i) = -e^{-1}
     assert_allclose(sph_hankel1(0, 1j), -math.exp(-1), rtol=1e-14)
