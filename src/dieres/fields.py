@@ -2,6 +2,7 @@
 harmonic (Debye) fields, far-field patterns, the incident plane wave and its
 partial-wave expansion."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,7 +167,13 @@ def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.nd
 
 def _farfield_coefficient(n, omega):
     """-sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2}: the far-field factor of order n."""
-    return -math.sqrt(n * (n + 1)) / omega * np.exp(-1j * (n + 1) * math.pi / 2)
+    return -math.sqrt(n * (n + 1)) / omega * _farfield_phase(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _farfield_phase(n):
+    """e^{-i(n+1)pi/2}, the omega-independent part of the far-field factor."""
+    return np.exp(-1j * (n + 1) * math.pi / 2)
 
 
 def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:

@@ -1,22 +1,32 @@
 """Cartesian electric/magnetic multipole moments of divergence-free fields on
-the unit ball, the product quadratures used to integrate them, and the
-moment-based assembler for the scattering amplitude."""
+the unit ball, the product quadratures used to integrate them, harmonic
+analysis and synthesis on their product grid, and the moment-based assembler
+for the scattering amplitude."""
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+from .specfun import HarmonicTable, harmonic_table
 
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Product Gauss(cos theta) x trapezoid(phi) rule on the unit sphere."""
+    """Product Gauss(cos theta) x trapezoid(phi) rule on the unit sphere.
+
+    Node i * n_phi + j sits at the polar node cos theta_i and the azimuth
+    2 pi j / n_phi, with weight polar_weights[i] * 2 pi / n_phi.  Hand-built
+    rules may leave the factors out (None)."""
 
     points: np.ndarray   # (N, 3) unit vectors
     weights: np.ndarray  # (N,), sums to 4 pi
     degree: int
+    polar_nodes: np.ndarray = field(repr=False, default=None)    # (n_theta,) Gauss nodes in cos theta
+    polar_weights: np.ndarray = field(repr=False, default=None)  # (n_theta,) their Gauss weights
+    n_phi: int = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,64 @@ def sphere_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
     pts = np.stack([sin_t * np.cos(pp), sin_t * np.sin(pp), cos_t], axis=-1)
     w = np.repeat(wu, n_phi) * wphi
     degree = min(2 * n_theta - 1, n_phi - 1)
-    return SphereQuadrature(pts, w, degree)
+    return SphereQuadrature(pts, w, degree, polar_nodes=u, polar_weights=wu, n_phi=n_phi)
+
+
+class _HarmonicGrid(NamedTuple):
+    """Harmonic table of degree <= n_max on the product grid of a sphere rule.
+
+    On the grid every entry factors as B_k(theta_i, phi_j) = B_k(theta_i, 0)
+    e^{i m phi_j} for B = Y, d_theta or d_phi of order m, so the Legendre
+    ladder runs only at the polar nodes and the sums over phi are products
+    with the phase matrix (Driscoll & Healy, Adv. Appl. Math. 15, 202 (1994)).
+    Analysis and synthesis regroup the direct sums over the nodes exactly.
+    """
+
+    table: HarmonicTable   # at the polar nodes, phi = 0: parts (K, n_theta)
+    phases: np.ndarray     # (2 n_max + 1, n_phi): e^{i m phi_j}, m = -n_max..n_max
+    weights: np.ndarray    # (n_theta,): the weight of every node of polar row i
+    theta_hat: np.ndarray  # (n_theta * n_phi, 3): the local frame at every node
+    phi_hat: np.ndarray
+
+    @property
+    def column(self):
+        """The row n_max + m of the phase matrix of every entry k."""
+        n, n_max = self.table.degree, (len(self.phases) - 1) // 2
+        return np.arange(len(n)) - n * (n + 1) + n_max
+
+    def at_nodes(self, part, k):
+        """Entries k (an index or a slice) of part at every node, (..., n_a)."""
+        values = part[k][..., :, None] * self.phases[self.column[k]][..., None, :]
+        return values.reshape(values.shape[:-2] + (-1,))
+
+    def analysis(self, part, f):
+        """sum_a w_a conj(B_k(a)) f(a) over the nodes a for B = part:
+        f (..., n_a) -> (..., K)."""
+        f = np.asarray(f)
+        f = f.reshape(f.shape[:-1] + (len(self.weights), -1))
+        by_order = f @ np.conj(self.phases).T  # (..., n_theta, 2 n_max + 1)
+        return np.einsum("ki,i,...ik->...k", np.conj(part), self.weights, by_order[..., self.column])
+
+    def synthesis(self, part, c):
+        """sum_k c_k B_k(a) at every node a for B = part: c (..., K) -> (..., n_a)."""
+        one_hot = self.column[:, None] == np.arange(len(self.phases))
+        by_order = (np.asarray(c)[..., None, :] * part.T) @ one_hot  # (..., n_theta, 2 n_max + 1)
+        values = by_order @ self.phases
+        return values.reshape(values.shape[:-2] + (-1,))
+
+
+def _harmonic_grid(sphere: SphereQuadrature, n_max: int) -> _HarmonicGrid:
+    """_HarmonicGrid of degree <= n_max on the nodes of a rule from sphere_quadrature."""
+    cos_t = sphere.polar_nodes
+    sin_t = np.sqrt(1 - cos_t ** 2)
+    phi = 2 * math.pi * np.arange(sphere.n_phi) / sphere.n_phi
+    table = harmonic_table(n_max, np.stack([sin_t, np.zeros_like(sin_t), cos_t], axis=-1))
+    phases = np.exp(1j * np.arange(-n_max, n_max + 1)[:, None] * phi)
+    cos_p, sin_p, ones_t, ones_p = np.cos(phi), np.sin(phi), np.ones_like(cos_t), np.ones_like(phi)
+    theta_hat = np.stack([np.outer(cos_t, cos_p), np.outer(cos_t, sin_p), np.outer(-sin_t, ones_p)], axis=-1)
+    phi_hat = np.stack([np.outer(ones_t, -sin_p), np.outer(ones_t, cos_p), np.zeros(theta_hat.shape[:2])], axis=-1)
+    return _HarmonicGrid(table, phases, sphere.polar_weights * (2 * math.pi / sphere.n_phi),
+                        theta_hat.reshape(-1, 3), phi_hat.reshape(-1, 3))
 
 
 def ball_quadrature(n_r: int = 32, n_theta: int = 64, n_phi: int = 128) -> BallQuadrature:

@@ -12,9 +12,9 @@ from typing import Tuple
 import numpy as np
 
 from .fields import IncidentWave, multipole_field
-from .multipole import ball_quadrature
+from .multipole import _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel
-from .specfun import bessel_zero, harmonic_table, radial_pair, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
+from .specfun import bessel_zero, radial_pair, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
 
 
 class PoleError(ArithmeticError):
@@ -294,13 +294,18 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     TE potentials), so those moments sit at quadrature scale; their pole
     prefactors are still exact.
 
-    All quadrature runs on the tensor grid: angular tables on the sphere
-    nodes, radial profiles integrated separately.
+    All quadrature runs on the product grid of `quad` (from ball_quadrature):
+    one harmonic table at its polar nodes, sums over phi as products with the
+    phase matrix, vector contractions in (theta-hat, phi-hat) components, and
+    radial profiles integrated separately.
     """
     if n_sh < 1:
         raise ValueError("the harmonic extraction needs n_sh >= 1")
     if quad is None:
         quad = _default_ball_quad()
+    sphere = quad.angular
+    if quad.radial_nodes is None or sphere is None or sphere.polar_nodes is None:
+        raise ValueError("resonant_moments needs the product structure of a quadrature from ball_quadrature")
     omega0 = quasi_static_pole(model)
     _guard_pole(omega, omega0, "resonant moments")
     eps = omega - omega0
@@ -308,7 +313,6 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     lam0 = 1.0 / k0 ** 2
     tau = model.evaluate(delta)
 
-    sphere = quad.angular
     xa, wa = sphere.points, sphere.weights
     r, wr = quad.radial_nodes, quad.radial_weights
     e0, d = w.polarization, w.direction
@@ -317,23 +321,25 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     phase = np.exp(1j * delta * omega * np.outer(r, xa @ d))           # (n_r, n_a)
     trace_inc = (xa @ e0) * np.exp(1j * delta * omega * (xa @ d))      # (n_a,)
 
-    # one harmonic table on the sphere nodes: Y_n^m for n <= n_sh, U_n^m and V_n^m for n >= 1
-    table = harmonic_table(n_sh, xa)
-    harm, deg = table.y, table.degree                                   # (K, n_a), (K,)
-    uvecs = table.vectors(slice(1, None))[0]                            # (K-1, n_a, 3)
-    v1, y1 = table.vectors(slice(1, 4))[1], harm[1:4]                   # V_1^j, Y_1^j, j = -1, 0, 1
+    # Y_n^m for n <= n_sh and grad_S Y_n^m = sqrt(n(n+1)) U_n^m at the polar
+    # nodes; the degree-1 rows at every node, with V_1^j = (d_theta phi-hat -
+    # d_phi theta-hat) / sqrt(2)
+    grid = _harmonic_grid(sphere, n_sh)
+    table, deg = grid.table, grid.table.degree
+    y1, dt1, dp1 = (grid.at_nodes(part, slice(1, 4)) for part in (table.y, table.d_theta, table.d_phi))
+    e0_t, e0_p = (np.einsum("ai,i->a", frame, e0) for frame in (grid.theta_hat, grid.phi_hat))
 
     # normalized ground modes: pi * TE_{1,j}(k0, x) = prof(r) V_1^j(xhat)
     prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real  # (n_r,)
     radial = np.einsum("r,ra->a", wr * prof, phase)                     # (n_a,)
-    overlaps = np.einsum("a,jai,i->j", wa * radial, np.conj(v1), e0)     # (3,)
+    overlaps = np.einsum("a,ja->j", wa * radial, np.conj(dt1) * e0_p - np.conj(dp1) * e0_t) / math.sqrt(2)
 
     c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
 
     # second blow-up term (K_B E_j, (T_B|_W)^{-1} P_w incident): the ball
     # potential of a ground mode is lambda0 * mode, and the gradient-sector
     # basis fields meet the tangential modes only through the U/V overlap
-    b = np.einsum("ka,a->k", np.conj(harm), wa * trace_inc)            # (K,)
+    b = grid.analysis(table.y, trace_inc)                              # (K,)
     max_b = np.max(np.abs(b[1:]))
     top_b = np.max(np.abs(b[deg == n_sh]))
     if max_b > 0 and top_b > 1e-8 * max_b:
@@ -341,7 +347,8 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     rad = np.array([np.sum(wr * prof * r ** p) for p in range(n_sh + 1)])  # radial moments r^p
     n = deg[1:]
     coef = -(2 * n + 1) / (n + 1) * b[1:] / n
-    ang = np.sqrt(n * (n + 1)) * ((v1 * wa[:, None]).reshape(3, -1) @ np.conj(uvecs).reshape(len(n), -1).T)
+    # sqrt(n(n+1)) V_1^j . conj(U_k) = (d_theta^j conj(d_phi^k) - d_phi^j conj(d_theta^k)) / sqrt(2)
+    ang = (grid.analysis(table.d_phi, dt1) - grid.analysis(table.d_theta, dp1))[:, 1:] / math.sqrt(2)
     second = lam0 * np.einsum("jk,k->j", ang, np.conj(coef) * rad[n - 1])
     t2_pref = omega ** 2 * omega0 * model.c_tau / tau / (2 * eps)
 
@@ -354,10 +361,13 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
         m2 += ov * phi_rad * np.einsum("a,aik->ik", y, xx_outer)
     m2 *= -omega0 / eps
 
-    # Q0: solid-harmonic moments of the projected field give the Newtonian
-    # potential on the sphere; its normal trace is inverted degree by degree
-    g = rad[deg][:, None] * ((np.conj(harm) * wa) @ np.einsum("j,jai->ai", overlaps, v1))  # (K, 3)
-    trace = np.einsum("ka,ka->a", (g / (2 * deg + 1)[:, None]) @ xa.T, harm)
+    # Q0: solid-harmonic moments of the projected field sum_j overlaps_j V_1^j
+    # give the Newtonian potential on the sphere; its normal trace is
+    # inverted degree by degree
+    proj_t, proj_p = np.einsum("j,ja->a", overlaps, -dp1), np.einsum("j,ja->a", overlaps, dt1)
+    proj = (proj_t[:, None] * grid.theta_hat + proj_p[:, None] * grid.phi_hat).T / math.sqrt(2)  # (3, n_a)
+    g = rad[deg] * grid.analysis(table.y, proj)                                                    # (3, K)
+    trace = np.einsum("ia,ia->a", grid.synthesis(table.y, g / (2 * deg + 1)), xa.T)
     q0 = np.zeros(3, dtype=complex)
     for y in y1:
         b1 = complex(np.sum(wa * np.conj(y) * trace))

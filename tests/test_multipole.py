@@ -8,6 +8,7 @@ from dieres.multipole import (
     BallQuadrature,
     DecomposedField,
     MomentTensor,
+    _harmonic_grid,
     amplitude_from_moments,
     ball_quadrature,
     electric_moment,
@@ -17,6 +18,7 @@ from dieres.multipole import (
 from dieres.quasistatic import dipole_approximation, dipole_far_field, mode_potential_curl_part
 from dieres.resonance import ContrastModel
 from dieres.fields import IncidentWave
+from dieres.specfun import harmonic_table
 
 
 def test_ball_weights_sum_to_volume(ball_quad):
@@ -244,3 +246,57 @@ def test_bracket_order_structure(ball_quad):
     s2 = np.polyfit(np.log(deltas), np.log(b2), 1)[0]
     assert abs(s1 - 2) <= 0.1
     assert abs(s2 - 3) <= 0.1
+
+
+# --- product-grid harmonics ----------------------------------------------------------
+
+def _sphere_rule_reference(n_theta, n_phi):
+    # the Gauss(cos theta) x trapezoid(phi) rule written out node by node
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2 * math.pi * np.arange(n_phi) / n_phi
+    cos_t = np.repeat(u, n_phi)
+    sin_t = np.sqrt(1 - cos_t ** 2)
+    pp = np.tile(phi, n_theta)
+    pts = np.stack([sin_t * np.cos(pp), sin_t * np.sin(pp), cos_t], axis=-1)
+    return pts, np.repeat(wu, n_phi) * (2 * math.pi / n_phi)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(8, 16), (24, 48), (32, 64), (11, 23)])
+def test_sphere_and_ball_rules_unchanged(n_theta, n_phi):
+    pts, w = _sphere_rule_reference(n_theta, n_phi)
+    q = sphere_quadrature(n_theta, n_phi)
+    assert np.array_equal(q.points, pts) and np.array_equal(q.weights, w)
+    assert q.degree == min(2 * n_theta - 1, n_phi - 1)
+    # the stored factors rebuild the nodes and the weights bit for bit
+    assert q.n_phi == n_phi and len(q.polar_nodes) == len(q.polar_weights) == n_theta
+    assert np.array_equal(np.repeat(q.polar_nodes, n_phi), q.points[:, 2])
+    assert np.array_equal(np.repeat(q.polar_weights, n_phi) * (2 * math.pi / n_phi), q.weights)
+    x, wx = np.polynomial.legendre.leggauss(7)
+    r = 0.5 * (x + 1)
+    wr = 0.5 * wx * r ** 2
+    b = ball_quadrature(7, n_theta, n_phi)
+    assert np.array_equal(b.points, (r[:, None, None] * pts[None]).reshape(-1, 3))
+    assert np.array_equal(b.weights, (wr[:, None] * w[None]).ravel())
+    assert b.degree == min(2 * 7 - 3, q.degree)
+    assert np.array_equal(b.angular.points, pts) and np.array_equal(b.angular.polar_nodes, q.polar_nodes)
+
+
+@pytest.mark.parametrize("n_theta, n_phi, n_max", [(8, 16, 3), (11, 23, 5), (24, 48, 10), (32, 64, 10), (20, 33, 7)])
+def test_grid_analysis_and_synthesis_match_direct_sums(n_theta, n_phi, n_max, rng):
+    q = sphere_quadrature(n_theta, n_phi)
+    grid = _harmonic_grid(q, n_max)
+    full = harmonic_table(n_max, q.points)
+    f = rng.normal(size=(3, len(q.weights))) + 1j * rng.normal(size=(3, len(q.weights)))
+    c = rng.normal(size=(2, (n_max + 1) ** 2)) + 1j * rng.normal(size=(2, (n_max + 1) ** 2))
+    for name in ("y", "d_theta", "d_phi"):
+        part, direct = getattr(grid.table, name), getattr(full, name)
+        analysed = np.einsum("ka,a,ja->jk", np.conj(direct), q.weights, f)
+        assert_allclose(grid.analysis(part, f), analysed, rtol=0, atol=1e-13 * np.max(np.abs(analysed)))
+        assert_allclose(grid.analysis(part, f[0]), analysed[0], rtol=0, atol=1e-13 * np.max(np.abs(analysed)))
+        synthesised = np.einsum("jk,ka->ja", c, direct)
+        assert_allclose(grid.synthesis(part, c), synthesised, rtol=0, atol=1e-13 * np.max(np.abs(synthesised)))
+        nodes = direct[1:4]
+        assert_allclose(grid.at_nodes(part, slice(1, 4)), nodes, rtol=0, atol=1e-13 * np.max(np.abs(nodes)))
+    assert_allclose(grid.theta_hat, full.theta_hat, rtol=0, atol=1e-15)
+    assert_allclose(grid.phi_hat, full.phi_hat, rtol=0, atol=1e-15)
+

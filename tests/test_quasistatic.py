@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from dieres.fields import IncidentWave, harmonic_exterior
 from dieres.mie import MieTable, ScatterConfig, far_field, mie_coefficients
-from dieres.multipole import sphere_quadrature
+from dieres.multipole import BallQuadrature, ball_quadrature, sphere_quadrature
 from dieres.quasistatic import (
     DipolePair,
     EigenModeLabel,
@@ -31,7 +31,14 @@ from dieres.quasistatic import (
     tm_matching_matrix,
 )
 from dieres.resonance import ContrastModel
-from dieres.specfun import bessel_zero, riccati_J, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
+from dieres.specfun import (
+    bessel_zero,
+    harmonic_table,
+    riccati_J,
+    solid_harmonic_gradient_deg1,
+    sph_bessel_j,
+    sph_harmonic,
+)
 
 UNIT = ContrastModel(1.0)
 
@@ -357,6 +364,74 @@ def test_resonant_moments_m1_matches_dipole_reduction():
     m_small = -1j * UNIT.evaluate(0.02) * 0.02 ** 4 * om * rm_small.m1_hat
     pair_small = dipole_approximation(wv, om, 0.02, UNIT)
     assert_allclose(m_small, pair_small.m, rtol=1e-3, atol=1e-14)
+
+
+def _cartesian_moments(w, omega, delta, model, quad, n_sh=10):
+    # the resonant moments written with one harmonic table at every node and
+    # Cartesian U and V, the direct form the grid path regroups
+    omega0 = quasi_static_pole(model)
+    eps = omega - omega0
+    k0 = bessel_zero(0, 1)
+    lam0 = 1.0 / k0 ** 2
+    tau = model.evaluate(delta)
+    xa, wa = quad.angular.points, quad.angular.weights
+    r, wr = quad.radial_nodes, quad.radial_weights
+    e0, d = w.polarization, w.direction
+    phase = np.exp(1j * delta * omega * np.outer(r, xa @ d))
+    trace_inc = (xa @ e0) * np.exp(1j * delta * omega * (xa @ d))
+    table = harmonic_table(n_sh, xa)
+    harm, deg = table.y, table.degree
+    uvecs = table.vectors(slice(1, None))[0]
+    v1, y1 = table.vectors(slice(1, 4))[1], harm[1:4]
+    prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real
+    radial = np.einsum("r,ra->a", wr * prof, phase)
+    overlaps = np.einsum("a,jai,i->j", wa * radial, np.conj(v1), e0)
+    c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
+    b = np.einsum("ka,a->k", np.conj(harm), wa * trace_inc)
+    rad = np.array([np.sum(wr * prof * r ** p) for p in range(n_sh + 1)])
+    n = deg[1:]
+    coef = -(2 * n + 1) / (n + 1) * b[1:] / n
+    ang = np.sqrt(n * (n + 1)) * np.einsum("a,jai,kai->jk", wa, v1, np.conj(uvecs))
+    second = lam0 * np.einsum("jk,k->j", ang, np.conj(coef) * rad[n - 1])
+    t2_pref = omega ** 2 * omega0 * model.c_tau / tau / (2 * eps)
+    phi_rad = float(np.sum(wr * k0 * r ** 2 * np.asarray(sph_bessel_j(1, k0 * r)).real))
+    m1 = sum((c_m * ov + t2_pref * sec) * mode_potential_integral(j)
+             for j, ov, sec in zip((-1, 0, 1), overlaps, second))
+    m2 = -omega0 / eps * phi_rad * np.einsum("j,ja,a,ai,ak->ik", overlaps, y1, wa, xa, xa)
+    g = rad[deg][:, None] * np.einsum("ka,a,jai,j->ki", np.conj(harm), wa, v1, overlaps)
+    trace = np.einsum("ki,ai,ka->a", g / (2 * deg + 1)[:, None], xa, harm)
+    b1 = np.einsum("ja,a,a->j", np.conj(y1), wa, trace)
+    q0 = half_plus_np_inverse_factor(1) * np.einsum("j,ja,a,ai->i", b1, y1, wa, xa)
+    q0 = q0 * -(delta ** 2 * omega ** 2 * omega0) / (2 * eps)
+    return m1, m2, q0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_resonant_moments_match_cartesian_reference(seed):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    e0 = np.cross(d, rng.normal(size=3))
+    e0 /= np.linalg.norm(e0)
+    model = ContrastModel(1.0) if seed % 2 else ContrastModel(1.3 + 0.08j, (0.4, -0.2))
+    omega = (quasi_static_pole(model) + rng.uniform(0.005, 0.05)).real
+    delta = rng.uniform(0.05, 0.2)
+    quad = ball_quadrature(24, 32, 64) if seed < 3 else ball_quadrature(16, 20, 41)
+    rm = resonant_moments(IncidentWave(d, e0, omega), omega, delta, model, quad=quad)
+    m1, m2, q0 = _cartesian_moments(IncidentWave(d, e0, omega), omega, delta, model, quad)
+    scale = np.linalg.norm(m1)
+    assert_allclose(rm.m1_hat, m1, rtol=0, atol=1e-13 * scale)
+    assert np.max(np.abs(rm.m2_hat - m2)) <= 1e-12 * scale
+    assert np.max(np.abs(rm.q0_hat - q0)) <= 1e-12 * scale
+
+
+def test_resonant_moments_need_a_product_quadrature():
+    q = ball_quadrature(8, 10, 20)
+    for bare in (BallQuadrature(q.points, q.weights, q.degree),
+                 BallQuadrature(q.points, q.weights, q.degree, q.radial_nodes, q.radial_weights,
+                                type(q.angular)(q.angular.points, q.angular.weights, q.angular.degree))):
+        with pytest.raises(ValueError, match="ball_quadrature"):
+            resonant_moments(_wave(math.pi + 0.02), math.pi + 0.02, 0.1, UNIT, quad=bare)
 
 
 # --- orientation averages -----------------------------------------------------------
