@@ -38,12 +38,8 @@ class CsvTable:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        payload = {
-            "columns": self.columns,
-            "units": self.units,
-            "meta": self.meta,
-            "rows": [[_json_cell(v) for v in row] for row in self.rows],
-        }
+        payload = {"columns": self.columns, "units": self.units, "meta": self.meta,
+                   "rows": [[_json_cell(v) for v in row] for row in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -164,27 +160,14 @@ def _cmd_bessel_zeros(cfg):
 
 def _cmd_spectrum(cfg):
     count = int(cfg.get("count", 8))
-    rows = []
-    for rank, e in enumerate(quasistatic.sphere_spectrum(count), start=1):
-        rows.append([rank, e.lam, e.k, e.family_n, e.zero_index_s, e.multiplicity])
-    return CsvTable(
-        ["rank", "lambda", "k", "family_n", "s", "multiplicity"],
-        ["-"] * 6,
-        rows,
-    )
+    rows = [[rank, e.lam, e.k, e.family_n, e.zero_index_s, e.multiplicity]
+            for rank, e in enumerate(quasistatic.sphere_spectrum(count), start=1)]
+    return CsvTable(["rank", "lambda", "k", "family_n", "s", "multiplicity"], ["-"] * 6, rows)
 
 
 def _root_row(delta, root, prediction, limit):
-    return [
-        delta,
-        root.omega.real,
-        root.omega.imag,
-        root.residual,
-        root.iterations,
-        prediction.real,
-        prediction.imag,
-        abs(root.omega - limit),
-    ]
+    return [delta, root.omega.real, root.omega.imag, root.residual, root.iterations,
+            prediction.real, prediction.imag, abs(root.omega - limit)]
 
 
 _SWEEP_COLUMNS = ["delta", "re_omega", "im_omega", "residual", "iterations",
@@ -219,11 +202,7 @@ def _cmd_resonance_sweep(cfg):
     limit = resonance.quasi_static_prediction(family, n, s, model)
     # seed chaining makes the sweep sequential by contract
     points = resonance.sweep_resonance(family, n, s, deltas, model)
-    rows = []
-    for p in points:
-        if p.root is None:
-            continue
-        rows.append(_root_row(p.delta, p.root, p.prediction, limit))
+    rows = [_root_row(p.delta, p.root, p.prediction, limit) for p in points if p.root is not None]
     meta = [f"family: {family}, n: {n}, s: {s}"]
     meta.extend(f"failed delta={p.delta}: {p.error}" for p in points if p.root is None)
     return CsvTable(_SWEEP_COLUMNS, ["-"] * 8, rows, meta=meta)
@@ -236,18 +215,10 @@ def _cmd_mie(cfg):
     n_max = cfg.get("n_max")
     config = mie.ScatterConfig(delta, tau, omega, int(n_max) if n_max else None)
     table = mie.mie_coefficients(config, _incident(cfg, omega))
-    rows = []
-    for n in range(1, config.n_max + 1):
-        for m in range(-n, n + 1):
-            g = table.gamma[(n, m)]
-            e = table.eta[(n, m)]
-            rows.append([n, m, g.real, g.imag, e.real, e.imag])
-    return CsvTable(
-        ["n", "m", "re_gamma", "im_gamma", "re_eta", "im_eta"],
-        ["-"] * 6,
-        rows,
-        meta=[f"delta: {_format_cell(delta)}, n_max: {config.n_max}"],
-    )
+    rows = [[n, m, g.real, g.imag, table.eta[(n, m)].real, table.eta[(n, m)].imag]
+            for (n, m), g in table.gamma.items()]
+    return CsvTable(["n", "m", "re_gamma", "im_gamma", "re_eta", "im_eta"], ["-"] * 6, rows,
+                    meta=[f"delta: {_format_cell(delta)}, n_max: {config.n_max}"])
 
 
 def _cmd_cross_sections(cfg):
@@ -264,12 +235,7 @@ def _cmd_cross_sections(cfg):
             meta.append(f"failed omega={om}: {exc}")
             continue
         rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
-    return CsvTable(
-        ["omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"],
-        ["-"] * 6,
-        rows,
-        meta=meta,
-    )
+    return CsvTable(["omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"], ["-"] * 6, rows, meta=meta)
 
 
 def _cmd_scatter_functions(cfg):
@@ -289,12 +255,8 @@ def _cmd_scatter_functions(cfg):
         except quasistatic.PoleError:
             s_hat = complex(math.nan, math.nan)
         rows.append([om, s_tilde.real, s_tilde.imag, s_hat.real, s_hat.imag])
-    return CsvTable(
-        ["omega", "re_s_tilde", "im_s_tilde", "re_s_hat", "im_s_hat"],
-        ["-"] * 5,
-        rows,
-        meta=[f"delta: {_format_cell(delta)}"],
-    )
+    return CsvTable(["omega", "re_s_tilde", "im_s_tilde", "re_s_hat", "im_s_hat"], ["-"] * 5, rows,
+                    meta=[f"delta: {_format_cell(delta)}"])
 
 
 def _cmd_amplitude(cfg):
@@ -307,15 +269,10 @@ def _cmd_amplitude(cfg):
     table = mie.mie_coefficients(config, _incident(cfg, omega))
     thetas = np.linspace(0.0, math.pi, count)
     xh = np.array([[math.sin(t) * math.cos(phi), math.sin(t) * math.sin(phi), math.cos(t)] for t in thetas])
-    rows = []
-    for theta, ff in zip(thetas, mie.far_field(table, xh)):
-        rows.append([theta, ff[0].real, ff[0].imag, ff[1].real, ff[1].imag, ff[2].real, ff[2].imag])
-    return CsvTable(
-        ["theta", "re_E1", "im_E1", "re_E2", "im_E2", "re_E3", "im_E3"],
-        ["rad"] + ["-"] * 6,
-        rows,
-        meta=[f"phi: {_format_cell(phi)}"],
-    )
+    rows = [[theta, ff[0].real, ff[0].imag, ff[1].real, ff[1].imag, ff[2].real, ff[2].imag]
+            for theta, ff in zip(thetas, mie.far_field(table, xh))]
+    return CsvTable(["theta", "re_E1", "im_E1", "re_E2", "im_E2", "re_E3", "im_E3"], ["rad"] + ["-"] * 6, rows,
+                    meta=[f"phi: {_format_cell(phi)}"])
 
 
 def _cmd_moments(cfg):
@@ -325,16 +282,8 @@ def _cmd_moments(cfg):
     w = _incident(cfg, omega)
     pair = quasistatic.dipole_approximation(w, omega, delta, model)
     rm = quasistatic.resonant_moments(w, omega, delta, model)
-    row = []
-    for v in pair.p:
-        row.extend([v.real, v.imag])
-    for v in pair.m:
-        row.extend([v.real, v.imag])
-    row.extend([
-        float(np.linalg.norm(rm.m1_hat)),
-        float(np.linalg.norm(rm.m2_hat)),
-        float(np.linalg.norm(rm.q0_hat)),
-    ])
+    row = [part for v in (*pair.p, *pair.m) for part in (v.real, v.imag)]
+    row += [float(np.linalg.norm(moment)) for moment in (rm.m1_hat, rm.m2_hat, rm.q0_hat)]
     cols = ["re_p1", "im_p1", "re_p2", "im_p2", "re_p3", "im_p3",
             "re_m1", "im_m1", "re_m2", "im_m2", "re_m3", "im_m3",
             "abs_M1hat", "abs_M2hat", "abs_Q0hat"]
@@ -347,11 +296,8 @@ def _cmd_units(cfg):
     eps = _complex_value(cfg.get("epsilon_r"), 16.0)
     delta_omega, tau, indicator = to_dimensionless(radius, wavelength, eps)
     rows = [[radius, wavelength, delta_omega, tau.real, tau.imag, indicator]]
-    return CsvTable(
-        ["radius_nm", "wavelength_nm", "delta_omega", "re_tau", "im_tau", "resonance_indicator"],
-        ["nm", "nm", "-", "-", "-", "-"],
-        rows,
-    )
+    return CsvTable(["radius_nm", "wavelength_nm", "delta_omega", "re_tau", "im_tau", "resonance_indicator"],
+                    ["nm", "nm", "-", "-", "-", "-"], rows)
 
 
 _HANDLERS = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import harmonic_table, radial_table, solid_harmonic_gradient_deg1, vsh_UV
+from .specfun import _harmonic_blocks, harmonic_table, radial_table, solid_harmonic_gradient_deg1, vsh_UV
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,15 @@ def plane_wave(w: IncidentWave, x) -> np.ndarray:
 
 
 def _radius_split(x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=-1)
-    return x, r
+    """Points x, (..., 3), flattened to (P, 3), and their radii."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError("points must have a trailing axis of length 3")
+    x = x.reshape(-1, 3)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {x[~finite][0]} is not finite")
+    return x, np.linalg.norm(x, axis=-1)
 
 
 def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) -> np.ndarray:
@@ -81,11 +87,12 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
 
 def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     """Sum of te[j] TE_{n,m} + tm[j] TM_{n,m} over multipole fields of one
-    variant, the coefficients stacked at j = n(n+1) + m (entry 0 unused).
+    variant at the points x, (..., 3), the coefficients stacked at
+    j = n(n+1) + m (entry 0 unused).
 
-    One harmonic table at the directions of x and one radial table over all
-    orders.  In the (theta-hat, phi-hat, x-hat) frame, with
-    grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
+    The harmonic table of the directions of x block by block as the ladder
+    yields it, and one radial table over all orders.  In the (theta-hat,
+    phi-hat, x-hat) frame, with grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
     TE = -f_n (d_theta phi-hat - d_phi theta-hat) and
     TM = -(F_n (d_theta theta-hat + d_phi phi-hat) + n(n+1) f_n Y x-hat) / (i k r).
     """
@@ -94,7 +101,6 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     k = complex(k)
     if k == 0 and tm.any():
         raise ValueError("TM fields need a nonzero wavenumber")
-    single = np.asarray(x).ndim == 1
     pts, r = _radius_split(x)
     out = np.zeros((len(pts), 3), dtype=complex)
     origin = r == 0
@@ -108,24 +114,23 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
         ro = r[off]
         xh = pts[off] / ro[:, None]
         n_max = math.isqrt(len(te) - 1)
-        table = harmonic_table(n_max, xh)
+        theta_hat, phi_hat, blocks = _harmonic_blocks(n_max, xh)
         radial, riccati = radial_table(n_max, k * ro, "j" if variant == "entire" else "h")
         comp = np.zeros((3, len(ro)), dtype=complex)  # theta-hat, phi-hat, x-hat
-        for n in range(1, n_max + 1):
+        for n, block in enumerate(blocks):
             rows = slice(n * n, (n + 1) ** 2)
             g, e = te[rows], tm[rows]
-            if not (g.any() or e.any()):
+            if n == 0 or not (g.any() or e.any()):
                 continue
             f, big = radial[n], riccati[n]
             # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
-            (g_t, e_t), (g_p, e_p), (_, e_y) = (np.stack([g, e]) @ part[rows]
-                                                for part in (table.d_theta, table.d_phi, table.y))
+            (_, e_y), (g_t, e_t), (g_p, e_p) = np.stack([g, e]) @ block
             comp[0] += f * g_p
             comp[1] -= f * g_t
             if e.any():
                 comp -= np.stack([big * e_t, big * e_p, n * (n + 1) * f * e_y]) / (1j * k * ro)
-        out[off] = comp[0][:, None] * table.theta_hat + comp[1][:, None] * table.phi_hat + comp[2][:, None] * xh
-    return out[0] if single else out
+        out[off] = comp[0][:, None] * theta_hat + comp[1][:, None] * phi_hat + comp[2][:, None] * xh
+    return out.reshape(np.shape(x)[:-1] + (3,))
 
 
 def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
@@ -137,7 +142,6 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
         raise ValueError("exterior harmonic fields start at n = 1")
     if abs(m) > n:
         raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
-    single = np.asarray(x).ndim == 1
     pts, r = _radius_split(x)
     if np.any(r == 0):
         raise ValueError("exterior harmonic fields are singular at x = 0")
@@ -150,7 +154,7 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
     else:
         rad = (r ** -(n + 2))[:, None]
         out = rad * (n * (n + 1) * table.y[j][:, None] * xh - n * (d_t * table.theta_hat + d_p * table.phi_hat))
-    return out[0] if single else out
+    return out.reshape(np.shape(x)[:-1] + (3,))
 
 
 def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.ndarray:

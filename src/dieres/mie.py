@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _farfield_coefficient, _multipole_sum
-from .specfun import MAX_ORDER, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J
+from .fields import IncidentWave, _farfield_coefficient, _multipole_sum, _radius_split
+from .specfun import MAX_ORDER, _harmonic_blocks, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -244,32 +244,37 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
 def scattered_field(t: MieTable, x) -> np.ndarray:
     """Scattered wave outside the sphere: sum of radiating multipole fields
     weighted by the table coefficients."""
-    r = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=-1)
+    _, r = _radius_split(x)
     if np.any(r <= t.config.delta):
         raise ValueError("scattered field is only represented for |x| > delta")
     return _multipole_sum("radiating", t.te, t.tm, t.config.omega, x)
 
 
 def far_field(t: MieTable, xhat) -> np.ndarray:
-    """Scattering amplitude: the tangential far-field pattern of the series,
-    sum of c_n (gamma V_n^m + eta U_n^m) taken in the (theta-hat, phi-hat)
-    frame, where sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and V_n^m its
-    rotation by x-hat."""
-    single = np.asarray(xhat).ndim == 1
-    table = harmonic_table(_top(t.te), np.atleast_2d(np.asarray(xhat, dtype=float)))
-    out = _far_field_on(t, table)
-    return out[0] if single else out
+    """Scattering amplitude at the direction(s) xhat, (..., 3): the tangential
+    far-field pattern sum of c_n (gamma V_n^m + eta U_n^m) in the
+    (theta-hat, phi-hat) frame, sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and
+    V_n^m its rotation by x-hat, contracted degree by degree as the ladder
+    yields the harmonic table, which is never stored."""
+    theta_hat, phi_hat, blocks = _harmonic_blocks(_top(t.te), xhat)
+    blocks = ((slice(n * n, (n + 1) ** 2), block[1:]) for n, block in enumerate(blocks) if n)
+    return _far_field_sum(t, theta_hat, phi_hat, blocks).reshape(np.shape(xhat)[:-1] + (3,))
 
 
-def _far_field_on(t, table):
-    """far_field of t at the directions of a harmonic table of its order, (P, 3)."""
-    orders = range(1, _top(t.te) + 1)
-    coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) for n in orders],
-                      [2 * n + 1 for n in orders])
-    g, e = coeff * t.te[1:], coeff * t.tm[1:]
+def _far_field_sum(t, theta_hat, phi_hat, blocks):
+    """far_field of t at P directions, (P, 3), from their frame and blocks
+    (k, grad) of their harmonic table: grad holds d_theta and d_phi, (2, K, P),
+    of the K entries of the slice k."""
+    orders = range(_top(t.te) + 1)
+    coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) if n else 0
+                       for n in orders], [2 * n + 1 for n in orders])
+    g, e = coeff * t.te, coeff * t.tm
     # (theta-hat, phi-hat) components from two-row products, as in fields._multipole_sum
-    f_t, f_p = np.stack([e, g]) @ table.d_theta[1:] + np.stack([-g, e]) @ table.d_phi[1:]
-    return f_t[:, None] * table.theta_hat + f_p[:, None] * table.phi_hat
+    pairs = np.array([[e, g], [-g, e]])
+    f_t, f_p = f = np.zeros((2, len(theta_hat)), dtype=complex)
+    for k, grad in blocks:
+        f += (pairs[:, :, k] @ grad).sum(axis=0)
+    return f_t[:, None] * theta_hat + f_p[:, None] * phi_hat
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,8 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
         warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
     e0 = t.incident.polarization
     table, _, _ = _incidence(_top(t.te), t.incident.direction.tobytes(), e0.tobytes())
-    ff = _far_field_on(t, table)[0]
+    grad = np.stack([table.d_theta[1:], table.d_phi[1:]])
+    ff = _far_field_sum(t, table.theta_hat, table.phi_hat, [(slice(1, None), grad)])[0]
     qext = 4 * math.pi / w * float(np.imag(np.dot(e0, ff)))
     return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
 

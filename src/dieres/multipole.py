@@ -3,6 +3,7 @@ the unit ball, the product quadratures used to integrate them, harmonic
 analysis and synthesis on their product grid, and the moment-based assembler
 for the scattering amplitude."""
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -99,17 +100,28 @@ class _HarmonicGrid(NamedTuple):
 
 
 def _harmonic_grid(sphere: SphereQuadrature, n_max: int) -> _HarmonicGrid:
-    """_HarmonicGrid of degree <= n_max on the nodes of a rule from sphere_quadrature."""
-    cos_t = sphere.polar_nodes
+    """_HarmonicGrid of degree <= n_max on the nodes of a rule from
+    sphere_quadrature, memoized per polar rule, n_phi and n_max; its arrays
+    are read-only."""
+    polar = (np.asarray(part, dtype=float).tobytes() for part in (sphere.polar_nodes, sphere.polar_weights))
+    return _grid_of(*polar, sphere.n_phi, n_max)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_of(nodes, polar_weights, n_phi, n_max):
+    cos_t, polar_weights = np.frombuffer(nodes), np.frombuffer(polar_weights)
     sin_t = np.sqrt(1 - cos_t ** 2)
-    phi = 2 * math.pi * np.arange(sphere.n_phi) / sphere.n_phi
+    phi = 2 * math.pi * np.arange(n_phi) / n_phi
     table = harmonic_table(n_max, np.stack([sin_t, np.zeros_like(sin_t), cos_t], axis=-1))
     phases = np.exp(1j * np.arange(-n_max, n_max + 1)[:, None] * phi)
     cos_p, sin_p, ones_t, ones_p = np.cos(phi), np.sin(phi), np.ones_like(cos_t), np.ones_like(phi)
     theta_hat = np.stack([np.outer(cos_t, cos_p), np.outer(cos_t, sin_p), np.outer(-sin_t, ones_p)], axis=-1)
     phi_hat = np.stack([np.outer(ones_t, -sin_p), np.outer(ones_t, cos_p), np.zeros(theta_hat.shape[:2])], axis=-1)
-    return _HarmonicGrid(table, phases, sphere.polar_weights * (2 * math.pi / sphere.n_phi),
-                        theta_hat.reshape(-1, 3), phi_hat.reshape(-1, 3))
+    grid = _HarmonicGrid(table, phases, polar_weights * (2 * math.pi / n_phi),
+                         theta_hat.reshape(-1, 3), phi_hat.reshape(-1, 3))
+    for part in (*table, *grid[1:]):
+        part.flags.writeable = False
+    return grid
 
 
 def ball_quadrature(n_r: int = 32, n_theta: int = 64, n_phi: int = 128) -> BallQuadrature:

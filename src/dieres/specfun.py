@@ -430,6 +430,9 @@ def _direction_frame(x):
     if x.shape[-1:] != (3,):
         raise ValueError("directions must have a trailing axis of length 3")
     x = x.reshape(-1, 3)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"direction {x[~finite][0]} is not finite")
     r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r == 0):
         raise ValueError("zero vector is not a direction")
@@ -476,60 +479,84 @@ class HarmonicTable(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _ladder_columns(n):
-    """Factors of degree n as columns over the orders m: the three-term
-    recurrence a, b (m <= n - 2), the m+-1 ladder identity of the polar
-    derivative (m <= n), and i m and the parity (-1)^m (1 <= m <= n)."""
+    """Factors of degree n >= 1 as columns over the orders m: a of
+    cos(theta) q_{n-1}^m (m <= n - 1), b of q_{n-2}^m (m <= n - 2) and the
+    diagonal factor of q_{n-1}^{n-1} in the recurrence, the m+-1 ladder
+    identity (m <= n), and i m and the parity (-1)^m (1 <= m <= n)."""
     m = np.arange(n + 1)[:, None]
-    low = m[:max(n - 1, 0)]
-    a = np.sqrt((4 * n * n - 1.0) / (n * n - low * low))
+    low = m[:n - 1]
+    a = np.append(np.sqrt((4 * n * n - 1.0) / (n * n - low * low)), [[math.sqrt(2 * n + 1)]], axis=0)
     b = np.sqrt((2 * n + 1.0) * ((n - 1) ** 2 - low * low) / ((2 * n - 3.0) * (n * n - low * low)))
-    return a, b, np.sqrt((n - m) * (n + m + 1)), np.sqrt((n + m) * (n - m + 1)), 1j * m[1:], (-1) ** m[1:]
+    return (a, b, -math.sqrt((2 * n + 1) / (2.0 * n)), np.sqrt((n - m) * (n + m + 1)),
+            np.sqrt((n + m) * (n - m + 1)), 1j * m[1:], (-1) ** m[1:])
 
 
-def harmonic_table(n_max: int, x) -> HarmonicTable:
-    """Y_n^m and grad_S Y_n^m for all 0 <= n <= n_max, |m| <= n at unit
-    direction(s) x, from one Legendre ladder.
+def _harmonic_blocks(n_max, x):
+    """The local frame (theta-hat, phi-hat) of the directions x, flattened to
+    (P, 3), and a generator of the harmonic table of x by degree: for
+    n = 0..n_max the block of shape (3, 2n + 1, P) that holds Y, d_theta and
+    d_phi, rows m = -n..n.
 
-    The ladder runs degree by degree over all orders at once on the
+    The Legendre ladder runs degree by degree over all orders at once on the
     orthonormalized associated Legendre functions divided by sin(theta)^m,
     so polar evaluations stay finite; the Condon-Shortley phase is carried by
     the diagonal.  The polar derivative comes from the m+-1 ladder identity
     and the azimuthal one from the sin-scaled functions (no NaN at the poles).
+    Consumers that contract each degree as it comes never hold the table
+    (Holmes & Featherstone, J. Geodesy 76, 279 (2002)).
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max exceeds supported maximum {MAX_ORDER}")
     cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
-    shape = np.shape(x)[:-1]
-    sin_pow = np.stack([sin_t ** m for m in range(n_max + 1)])
-    phase = np.stack([np.exp(1j * m * phi) for m in range(n_max + 1)])
-    y, d_theta, d_phi = (np.zeros(((n_max + 1) ** 2, len(cos_t)), dtype=complex) for _ in range(3))
+    return theta_hat, phi_hat, _ladder(n_max, cos_t, sin_t, phi)
 
+
+def _ladder(n_max, cos_t, sin_t, phi):
+    """The blocks of _harmonic_blocks, written in place into one buffer: a
+    block is valid until the next one is drawn."""
+    # one power per order: numpy squares sin_t ** 2, where an array of exponents would call pow
+    sin_pow = np.stack([sin_t ** m for m in range(n_max + 1)])
+    phase = np.exp(1j * np.arange(n_max + 1)[:, None] * phi)
+    # row 2n + 1 of the Y part is first written at degree n + 1, so it still
+    # holds Y_n^{n+1} = 0 at degree n
+    buf = np.zeros((3, 2 * n_max + 2, len(cos_t)), dtype=complex)
     q = np.full_like(cos_t, 1.0 / math.sqrt(4 * math.pi), dtype=float)[None]
     q_prev = q[:0]
     for n in range(n_max + 1):
-        a, b, up, down, i_m, parity = _ladder_columns(n)
+        y, d_theta, d_phi = block = buf[:, :2 * n + 1]
         if n > 0:
-            q_prev, q = q, np.concatenate([
-                a * cos_t * q[:n - 1] - b * q_prev[:n - 1],
-                math.sqrt(2 * n + 1) * cos_t * q[n - 1:],
-                -math.sqrt((2 * n + 1) / (2.0 * n)) * q[n - 1:],
-            ])
-        c = n * (n + 1)
-        y[c:c + n + 1] = q * sin_pow[:n + 1] * phase[:n + 1]
-        if n == 0:
-            continue
-        y_up = np.concatenate([y[c + 1:c + n + 1], np.zeros_like(y[c:c + 1])])
-        y_dn = np.concatenate([-np.conj(y[c + 1:c + 2]), y[c:c + n]])
-        d_theta[c:c + n + 1] = 0.5 * (up * y_up / phase[1] - down * y_dn * phase[1])
-        d_phi[c + 1:c + n + 1] = i_m * q[1:] * sin_pow[:n] * phase[1:n + 1]
-        # orders -1..-n from Y_n^{-m} = (-1)^m conj(Y_n^m), and so for the gradient
-        for part in (y, d_theta, d_phi):
-            part[c - 1:c - n - 1:-1] = parity * np.conj(part[c + 1:c + n + 1])
+            a, b, diagonal, up, down, i_m, parity = _ladder_columns(n)
+            recur = a * cos_t * q
+            recur[:n - 1] -= b * q_prev[:n - 1]
+            q_prev, q = q, np.concatenate([recur, diagonal * q[n - 1:]])
+        np.multiply(q * sin_pow[:n + 1], phase[:n + 1], out=y[n:])
+        if n > 0:
+            # the orders m +- 1 of the ladder identity for m = 0..n are rows
+            # of the buffer once it holds Y_n^{-1} = -conj(Y_n^1)
+            np.negative(np.conj(y[n + 1]), out=y[n - 1])
+            d_theta[n:] = 0.5 * (up * buf[0, n + 1:2 * n + 2] / phase[1] - down * y[n - 1:2 * n] * phase[1])
+            d_phi[n + 1:] = i_m * q[1:] * sin_pow[:n] * phase[1:n + 1]
+            # orders -1..-n of the three parts from Y_n^{-m} = (-1)^m conj(Y_n^m)
+            negative = block[:, n - 1::-1]
+            np.conjugate(block[:, n + 1:], out=negative)
+            np.multiply(parity, negative, out=negative)
+        d_phi[n] = 0  # the row held order 1 of degree n - 1
+        yield block
+
+
+def harmonic_table(n_max: int, x) -> HarmonicTable:
+    """Y_n^m and grad_S Y_n^m for all 0 <= n <= n_max, |m| <= n at unit
+    direction(s) x: the blocks of _harmonic_blocks, stacked."""
+    theta_hat, phi_hat, blocks = _harmonic_blocks(n_max, x)
+    shape = np.shape(x)[:-1]
     k = ((n_max + 1) ** 2,)
-    return HarmonicTable(y.reshape(k + shape), d_theta.reshape(k + shape), d_phi.reshape(k + shape),
-                         theta_hat.reshape(shape + (3,)), phi_hat.reshape(shape + (3,)))
+    stacks = np.empty((3,) + k + (len(theta_hat),), dtype=complex)
+    for n, block in enumerate(blocks):
+        stacks[:, n * n:(n + 1) ** 2] = block
+    y, d_theta, d_phi = (part.reshape(k + shape) for part in stacks)
+    return HarmonicTable(y, d_theta, d_phi, theta_hat.reshape(shape + (3,)), phi_hat.reshape(shape + (3,)))
 
 
 def sph_harmonic(n: int, m: int, x) -> complex:

@@ -240,3 +240,58 @@ def test_field_sample_validation():
         FieldSample(np.array([0.1, np.inf, 0.3]), np.array([1.0, 0, 0]))
     with pytest.raises(ValueError):
         FieldSample(np.array([0.1, 0.2, 0.3]), np.array([np.nan, 0, 0]))
+
+
+def _reference_jacobi_anger(w, N, x):
+    # the expansion contracted against one stored harmonic table of every entry
+    from dieres.specfun import harmonic_table, radial_table
+
+    r = np.linalg.norm(x, axis=-1)
+    xh = x / r[:, None]
+    u_d, v_d = harmonic_table(N, w.direction).vectors(slice(1, None))
+    table = harmonic_table(N, xh)
+    u, v = table.vectors(slice(1, None))
+    n = table.degree[1:]
+    pref = -4 * math.pi * 1j ** n / np.sqrt(n * (n + 1))
+    te, tm = pref * (np.conj(v_d) @ w.polarization), pref * (np.conj(u_d) @ w.polarization)
+    f, big = radial_table(N, w.omega * r, "j")
+    root = np.sqrt(n * (n + 1))[:, None, None]
+    te_fields = -f[n][:, :, None] * root * v
+    tm_fields = -(big[n][:, :, None] * root * u + (n * (n + 1))[:, None, None] * f[n][:, :, None]
+                  * table.y[1:, :, None] * xh) / (1j * w.omega * r[:, None])
+    return np.sum(te[:, None, None] * te_fields + tm[:, None, None] * tm_fields, axis=0)
+
+
+def test_jacobi_anger_matches_full_table_contraction(rng):
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    e0 = np.cross(d, rng.normal(size=3))
+    w = IncidentWave(d, e0 / np.linalg.norm(e0), 1.7)
+    x = rng.normal(size=(30, 3))
+    x = np.concatenate([[[0, 0, 0.8], [0, 0, -1.3]], x])
+    ref = _reference_jacobi_anger(w, 8, x)
+    assert_allclose(jacobi_anger_partial(w, 8, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_grid_shaped_points_match_the_flattened_call(rng):
+    grid = rng.normal(size=(4, 5, 3))
+    flat = grid.reshape(-1, 3)
+    w = IncidentWave(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]), 1.3)
+    for f in (lambda x: multipole_field("radiating", "TM", 3, -2, 1.3, x),
+              lambda x: multipole_field("entire", "TE", 2, 1, 1.3, x),
+              lambda x: jacobi_anger_partial(w, 4, x),
+              lambda x: harmonic_exterior("curlEh", 2, 1, x)):
+        got = f(grid)
+        assert got.shape == (4, 5, 3)
+        assert np.array_equal(got, f(flat).reshape(4, 5, 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_points_raise(bad):
+    x = np.array([[1.0, 0.5, 0.3], [0.2, 0.1, bad]])
+    w = IncidentWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 1.3)
+    for f in (lambda: multipole_field("radiating", "TE", 1, 0, 1.3, x),
+              lambda: jacobi_anger_partial(w, 3, x),
+              lambda: harmonic_exterior("Eh", 1, 0, x)):
+        with pytest.raises(ValueError, match="point .* is not finite"):
+            f()

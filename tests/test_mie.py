@@ -366,3 +366,98 @@ def test_dict_built_table_matches_computed_table():
     assert partial.eta[(1, 0)] == 0 and (3, 0) not in partial.gamma
     with pytest.raises(ValueError):
         MieTable(cfg, w, {(1, 2): 1.0}, {})
+
+
+# --- far field and scattered field contracted degree by degree ---------------------------
+
+def _random_incidence(omega, rng):
+    d = rng.normal(size=3)
+    return _wave(omega, d=d, e0=np.cross(d, rng.normal(size=3)))
+
+
+def _full_table_sum(t, x, variant):
+    """Reference: the series contracted against one stored harmonic table of
+    every entry, as Cartesian vectors.  variant "far" gives the far-field
+    amplitude, "radiating" the scattered field."""
+    from dieres.specfun import harmonic_table, radial_table
+
+    x = np.asarray(x, float)
+    r = np.linalg.norm(x, axis=-1)
+    xh = x / r[:, None]
+    n_max = math.isqrt(len(t.te) - 1)
+    table = harmonic_table(n_max, xh)
+    u, v = table.vectors(slice(1, None))
+    n = table.degree[1:]
+    root = np.sqrt(n * (n + 1))[:, None, None]
+    omega = t.config.omega
+    if variant == "far":
+        c = (-root[:, 0, 0] / omega * np.exp(-1j * (n + 1) * math.pi / 2))[:, None, None]
+        return np.sum(c * (t.te[1:, None, None] * v + t.tm[1:, None, None] * u), axis=0)
+    f, big = radial_table(n_max, omega * r, "h")
+    te = -f[n][:, :, None] * root * v
+    tm = -(big[n][:, :, None] * root * u + (n * (n + 1))[:, None, None] * f[n][:, :, None]
+           * table.y[1:, :, None] * xh) / (1j * omega * r[:, None])
+    return np.sum(t.te[1:, None, None] * te + t.tm[1:, None, None] * tm, axis=0)
+
+
+def test_far_field_matches_full_table_contraction(rng):
+    cfg = ScatterConfig(0.3, 120.0, 1.0)
+    t = mie_coefficients(cfg, _random_incidence(1.0, rng))
+    assert cfg.n_max == 12 and np.all(t.te[1:] != 0) and np.all(t.tm[1:] != 0)
+    xh = np.concatenate([[[0, 0, 1.0], [0, 0, -1.0]], rng.normal(size=(40, 3))])
+    xh /= np.linalg.norm(xh, axis=1, keepdims=True)
+    ref = _full_table_sum(t, xh, "far")
+    got = far_field(t, xh)
+    assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    assert_allclose(far_field(t, xh[0]), ref[0], rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_scattered_field_matches_full_table_contraction(rng):
+    cfg = ScatterConfig(0.3, complex(120, 2), 1.0)
+    t = mie_coefficients(cfg, _random_incidence(1.0, rng))
+    x = rng.normal(size=(40, 3))
+    x *= rng.uniform(0.5, 4.0, size=(40, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    x = np.concatenate([[[0, 0, 1.5], [0, 0, -0.7]], x])
+    ref = _full_table_sum(t, x, "radiating")
+    assert_allclose(scattered_field(t, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_far_field_memory_stays_below_the_table(sphere_quad, rng):
+    import tracemalloc
+
+    cfg = ScatterConfig(0.3, 120.0, 1.0)
+    t = mie_coefficients(cfg, _random_incidence(1.0, rng))
+    assert cfg.n_max == 12 and len(sphere_quad.points) == 8192
+    far_field(t, sphere_quad.points[:8])
+    tracemalloc.start()
+    try:
+        far_field(t, sphere_quad.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stored (169, 8192) table alone takes 66 MB in its three complex parts
+    assert peak <= 30e6
+
+
+def test_grid_shaped_inputs_match_the_flattened_call(rng):
+    cfg = ScatterConfig(0.2, 60.0, 1.5)
+    t = mie_coefficients(cfg, _random_incidence(1.5, rng))
+    grid = rng.normal(size=(4, 5, 3))
+    flat = grid.reshape(-1, 3)
+    got = far_field(t, grid)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, far_field(t, flat).reshape(4, 5, 3))
+    got = scattered_field(t, grid)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, scattered_field(t, flat).reshape(4, 5, 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_raise(bad, rng):
+    cfg = ScatterConfig(0.2, 60.0, 1.5)
+    t = mie_coefficients(cfg, _random_incidence(1.5, rng))
+    x = np.array([[1.0, 0.5, 0.3], [0.2, bad, 1.0]])
+    with pytest.raises(ValueError, match="direction .* is not finite"):
+        far_field(t, x)
+    with pytest.raises(ValueError, match="point .* is not finite"):
+        scattered_field(t, x)

@@ -526,3 +526,18 @@ def test_dipole_far_field_helper():
     val = dipole_far_field(pair, 2.0, xh)
     expect = 4 / (4 * math.pi) * (np.array([1.0, 0, 0]) + np.cross([0, 1.0, 0], xh))
     assert_allclose(val, expect, rtol=1e-13)
+
+
+def test_resonant_moments_repeat_bit_identically_on_the_memoized_grid():
+    from dieres.multipole import _harmonic_grid
+
+    w0 = quasi_static_pole(UNIT)
+    calls = [resonant_moments(_wave(w0 + 0.05), w0 + 0.05, 0.1, UNIT) for _ in range(2)]
+    for name in ("q0_hat", "m1_hat", "m2_hat"):
+        a, b = (getattr(rm, name) for rm in calls)
+        assert np.array_equal(a.view(float), b.view(float))
+    sphere = ball_quadrature(24, 32, 64).angular
+    grid = _harmonic_grid(sphere, 10)
+    assert _harmonic_grid(sphere, 10) is grid
+    for part in (*grid.table, *grid[1:]):
+        assert not part.flags.writeable

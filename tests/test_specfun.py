@@ -458,6 +458,30 @@ def test_harmonic_table_shapes_and_cap():
         harmonic_table(2, np.zeros(3))
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_harmonic_table_rejects_non_finite_directions(bad):
+    x = np.array([[0.0, 0.6, 0.8], [bad, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"direction \[.*\] is not finite"):
+        harmonic_table(3, x)
+    with pytest.raises(ValueError, match="not finite"):
+        sph_harmonic(2, 1, x[1])
+
+
+def test_harmonic_blocks_stack_to_the_table():
+    from dieres.specfun import _harmonic_blocks
+
+    x = np.concatenate([_TABLE_DIRS, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    table = harmonic_table(6, x)
+    theta_hat, phi_hat, blocks = _harmonic_blocks(6, x)
+    assert np.array_equal(theta_hat, table.theta_hat) and np.array_equal(phi_hat, table.phi_hat)
+    for n, block in enumerate(blocks):
+        assert block.shape == (3, 2 * n + 1, len(x))
+        for part, stack in zip(block, (table.y, table.d_theta, table.d_phi)):
+            assert np.array_equal(part, stack[n * n:(n + 1) ** 2])
+    assert n == 6
+
+
 # --- vector spherical harmonics ----------------------------------------------
 
 def test_vsh_axis_zero():
