@@ -44,19 +44,15 @@ class CsvTable:
 
 
 def _format_cell(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
 
 
 def _json_cell(v):
-    if isinstance(v, bool):
-        return 1 if v else 0
     if isinstance(v, (int, np.integer)):
         return int(v)
-    return float(format(float(v), ".17g"))
+    return float(v)
 
 
 def parse_csv(text: str) -> CsvTable:
@@ -144,25 +140,34 @@ def _omega_grid(cfg):
     count = int(cfg.get("omega_count", 100))
     if count < 2 or hi <= lo:
         raise ValueError("need omega_max > omega_min and at least two grid points")
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, count).tolist()
+
+
+def _sphere(cfg):
+    """The sphere's radius delta and contrast tau, delta^-2 unless given."""
+    delta = float(cfg["delta"])
+    return delta, _complex_value(cfg.get("tau"), delta ** -2)
+
+
+def _mode(cfg):
+    """The contrast model and the resonance's family, order n and zero index s."""
+    return _model(cfg), str(cfg.get("family", "TE")), int(cfg.get("n", 1)), int(cfg.get("s", 1))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its rows and its meta lines
 # ---------------------------------------------------------------------------
 
 def _cmd_bessel_zeros(cfg):
     order = int(cfg.get("order", 0))
     count = int(cfg.get("count", 5))
-    rows = [[order, s, bessel_zero(order, s)] for s in range(1, count + 1)]
-    return CsvTable(["order", "s", "zero"], ["-", "-", "-"], rows)
+    return [[order, s, bessel_zero(order, s)] for s in range(1, count + 1)], []
 
 
 def _cmd_spectrum(cfg):
     count = int(cfg.get("count", 8))
-    rows = [[rank, e.lam, e.k, e.family_n, e.zero_index_s, e.multiplicity]
-            for rank, e in enumerate(quasistatic.sphere_spectrum(count), start=1)]
-    return CsvTable(["rank", "lambda", "k", "family_n", "s", "multiplicity"], ["-"] * 6, rows)
+    return [[rank, e.lam, e.k, e.family_n, e.zero_index_s, e.multiplicity]
+            for rank, e in enumerate(quasistatic.sphere_spectrum(count), start=1)], []
 
 
 def _root_row(delta, root, prediction, limit):
@@ -170,29 +175,17 @@ def _root_row(delta, root, prediction, limit):
             prediction.real, prediction.imag, abs(root.omega - limit)]
 
 
-_SWEEP_COLUMNS = ["delta", "re_omega", "im_omega", "residual", "iterations",
-                  "re_qs_seed", "im_qs_seed", "abs_err_vs_pi"]
-
-
 def _cmd_resonance(cfg):
-    model = _model(cfg)
-    family = str(cfg.get("family", "TE"))
-    n = int(cfg.get("n", 1))
-    s = int(cfg.get("s", 1))
+    model, family, n, s = _mode(cfg)
     delta = float(cfg["delta"])
     tol = float(cfg.get("tol", 1e-12))
     root = resonance.find_resonance(family, n, s, delta, model, tol=tol)
     limit = resonance.quasi_static_prediction(family, n, s, model)
-    rows = [_root_row(delta, root, root.seed, limit)]
-    return CsvTable(_SWEEP_COLUMNS, ["-"] * 8, rows,
-                    meta=[f"family: {family}, n: {n}, s: {s}"])
+    return [_root_row(delta, root, root.seed, limit)], [f"family: {family}, n: {n}, s: {s}"]
 
 
 def _cmd_resonance_sweep(cfg):
-    model = _model(cfg)
-    family = str(cfg.get("family", "TE"))
-    n = int(cfg.get("n", 1))
-    s = int(cfg.get("s", 1))
+    model, family, n, s = _mode(cfg)
     if "deltas" in cfg:
         deltas = [float(d) for d in cfg["deltas"]]
     else:
@@ -205,29 +198,25 @@ def _cmd_resonance_sweep(cfg):
     rows = [_root_row(p.delta, p.root, p.prediction, limit) for p in points if p.root is not None]
     meta = [f"family: {family}, n: {n}, s: {s}"]
     meta.extend(f"failed delta={p.delta}: {p.error}" for p in points if p.root is None)
-    return CsvTable(_SWEEP_COLUMNS, ["-"] * 8, rows, meta=meta)
+    return rows, meta
 
 
 def _cmd_mie(cfg):
-    delta = float(cfg["delta"])
-    tau = _complex_value(cfg.get("tau"), delta ** -2)
+    delta, tau = _sphere(cfg)
     omega = complex(float(cfg["omega"]), float(cfg.get("omega_im", 0.0)))
     n_max = cfg.get("n_max")
     config = mie.ScatterConfig(delta, tau, omega, int(n_max) if n_max else None)
     table = mie.mie_coefficients(config, _incident(cfg, omega))
     rows = [[n, m, g.real, g.imag, table.eta[(n, m)].real, table.eta[(n, m)].imag]
             for (n, m), g in table.gamma.items()]
-    return CsvTable(["n", "m", "re_gamma", "im_gamma", "re_eta", "im_eta"], ["-"] * 6, rows,
-                    meta=[f"delta: {_format_cell(delta)}, n_max: {config.n_max}"])
+    return rows, [f"delta: {_format_cell(delta)}, n_max: {config.n_max}"]
 
 
 def _cmd_cross_sections(cfg):
-    delta = float(cfg["delta"])
-    tau = _complex_value(cfg.get("tau"), delta ** -2)
+    delta, tau = _sphere(cfg)
     rows = []
     meta = []
     for om in _omega_grid(cfg):
-        om = float(om)
         config = mie.ScatterConfig(delta, tau, om)
         try:
             rep = mie.cross_sections(mie.mie_coefficients(config, _incident(cfg, om)))
@@ -235,7 +224,15 @@ def _cmd_cross_sections(cfg):
             meta.append(f"failed omega={om}: {exc}")
             continue
         rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
-    return CsvTable(["omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"], ["-"] * 6, rows, meta=meta)
+    return rows, meta
+
+
+def _off_pole(fn, *args):
+    """fn(*args), or a complex NaN where it has a pole."""
+    try:
+        return fn(*args)
+    except quasistatic.PoleError:
+        return complex(math.nan, math.nan)
 
 
 def _cmd_scatter_functions(cfg):
@@ -245,23 +242,14 @@ def _cmd_scatter_functions(cfg):
     omega0 = quasistatic.quasi_static_pole(model)
     rows = []
     for om in _omega_grid(cfg):
-        om = float(om)
-        try:
-            s_tilde = quasistatic.scatter_fn_explicit(om, delta, tau)
-        except quasistatic.PoleError:
-            s_tilde = complex(math.nan, math.nan)
-        try:
-            s_hat = quasistatic.scatter_fn_general(om, omega0, model.c_tau)
-        except quasistatic.PoleError:
-            s_hat = complex(math.nan, math.nan)
+        s_tilde = _off_pole(quasistatic.scatter_fn_explicit, om, delta, tau)
+        s_hat = _off_pole(quasistatic.scatter_fn_general, om, omega0, model.c_tau)
         rows.append([om, s_tilde.real, s_tilde.imag, s_hat.real, s_hat.imag])
-    return CsvTable(["omega", "re_s_tilde", "im_s_tilde", "re_s_hat", "im_s_hat"], ["-"] * 5, rows,
-                    meta=[f"delta: {_format_cell(delta)}"])
+    return rows, [f"delta: {_format_cell(delta)}"]
 
 
 def _cmd_amplitude(cfg):
-    delta = float(cfg["delta"])
-    tau = _complex_value(cfg.get("tau"), delta ** -2)
+    delta, tau = _sphere(cfg)
     omega = float(cfg["omega"])
     phi = float(cfg.get("phi", 0.0))
     count = int(cfg.get("theta_count", 37))
@@ -271,8 +259,7 @@ def _cmd_amplitude(cfg):
     xh = np.array([[math.sin(t) * math.cos(phi), math.sin(t) * math.sin(phi), math.cos(t)] for t in thetas])
     rows = [[theta, ff[0].real, ff[0].imag, ff[1].real, ff[1].imag, ff[2].real, ff[2].imag]
             for theta, ff in zip(thetas, mie.far_field(table, xh))]
-    return CsvTable(["theta", "re_E1", "im_E1", "re_E2", "im_E2", "re_E3", "im_E3"], ["rad"] + ["-"] * 6, rows,
-                    meta=[f"phi: {_format_cell(phi)}"])
+    return rows, [f"phi: {_format_cell(phi)}"]
 
 
 def _cmd_moments(cfg):
@@ -284,10 +271,7 @@ def _cmd_moments(cfg):
     rm = quasistatic.resonant_moments(w, omega, delta, model)
     row = [part for v in (*pair.p, *pair.m) for part in (v.real, v.imag)]
     row += [float(np.linalg.norm(moment)) for moment in (rm.m1_hat, rm.m2_hat, rm.q0_hat)]
-    cols = ["re_p1", "im_p1", "re_p2", "im_p2", "re_p3", "im_p3",
-            "re_m1", "im_m1", "re_m2", "im_m2", "re_m3", "im_m3",
-            "abs_M1hat", "abs_M2hat", "abs_Q0hat"]
-    return CsvTable(cols, ["-"] * len(cols), [row])
+    return [row], []
 
 
 def _cmd_units(cfg):
@@ -295,31 +279,61 @@ def _cmd_units(cfg):
     wavelength = float(cfg["wavelength_nm"])
     eps = _complex_value(cfg.get("epsilon_r"), 16.0)
     delta_omega, tau, indicator = to_dimensionless(radius, wavelength, eps)
-    rows = [[radius, wavelength, delta_omega, tau.real, tau.imag, indicator]]
-    return CsvTable(["radius_nm", "wavelength_nm", "delta_omega", "re_tau", "im_tau", "resonance_indicator"],
-                    ["nm", "nm", "-", "-", "-", "-"], rows)
+    return [[radius, wavelength, delta_omega, tau.real, tau.imag, indicator]], []
 
 
-_HANDLERS = {
-    "bessel-zeros": (_cmd_bessel_zeros, "order,s,zero"),
-    "spectrum": (_cmd_spectrum, "rank,lambda,k,family_n,s,multiplicity"),
-    "resonance": (_cmd_resonance, ",".join(_SWEEP_COLUMNS)),
-    "resonance-sweep": (_cmd_resonance_sweep, ",".join(_SWEEP_COLUMNS)),
-    "mie": (_cmd_mie, "n,m,re_gamma,im_gamma,re_eta,im_eta"),
-    "cross-sections": (_cmd_cross_sections, "omega,Qs,Qext,Qabs,n_max_used,converged"),
-    "scatter-functions": (_cmd_scatter_functions, "omega,re_s_tilde,im_s_tilde,re_s_hat,im_s_hat"),
-    "amplitude": (_cmd_amplitude, "theta,re_E1,im_E1,re_E2,im_E2,re_E3,im_E3"),
-    "moments": (_cmd_moments, "re_p*,im_p*,re_m*,im_m*,abs_M1hat,abs_M2hat,abs_Q0hat"),
-    "units": (_cmd_units, "radius_nm,wavelength_nm,delta_omega,re_tau,im_tau,resonance_indicator"),
+# argparse keywords of each flag, keyed by its config entry; the flag is
+# --<entry> with '_' written '-', and argparse stores it back under the entry
+_FLAGS = {
+    **dict.fromkeys(("count", "delta_count", "n", "n_max", "omega_count", "order", "s", "theta_count"),
+                    dict(type=int)),
+    **dict.fromkeys(("delta", "delta_max", "delta_min", "omega", "omega_im", "omega_max", "omega_min", "phi",
+                     "radius_nm", "tol", "wavelength_nm"), dict(type=float)),
+    **dict.fromkeys(("c_tau", "epsilon_r", "tau"), dict(type=float, nargs=2, metavar=("RE", "IM"))),
+    **dict.fromkeys(("deltas", "laurent"), dict(type=float, nargs="*")),
+    **dict.fromkeys(("direction", "polarization"), dict(type=float, nargs=3)),
+    "family": dict(choices=("TE", "TM")),
+}
+
+_MODE_FLAGS = ("family", "n", "s", "c_tau", "laurent")
+_WAVE_FLAGS = ("direction", "polarization")
+_GRID_FLAGS = ("omega_min", "omega_max", "omega_count")
+_SWEEP_COLUMNS = ("delta", "re_omega", "im_omega", "residual", "iterations",
+                  "re_qs_seed", "im_qs_seed", "abs_err_vs_pi")
+_UNITS = {"theta": "rad", "radius_nm": "nm", "wavelength_nm": "nm"}
+
+# subcommand -> (handler, output columns, flags in --help order)
+_COMMANDS = {
+    "bessel-zeros": (_cmd_bessel_zeros, ("order", "s", "zero"), ("order", "count")),
+    "spectrum": (_cmd_spectrum, ("rank", "lambda", "k", "family_n", "s", "multiplicity"), ("count",)),
+    "resonance": (_cmd_resonance, _SWEEP_COLUMNS, ("delta", "tol", *_MODE_FLAGS)),
+    "resonance-sweep": (_cmd_resonance_sweep, _SWEEP_COLUMNS,
+                        ("delta_min", "delta_max", "delta_count", "deltas", *_MODE_FLAGS)),
+    "mie": (_cmd_mie, ("n", "m", "re_gamma", "im_gamma", "re_eta", "im_eta"),
+            ("delta", "tau", "omega", "omega_im", "n_max", *_WAVE_FLAGS)),
+    "cross-sections": (_cmd_cross_sections, ("omega", "Qs", "Qext", "Qabs", "n_max_used", "converged"),
+                       ("delta", "tau", *_GRID_FLAGS, *_WAVE_FLAGS)),
+    "scatter-functions": (_cmd_scatter_functions, ("omega", "re_s_tilde", "im_s_tilde", "re_s_hat", "im_s_hat"),
+                          ("delta", "c_tau", "laurent", *_GRID_FLAGS)),
+    "amplitude": (_cmd_amplitude, ("theta", "re_E1", "im_E1", "re_E2", "im_E2", "re_E3", "im_E3"),
+                  ("delta", "tau", "omega", "phi", "theta_count", *_WAVE_FLAGS)),
+    "moments": (_cmd_moments, ("re_p1", "im_p1", "re_p2", "im_p2", "re_p3", "im_p3",
+                               "re_m1", "im_m1", "re_m2", "im_m2", "re_m3", "im_m3",
+                               "abs_M1hat", "abs_M2hat", "abs_Q0hat"),
+                ("delta", "omega", "c_tau", "laurent", *_WAVE_FLAGS)),
+    "units": (_cmd_units, ("radius_nm", "wavelength_nm", "delta_omega", "re_tau", "im_tau", "resonance_indicator"),
+              ("radius_nm", "wavelength_nm", "epsilon_r")),
 }
 
 
 def run_config(cfg: dict) -> CsvTable:
     """Dispatch a configuration dictionary to its subcommand handler."""
     command = cfg.get("command")
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return _HANDLERS[command][0](cfg)
+    handler, columns, _ = _COMMANDS[command]
+    rows, meta = handler(cfg)
+    return CsvTable(list(columns), [_UNITS.get(c, "-") for c in columns], rows, meta)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,76 +357,12 @@ def build_parser():
     common.add_argument("--config", help="JSON configuration file; flags override its entries")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def add(name, *args_spec):
-        _, schema = _HANDLERS[name]
+    for name, (_, columns, flags) in _COMMANDS.items():
+        schema = ",".join(columns)
         p = sub.add_parser(name, parents=[common], help=f"emit columns: {schema}",
                            description=f"column schema: {schema}")
-        for flag, kwargs in args_spec:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("bessel-zeros",
-        ("--order", dict(type=int, default=None)),
-        ("--count", dict(type=int, default=None)))
-    add("spectrum", ("--count", dict(type=int, default=None)))
-    res_flags = [
-        ("--family", dict(choices=("TE", "TM"), default=None)),
-        ("--n", dict(type=int, default=None)),
-        ("--s", dict(type=int, default=None)),
-        ("--c-tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None, dest="c_tau")),
-        ("--laurent", dict(type=float, nargs="*", default=None)),
-    ]
-    add("resonance", ("--delta", dict(type=float, default=None)),
-        ("--tol", dict(type=float, default=None)), *res_flags)
-    add("resonance-sweep",
-        ("--delta-min", dict(type=float, default=None, dest="delta_min")),
-        ("--delta-max", dict(type=float, default=None, dest="delta_max")),
-        ("--delta-count", dict(type=int, default=None, dest="delta_count")),
-        ("--deltas", dict(type=float, nargs="*", default=None)),
-        *res_flags)
-    wave_flags = [
-        ("--direction", dict(type=float, nargs=3, default=None)),
-        ("--polarization", dict(type=float, nargs=3, default=None)),
-    ]
-    add("mie",
-        ("--delta", dict(type=float, default=None)),
-        ("--tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None)),
-        ("--omega", dict(type=float, default=None)),
-        ("--omega-im", dict(type=float, default=None, dest="omega_im")),
-        ("--n-max", dict(type=int, default=None, dest="n_max")),
-        *wave_flags)
-    grid_flags = [
-        ("--omega-min", dict(type=float, default=None, dest="omega_min")),
-        ("--omega-max", dict(type=float, default=None, dest="omega_max")),
-        ("--omega-count", dict(type=int, default=None, dest="omega_count")),
-    ]
-    add("cross-sections",
-        ("--delta", dict(type=float, default=None)),
-        ("--tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None)),
-        *grid_flags, *wave_flags)
-    add("scatter-functions",
-        ("--delta", dict(type=float, default=None)),
-        ("--c-tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None, dest="c_tau")),
-        ("--laurent", dict(type=float, nargs="*", default=None)),
-        *grid_flags)
-    add("amplitude",
-        ("--delta", dict(type=float, default=None)),
-        ("--tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None)),
-        ("--omega", dict(type=float, default=None)),
-        ("--phi", dict(type=float, default=None)),
-        ("--theta-count", dict(type=int, default=None, dest="theta_count")),
-        *wave_flags)
-    add("moments",
-        ("--delta", dict(type=float, default=None)),
-        ("--omega", dict(type=float, default=None)),
-        ("--c-tau", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None, dest="c_tau")),
-        ("--laurent", dict(type=float, nargs="*", default=None)),
-        *wave_flags)
-    add("units",
-        ("--radius-nm", dict(type=float, default=None, dest="radius_nm")),
-        ("--wavelength-nm", dict(type=float, default=None, dest="wavelength_nm")),
-        ("--epsilon-r", dict(type=float, nargs=2, metavar=("RE", "IM"), default=None, dest="epsilon_r")))
+        for key in flags:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 

@@ -2,6 +2,7 @@
 harmonic (Debye) fields, far-field patterns, the incident plane wave and its
 partial-wave expansion."""
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,13 @@ class FieldSample:
         object.__setattr__(self, "value", value)
 
 
+def _finite(name, value):
+    """A real or complex scalar value, checked to be finite; name names it in the error."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class IncidentWave:
     """Unit plane wave E0 exp(i w d.x) with transverse real polarization."""
@@ -38,13 +46,14 @@ class IncidentWave:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         e0 = np.asarray(self.polarization, dtype=float)
-        if abs(np.linalg.norm(d) - 1) > 1e-12 or abs(np.linalg.norm(e0) - 1) > 1e-12:
+        size_d, size_e0 = _finite("|direction|", np.linalg.norm(d)), _finite("|polarization|", np.linalg.norm(e0))
+        if abs(size_d - 1) > 1e-12 or abs(size_e0 - 1) > 1e-12:
             raise ValueError("incident direction and polarization must be unit vectors")
         if abs(np.dot(d, e0)) > 1e-12:
             raise ValueError("polarization must be orthogonal to the propagation direction")
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "polarization", e0)
-        object.__setattr__(self, "omega", complex(self.omega))
+        object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
 
 
 def plane_wave(w: IncidentWave, x) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _farfield_coefficient, _multipole_sum, _radius_split
+from .fields import IncidentWave, _farfield_coefficient, _finite, _multipole_sum, _radius_split
 from .specfun import MAX_ORDER, _harmonic_blocks, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J
 
 
@@ -36,13 +36,13 @@ class ScatterConfig:
     n_max: int = None
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if _finite("radius delta", self.delta) <= 0:
             raise ValueError("radius delta must be positive")
-        tau = complex(self.tau)
+        tau = _finite("contrast tau", complex(self.tau))
         if tau.real <= 0 or tau.imag < 0:
             raise ValueError("contrast must satisfy Re tau > 0 and Im tau >= 0")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "omega", complex(self.omega))
+        object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.delta, tau, self.omega))
         elif self.n_max < 1:

@@ -11,10 +11,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import IncidentWave, multipole_field
+from .fields import IncidentWave, _radius_split, multipole_field
 from .multipole import _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel
-from .specfun import bessel_zero, radial_pair, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
+from .specfun import bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
 
 
 class PoleError(ArithmeticError):
@@ -98,9 +98,8 @@ def eigenmode_norm(label: EigenModeLabel) -> float:
     """
     n, k = label.n, label.k
     if label.kind == "TE":
-        lommel = 0.5 * (
-            sph_bessel_j(n, k) ** 2 - sph_bessel_j(n + 1, k) * sph_bessel_j(n - 1, k)
-        ).real
+        j_below, j, j_above = radial_table(n + 1, k)[0][n - 1:].tolist()
+        lommel = 0.5 * (j ** 2 - j_above * j_below).real
         return math.sqrt(n * (n + 1) * lommel)
     r, w = _radial_quadrature()
     jj, big = (a.real for a in radial_pair(n, k * r))
@@ -132,17 +131,16 @@ def mode_potential_curl_part(j: int, pts) -> np.ndarray:
     """Explicit part pi x j_1(pi|x|) Y_1^j of the ground TE mode potential.
 
     The gradient completion that makes the potential divergence-free lives in
-    H_0^1 and never contributes to the integrals used here.
+    H_0^1 and never contributes to the integrals used here.  pts: (..., 3), like the result.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.linalg.norm(pts, axis=-1)
-    vals = np.zeros((len(pts), 3), dtype=complex)
+    flat, r = _radius_split(pts)
+    vals = np.zeros((len(flat), 3), dtype=complex)
     nz = r > 0
-    xh = pts[nz] / r[nz, None]
+    xh = flat[nz] / r[nz, None]
     y = sph_harmonic(1, j, xh)
     prof = math.pi * np.asarray(sph_bessel_j(1, math.pi * r[nz]))
-    vals[nz] = (prof * y)[:, None] * pts[nz]
-    return vals
+    vals[nz] = (prof * y)[:, None] * flat[nz]
+    return vals.reshape(np.shape(pts)[:-1] + (3,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,7 +328,8 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     e0_t, e0_p = (np.einsum("ai,i->a", frame, e0) for frame in (grid.theta_hat, grid.phi_hat))
 
     # normalized ground modes: pi * TE_{1,j}(k0, x) = prof(r) V_1^j(xhat)
-    prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real  # (n_r,)
+    j1 = np.asarray(sph_bessel_j(1, k0 * r)).real
+    prof = -math.sqrt(2) * k0 * j1  # (n_r,)
     radial = np.einsum("r,ra->a", wr * prof, phase)                     # (n_a,)
     overlaps = np.einsum("a,ja->j", wa * radial, np.conj(dt1) * e0_p - np.conj(dp1) * e0_t) / math.sqrt(2)
 
@@ -354,7 +353,7 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
 
     m1 = np.zeros(3, dtype=complex)
     m2 = np.zeros((3, 3), dtype=complex)
-    phi_rad = float(np.sum(wr * k0 * r ** 2 * np.asarray(sph_bessel_j(1, k0 * r)).real))
+    phi_rad = float(np.sum(wr * k0 * r ** 2 * j1))
     xx_outer = np.einsum("a,ai,ak->aik", wa, xa, xa)
     for j, ov, sec, y in zip((-1, 0, 1), overlaps, second, y1):
         m1 += (c_m * ov + t2_pref * sec) * mode_potential_integral(j)

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fields import _finite
 from .mie import mie_denominators
 from .specfun import bessel_zero
 
@@ -34,18 +35,18 @@ class ContrastModel:
     laurent: Sequence[float] = ()
 
     def __post_init__(self):
-        c = complex(self.c_tau)
+        c = _finite("c_tau", complex(self.c_tau))
         if c.real <= 0 or c.imag < 0:
             raise ValueError("leading coefficient must satisfy Re c_tau > 0, Im c_tau >= 0")
         object.__setattr__(self, "c_tau", c)
-        object.__setattr__(self, "laurent", tuple(float(v) for v in self.laurent))
+        object.__setattr__(self, "laurent", tuple(_finite("Laurent coefficient", float(v)) for v in self.laurent))
 
     @property
     def c_minus1(self) -> float:
         return self.laurent[0] if self.laurent else 0.0
 
     def evaluate(self, delta: float) -> complex:
-        if delta <= 0:
+        if _finite("delta", delta) <= 0:
             raise ValueError("contrast model is evaluated at delta > 0")
         tau = self.c_tau / delta ** 2
         for i, c in enumerate(self.laurent, start=-1):
@@ -205,7 +206,7 @@ def sweep_resonance(family: str, n: int, s: int, deltas, model: ContrastModel,
     """Radius sweep with seed chaining: each point is seeded at the previous
     root when available.  Convergence failures are reported per point and the
     sweep continues."""
-    deltas = [float(d) for d in deltas]
+    deltas = [_finite("delta", float(d)) for d in deltas]
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
     points = []

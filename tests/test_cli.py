@@ -1,11 +1,22 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dieres import mie
-from dieres.cli import CsvTable, build_parser, main, parse_csv, run_config, to_dimensionless
+from dieres.cli import (
+    _COMMANDS,
+    _FLAGS,
+    CsvTable,
+    _merge_config,
+    build_parser,
+    main,
+    parse_csv,
+    run_config,
+    to_dimensionless,
+)
 from dieres.fields import IncidentWave
 
 
@@ -212,3 +223,63 @@ def test_amplitude_matches_far_field_per_direction(capsys):
     ref = np.array([mie.far_field(table, np.array([math.sin(t) * math.cos(0.7), math.sin(t) * math.sin(0.7),
                                                   math.cos(t)])) for t in rows[:, 0]])
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# a small run of every subcommand
+SMALL_RUNS = {
+    "bessel-zeros": ["--count", "2"],
+    "spectrum": ["--count", "2"],
+    "resonance": ["--delta", "0.1"],
+    "resonance-sweep": ["--delta-count", "2"],
+    "mie": ["--delta", "0.15", "--omega", "3.3", "--n-max", "2"],
+    "cross-sections": ["--delta", "0.1", "--omega-min", "1", "--omega-max", "2", "--omega-count", "2"],
+    "scatter-functions": ["--delta", "0.15", "--omega-min", "2.9", "--omega-max", "3.4", "--omega-count", "2"],
+    "amplitude": ["--delta", "0.1", "--omega", "3.0", "--theta-count", "2"],
+    "moments": ["--delta", "0.1", "--omega", "3.0"],
+    "units": ["--radius-nm", "75", "--wavelength-nm", "600"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_schema_is_the_output_schema(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside the schema
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_schema = re.search(r"column schema: (\S+)", capsys.readouterr().out).group(1)
+    code, out, _ = _run(capsys, command, *SMALL_RUNS[command])
+    assert code == 0
+    assert out.splitlines()[0] == f"# schema: {help_schema}"
+    assert ",".join(parse_csv(out).columns) == help_schema
+
+
+def _flag_values(kwargs):
+    if "choices" in kwargs:
+        return [kwargs["choices"][-1]]
+    nargs = kwargs.get("nargs")
+    return ["3"] * (nargs if isinstance(nargs, int) else 1)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_flag_lands_under_its_config_key(command):
+    flags = _COMMANDS[command][2]
+    assert len(set(flags)) == len(flags)
+    for key in flags:
+        kwargs = _FLAGS[key]
+        values = _flag_values(kwargs)
+        cfg = _merge_config(build_parser().parse_args([command, "--" + key.replace("_", "-"), *values]))
+        typed = [kwargs.get("type", str)(v) for v in values]
+        assert cfg == {"command": command, key: typed if "nargs" in kwargs else typed[0]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mie", "--delta", "0.1", "--omega", "nan"], "omega = (nan+0j) is not finite"),
+    (["mie", "--delta", "0.1", "--omega", "3", "--n-max", "4", "--omega-im", "inf"], "omega = (3+infj) is not finite"),
+    (["cross-sections", "--delta", "0.1", "--tau", "nan", "0", "--omega-min", "1", "--omega-max", "2"],
+     "contrast tau = (nan+0j) is not finite"),
+    (["resonance-sweep", "--deltas", "0.05", "nan", "0.1"], "delta = nan is not finite"),
+    (["amplitude", "--delta", "0.1", "--omega", "3", "--direction", "0", "nan", "1"], "|direction| = nan is not finite"),
+])
+def test_non_finite_parameter_gives_a_value_error_record(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}

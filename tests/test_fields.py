@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,3 +296,15 @@ def test_non_finite_points_raise(bad):
               lambda: harmonic_exterior("Eh", 1, 0, x)):
         with pytest.raises(ValueError, match="point .* is not finite"):
             f()
+
+
+@pytest.mark.parametrize("direction, polarization, omega, name", [
+    ([math.nan, 0.0, 1.0], [1.0, 0.0, 0.0], 1.0, "|direction|"),
+    ([0.0, 0.0, -math.inf], [1.0, 0.0, 0.0], 1.0, "|direction|"),
+    ([0.0, 0.0, 1.0], [1.0, math.nan, 0.0], 1.0, "|polarization|"),
+    ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], math.nan, "omega"),
+    ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], complex(1.0, math.inf), "omega"),
+])
+def test_incident_wave_names_a_non_finite_parameter(direction, polarization, omega, name):
+    with pytest.raises(ValueError, match=re.escape(name) + " = .* is not finite"):
+        IncidentWave(np.array(direction), np.array(polarization), omega)

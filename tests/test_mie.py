@@ -461,3 +461,17 @@ def test_non_finite_inputs_raise(bad, rng):
         far_field(t, x)
     with pytest.raises(ValueError, match="point .* is not finite"):
         scattered_field(t, x)
+
+
+@pytest.mark.parametrize("delta, tau, omega, n_max, name", [
+    (math.nan, 40.0, 3.0, None, "radius delta"),
+    (math.inf, 40.0, 3.0, None, "radius delta"),
+    (0.1, complex(math.nan, 0.0), 3.0, None, "contrast tau"),
+    (0.1, complex(40.0, math.inf), 3.0, 4, "contrast tau"),
+    (0.1, 40.0, math.nan, None, "omega"),
+    (0.1, 40.0, math.nan, 4, "omega"),
+    (0.1, 40.0, complex(3.0, -math.inf), None, "omega"),
+])
+def test_scatter_config_names_a_non_finite_parameter(delta, tau, omega, n_max, name):
+    with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+        ScatterConfig(delta, tau, omega, n_max)

@@ -541,3 +541,17 @@ def test_resonant_moments_repeat_bit_identically_on_the_memoized_grid():
     assert _harmonic_grid(sphere, 10) is grid
     for part in (*grid.table, *grid[1:]):
         assert not part.flags.writeable
+
+
+def test_mode_potential_curl_part_keeps_the_shape_of_its_points():
+    grid = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 5, 3))
+    vals = mode_potential_curl_part(0, grid)
+    assert vals.shape == (4, 5, 3)
+    assert np.array_equal(vals.reshape(-1, 3), mode_potential_curl_part(0, grid.reshape(-1, 3)))
+    assert np.array_equal(mode_potential_curl_part(1, grid[0, 0]), mode_potential_curl_part(1, grid[:1, 0])[0])
+
+
+@pytest.mark.parametrize("point", [[math.nan, 0.0, 0.1], [0.0, math.inf, 0.0]])
+def test_mode_potential_curl_part_rejects_a_non_finite_point(point):
+    with pytest.raises(ValueError, match="point .* is not finite"):
+        mode_potential_curl_part(0, [[0.1, 0.2, 0.3], point])

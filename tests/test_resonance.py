@@ -252,3 +252,17 @@ def test_cluster_resonances_single_family():
     roots = cluster_resonances("TE", 1, 1, 0.15, UNIT_MODEL, n_starts=4)
     assert len(roots) == 1
     assert abs(roots[0].omega - (3.0501824861741624 - 0.0259543994027477j)) < 1e-9
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ContrastModel(math.nan), "c_tau"),
+    (lambda: ContrastModel(complex(1.0, math.inf)), "c_tau"),
+    (lambda: ContrastModel(1.0, (0.3, math.nan)), "Laurent coefficient"),
+    (lambda: UNIT_MODEL.evaluate(math.nan), "delta"),
+    (lambda: UNIT_MODEL.evaluate(math.inf), "delta"),
+    (lambda: find_resonance("TE", 1, 1, math.nan, UNIT_MODEL), "delta"),
+    (lambda: sweep_resonance("TE", 1, 1, [0.05, math.nan, 0.1], UNIT_MODEL), "delta"),
+])
+def test_non_finite_parameters_are_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+        call()

@@ -1,0 +1,115 @@
+"""Run a fixed set of ``dieres`` commands in-process and record their output.
+
+    python tools/cli_snapshot.py OUTDIR
+
+Each command runs through ``dieres.cli.main``; its stdout, stderr and exit
+code go to OUTDIR/<name>.stdout, <name>.stderr and <name>.code.  The set
+covers every subcommand, CSV and JSON output, a config file, failing
+configurations and every ``--help``.  Snapshot two checkouts (with each one's
+``src`` on PYTHONPATH) and compare them with ``diff -r``.
+
+Exits 1 when a command's exit code differs from the one expected of it, so a
+command meant to succeed that fails is caught.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import dieres.cli
+
+WAVE = ["--direction", "0.3", "-0.4", "0.866", "--polarization", "0.8", "0.6", "0"]
+
+# (name, argv, expected exit code)
+COMMANDS = [
+    ("bessel-zeros", ["bessel-zeros"], 0),
+    ("bessel-zeros-json", ["bessel-zeros", "--order", "2", "--count", "4", "--format", "json"], 0),
+    ("spectrum", ["spectrum", "--count", "6"], 0),
+    ("resonance", ["resonance", "--delta", "0.1"], 0),
+    ("resonance-json", ["resonance", "--family", "TM", "--n", "2", "--delta", "0.08", "--tol", "1e-11",
+                        "--c-tau", "1.5", "0.1", "--laurent", "0.3", "--format", "json"], 0),
+    ("resonance-sweep", ["resonance-sweep", "--delta-min", "0.05", "--delta-max", "0.2",
+                         "--delta-count", "4"], 0),
+    ("resonance-sweep-deltas", ["resonance-sweep", "--deltas", "0.05", "0.1", "0.15", "--family", "TM",
+                                "--s", "2", "--laurent", "-0.2", "0.1"], 0),
+    ("mie", ["mie", "--delta", "0.15", "--omega", "3.3", "--n-max", "3"], 0),
+    ("mie-json", ["mie", "--delta", "0.2", "--tau", "40", "1.5", "--omega", "2.2", "--omega-im", "-0.01",
+                  *WAVE, "--format", "json"], 0),
+    ("cross-sections", ["cross-sections", "--delta", "0.1", "--tau", "80", "0", "--omega-min", "1.0",
+                        "--omega-max", "2.0", "--omega-count", "7"], 0),
+    ("cross-sections-json", ["cross-sections", "--delta", "0.15", "--tau", "44", "0.5", "--omega-min", "2.9",
+                             "--omega-max", "3.4", "--omega-count", "5", *WAVE, "--format", "json"], 0),
+    ("scatter-functions", ["scatter-functions", "--delta", "0.15", "--omega-min", "2.9",
+                           "--omega-max", "3.4", "--omega-count", "11"], 0),
+    ("scatter-functions-json", ["scatter-functions", "--delta", "0.1", "--c-tau", "2", "0", "--laurent", "0.4",
+                                "--omega-min", "2.0", "--omega-max", "2.5", "--omega-count", "6",
+                                "--format", "json"], 0),
+    ("amplitude", ["amplitude", "--delta", "0.15", "--tau", "44", "0", "--omega", "3.1", "--phi", "0.7",
+                   "--theta-count", "9", *WAVE], 0),
+    ("amplitude-json", ["amplitude", "--delta", "0.1", "--omega", "3.0", "--theta-count", "5",
+                        "--format", "json"], 0),
+    ("moments", ["moments", "--delta", "0.1", "--omega", "3.0"], 0),
+    ("moments-json", ["moments", "--delta", "0.08", "--omega", "2.9", "--c-tau", "1.2", "0", "--laurent", "0.2",
+                      *WAVE, "--format", "json"], 0),
+    ("units", ["units", "--radius-nm", "75", "--wavelength-nm", "600", "--epsilon-r", "16", "0"], 0),
+    ("units-json", ["units", "--radius-nm", "120", "--wavelength-nm", "900", "--epsilon-r", "12.5", "0.3",
+                    "--format", "json"], 0),
+    ("config", ["bessel-zeros", "--config", "{config}", "--order", "2"], 0),
+    ("error-negative-delta", ["resonance", "--delta", "-0.5"], 1),
+    ("error-missing-omega", ["mie", "--delta", "0.1"], 1),
+    ("error-short-grid", ["cross-sections", "--delta", "0.1", "--omega-min", "1", "--omega-max", "2",
+                          "--omega-count", "1"], 1),
+    ("error-units", ["units", "--radius-nm", "-1", "--wavelength-nm", "600"], 1),
+    ("error-nan-omega", ["mie", "--delta", "0.1", "--omega", "nan"], 1),
+    ("error-nan-tau", ["cross-sections", "--delta", "0.1", "--tau", "nan", "0", "--omega-min", "1",
+                       "--omega-max", "2"], 1),
+    ("error-bad-choice", ["resonance", "--delta", "0.1", "--family", "XX"], 2),
+    ("help", ["--help"], 0),
+    *((f"help-{name}", [name, "--help"], 0) for name in (
+        "bessel-zeros", "spectrum", "resonance", "resonance-sweep", "mie", "cross-sections",
+        "scatter-functions", "amplitude", "moments", "units")),
+]
+
+
+def run(argv):
+    """(stdout, stderr, exit code) of one in-process ``dieres`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = dieres.cli.main(argv)
+        except SystemExit as exc:  # argparse exits on --help and on bad flags
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = sys.argv[1]
+    os.makedirs(outdir, exist_ok=True)
+    # argparse wraps help text to the terminal width; fix it so help is comparable
+    os.environ["COLUMNS"] = "80"
+    unexpected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump({"command": "bessel-zeros", "order": 1, "count": 3}, fh)
+        for name, command, expected in COMMANDS:
+            stdout, stderr, code = run([a.replace("{config}", config) for a in command])
+            for suffix, text in (("stdout", stdout), ("stderr", stderr), ("code", f"{code}\n")):
+                with open(os.path.join(outdir, f"{name}.{suffix}"), "w") as fh:
+                    fh.write(text)
+            if code != expected:
+                unexpected.append(f"{name}: exit code {code}, expected {expected}")
+    for line in unexpected:
+        print(line, file=sys.stderr)
+    print(f"{len(COMMANDS)} commands written to {outdir}, {len(unexpected)} unexpected exit codes")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
