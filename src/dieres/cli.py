@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mie, quasistatic, resonance
-from .fields import IncidentWave
+from .fields import IncidentWave, _finite
 from .specfun import bessel_zero
 
 
@@ -113,13 +113,17 @@ def _complex_value(raw, default=None):
     raise ValueError(f"complex values are encoded as [re, im], got {raw!r}")
 
 
-def _vector(raw, default):
-    if raw is None:
-        return np.asarray(default, dtype=float)
-    vec = np.asarray([float(v) for v in raw], dtype=float)
+def _unit_vector(cfg, name, default):
+    """The vector cfg holds under name (default if absent) scaled to unit
+    length, checked to have three components and a finite, nonzero length."""
+    raw = cfg.get(name)
+    vec = np.asarray(default if raw is None else [float(v) for v in raw], dtype=float)
     if vec.shape != (3,):
         raise ValueError("vectors need exactly three components")
-    return vec
+    size = _finite(f"|{name}|", np.linalg.norm(vec))
+    if size == 0:
+        raise ValueError(f"{name} must be a nonzero vector")
+    return vec / size
 
 
 def _model(cfg):
@@ -129,9 +133,8 @@ def _model(cfg):
 
 
 def _incident(cfg, omega):
-    d = _vector(cfg.get("direction"), [0.0, 0.0, 1.0])
-    e0 = _vector(cfg.get("polarization"), [1.0, 0.0, 0.0])
-    return IncidentWave(d / np.linalg.norm(d), e0 / np.linalg.norm(e0), omega)
+    return IncidentWave(_unit_vector(cfg, "direction", [0.0, 0.0, 1.0]),
+                        _unit_vector(cfg, "polarization", [1.0, 0.0, 0.0]), omega)
 
 
 def _omega_grid(cfg):
@@ -360,7 +363,8 @@ def build_parser():
     for name, (_, columns, flags) in _COMMANDS.items():
         schema = ",".join(columns)
         p = sub.add_parser(name, parents=[common], help=f"emit columns: {schema}",
-                           description=f"column schema: {schema}")
+                           description=f"column schema: {schema}",
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         for key in flags:
             p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser

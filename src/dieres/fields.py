@@ -56,6 +56,22 @@ class IncidentWave:
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
 
 
+@functools.lru_cache(maxsize=32)
+def _incidence(n_max, direction, polarization):
+    """The plane-wave expansion of one incidence, d and e0 given as bytes:
+    P_k^TE = 4 pi i^n / sqrt(n(n+1)) conj(V_n^m(d)).e0 and P_k^TM (U for V)
+    as tuples over k = n(n+1) + m, 1 <= n <= n_max.  The plane wave is
+    -sum_k (P_k^TE TE_{n,m} + P_k^TM TM_{n,m}) in entire multipole fields.
+    Per entry np.dot, which the tests pin; stacked products round differently."""
+    d, e0 = (np.frombuffer(v, dtype=float) for v in (direction, polarization))
+    table = harmonic_table(n_max, d[None])
+    u, v = table.vectors(slice(1, None))
+    prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
+    proj_te = tuple(complex(p * np.dot(np.conj(v_k[0]), e0)) for p, v_k in zip(prefs, v))
+    proj_tm = tuple(complex(p * np.dot(np.conj(u_k[0]), e0)) for p, u_k in zip(prefs, u))
+    return proj_te, proj_tm
+
+
 def plane_wave(w: IncidentWave, x) -> np.ndarray:
     """Incident field E0 exp(i w d.x) at point(s) x."""
     x = np.asarray(x, dtype=float)
@@ -190,14 +206,9 @@ def _farfield_phase(n):
 
 
 def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:
-    """Partial sum (1 <= n <= N) of the plane-wave expansion in entire
-    multipole fields with coefficients -4 pi i^n / sqrt(n(n+1)) times the
-    conjugated vector harmonics of the incident direction."""
+    """Partial sum (1 <= n <= N) of the plane-wave expansion: entire
+    multipole fields with the coefficients -P of _incidence."""
     if N < 1:
         raise ValueError("need at least one expansion order")
-    table = harmonic_table(N, w.direction)
-    # conj(U).e0 and conj(V).e0 in the frame of the incident direction
-    e_t, e_p = table.theta_hat @ w.polarization, table.phi_hat @ w.polarization
-    d_t, d_p = np.conj(table.d_theta), np.conj(table.d_phi)
-    coeff = np.array([0.0] + [-4 * math.pi * 1j ** n / (n * (n + 1)) for n in table.degree[1:]])
-    return _multipole_sum("entire", coeff * (d_t * e_p - d_p * e_t), coeff * (d_t * e_t + d_p * e_p), w.omega, x)
+    proj_te, proj_tm = _incidence(N, w.direction.tobytes(), w.polarization.tobytes())
+    return _multipole_sum("entire", -np.array((0j, *proj_te)), -np.array((0j, *proj_tm)), w.omega, x)

@@ -3,7 +3,6 @@ field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
 import cmath
-import functools
 import math
 import warnings
 from collections.abc import Mapping
@@ -12,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _farfield_coefficient, _finite, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _harmonic_blocks, harmonic_table, radial_pair, radial_table, riccati_H, riccati_J
+from .fields import IncidentWave, _farfield_coefficient, _finite, _incidence, _multipole_sum, _radius_split
+from .specfun import MAX_ORDER, _harmonic_blocks, radial_pair, radial_table, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -195,25 +194,6 @@ class MieTable:
         return _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n]
 
 
-@functools.lru_cache(maxsize=32)
-def _incidence(n_max, direction, polarization):
-    """The omega-independent part of a coefficient table at one incidence,
-    the unit vectors given as bytes: the harmonic table of the direction (one
-    row of directions) and the TE and TM projections
-    4 pi i^n / sqrt(n(n+1)) conj(V_n^m).e0 and conj(U_n^m).e0 as tuples
-    ordered by k = n(n+1) + m >= 1.  Per entry np.dot, like the products the
-    tests pin; stacked contractions round differently."""
-    d, e0 = (np.frombuffer(v, dtype=float) for v in (direction, polarization))
-    table = harmonic_table(n_max, d[None])
-    for part in table:
-        part.flags.writeable = False
-    u, v = table.vectors(slice(1, None))
-    prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
-    proj_te = tuple(complex(p * np.dot(np.conj(v_k[0]), e0)) for p, v_k in zip(prefs, v))
-    proj_tm = tuple(complex(p * np.dot(np.conj(u_k[0]), e0)) for p, u_k in zip(prefs, u))
-    return table, proj_te, proj_tm
-
-
 def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     """Coefficient table gamma_{n,m}, eta_{n,m} for 1 <= n <= n_max, |m| <= n.
 
@@ -234,7 +214,7 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
             raise ResonanceError(n, "TM")
         ratios_te += [num_te / den_te] * (2 * n + 1)
         ratios_tm += [num_tm / den_tm] * (2 * n + 1)
-    _, proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
     # Python complex products, which round like the numpy scalar ones
     te = np.array([0j] + [p * r for p, r in zip(proj_te, ratios_te)])
     tm = np.array([0j] + [p * r for p, r in zip(proj_tm, ratios_tm)])
@@ -256,25 +236,18 @@ def far_field(t: MieTable, xhat) -> np.ndarray:
     (theta-hat, phi-hat) frame, sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and
     V_n^m its rotation by x-hat, contracted degree by degree as the ladder
     yields the harmonic table, which is never stored."""
-    theta_hat, phi_hat, blocks = _harmonic_blocks(_top(t.te), xhat)
-    blocks = ((slice(n * n, (n + 1) ** 2), block[1:]) for n, block in enumerate(blocks) if n)
-    return _far_field_sum(t, theta_hat, phi_hat, blocks).reshape(np.shape(xhat)[:-1] + (3,))
-
-
-def _far_field_sum(t, theta_hat, phi_hat, blocks):
-    """far_field of t at P directions, (P, 3), from their frame and blocks
-    (k, grad) of their harmonic table: grad holds d_theta and d_phi, (2, K, P),
-    of the K entries of the slice k."""
-    orders = range(_top(t.te) + 1)
+    top = _top(t.te)
+    theta_hat, phi_hat, blocks = _harmonic_blocks(top, xhat)
     coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) if n else 0
-                       for n in orders], [2 * n + 1 for n in orders])
+                       for n in range(top + 1)], [2 * n + 1 for n in range(top + 1)])
     g, e = coeff * t.te, coeff * t.tm
     # (theta-hat, phi-hat) components from two-row products, as in fields._multipole_sum
     pairs = np.array([[e, g], [-g, e]])
     f_t, f_p = f = np.zeros((2, len(theta_hat)), dtype=complex)
-    for k, grad in blocks:
-        f += (pairs[:, :, k] @ grad).sum(axis=0)
-    return f_t[:, None] * theta_hat + f_p[:, None] * phi_hat
+    for n, block in enumerate(blocks):
+        if n:
+            f += (pairs[:, :, n * n:(n + 1) ** 2] @ block[1:]).sum(axis=0)
+    return (f_t[:, None] * theta_hat + f_p[:, None] * phi_hat).reshape(np.shape(xhat)[:-1] + (3,))
 
 
 @dataclass(frozen=True)
@@ -290,27 +263,27 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     """Scattering/extinction/absorption cross sections of a populated table.
 
     Qs comes from the closed partial-wave sum (validated elsewhere against
-    sphere quadrature of |far field|^2), Qext from the optical theorem, with
-    the forward far field taken on the memoized table of the incidence.  Only
-    defined for real omega, where the incident flux is unit.
+    sphere quadrature of |far field|^2), Qext from the optical theorem as the
+    same kind of sum against the plane-wave expansion P of the incidence,
+    w^-2 Re sum n(n+1) (gamma conj P^TE + eta conj P^TM) (Bohren & Huffman,
+    Absorption and Scattering of Light by Small Particles (1983), sec. 4.4).
+    Only defined for real omega, where the incident flux is unit.
     """
     omega = t.config.omega
     if omega.imag != 0:
         raise ValueError("cross sections are defined for real frequencies only")
     w = omega.real
     n = np.sqrt(np.arange(len(t.te))).astype(int)
-    terms = n * (n + 1) * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
+    weight = n * (n + 1)
+    terms = weight * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
     qs = float(terms.sum()) / w ** 2
     n_max = t.config.n_max
     tail = float(terms[(n_max // 2 + 1) ** 2:(n_max + 1) ** 2].sum()) / w ** 2
     converged = tail <= 1e-12 * max(qs, 1e-300)
     if not converged:
         warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
-    e0 = t.incident.polarization
-    table, _, _ = _incidence(_top(t.te), t.incident.direction.tobytes(), e0.tobytes())
-    grad = np.stack([table.d_theta[1:], table.d_phi[1:]])
-    ff = _far_field_sum(t, table.theta_hat, table.phi_hat, [(slice(1, None), grad)])[0]
-    qext = 4 * math.pi / w * float(np.imag(np.dot(e0, ff)))
+    proj_te, proj_tm = _incidence(_top(t.te), t.incident.direction.tobytes(), t.incident.polarization.tobytes())
+    qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * np.conj(proj_te) + t.tm[1:] * np.conj(proj_tm))))) / w ** 2
     return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
 
 

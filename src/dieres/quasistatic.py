@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import IncidentWave, _radius_split, multipole_field
+from .fields import IncidentWave, _incidence, _radius_split, multipole_field
 from .multipole import _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel
 from .specfun import bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
@@ -292,7 +292,8 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     TE potentials), so those moments sit at quadrature scale; their pole
     prefactors are still exact.
 
-    All quadrature runs on the product grid of `quad` (from ball_quadrature):
+    The mode overlaps read the plane-wave expansion of the incidence; the
+    other quadrature runs on the product grid of `quad` (from ball_quadrature):
     one harmonic table at its polar nodes, sums over phi as products with the
     phase matrix, vector contractions in (theta-hat, phi-hat) components, and
     radial profiles integrated separately.
@@ -315,9 +316,7 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     r, wr = quad.radial_nodes, quad.radial_weights
     e0, d = w.polarization, w.direction
 
-    # e^{i delta w d.x} on the tensor grid and the incident normal trace on S
-    phase = np.exp(1j * delta * omega * np.outer(r, xa @ d))           # (n_r, n_a)
-    trace_inc = (xa @ e0) * np.exp(1j * delta * omega * (xa @ d))      # (n_a,)
+    trace_inc = (xa @ e0) * np.exp(1j * delta * omega * (xa @ d))      # incident normal trace on S, (n_a,)
 
     # Y_n^m for n <= n_sh and grad_S Y_n^m = sqrt(n(n+1)) U_n^m at the polar
     # nodes; the degree-1 rows at every node, with V_1^j = (d_theta phi-hat -
@@ -325,13 +324,13 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     grid = _harmonic_grid(sphere, n_sh)
     table, deg = grid.table, grid.table.degree
     y1, dt1, dp1 = (grid.at_nodes(part, slice(1, 4)) for part in (table.y, table.d_theta, table.d_phi))
-    e0_t, e0_p = (np.einsum("ai,i->a", frame, e0) for frame in (grid.theta_hat, grid.phi_hat))
 
-    # normalized ground modes: pi * TE_{1,j}(k0, x) = prof(r) V_1^j(xhat)
+    # normalized ground modes: pi * TE_{1,j}(k0, x) = prof(r) V_1^j(xhat), met
+    # by the incident wave on |x| = r as sqrt(2) j_1(delta w r) P_{1,j}^TE
     j1 = np.asarray(sph_bessel_j(1, k0 * r)).real
     prof = -math.sqrt(2) * k0 * j1  # (n_r,)
-    radial = np.einsum("r,ra->a", wr * prof, phase)                     # (n_a,)
-    overlaps = np.einsum("a,ja->j", wa * radial, np.conj(dt1) * e0_p - np.conj(dp1) * e0_t) / math.sqrt(2)
+    proj_te, _ = _incidence(1, d.tobytes(), e0.tobytes())
+    overlaps = math.sqrt(2) * np.array(proj_te) * np.sum(wr * prof * sph_bessel_j(1, delta * omega * r))
 
     c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
 

@@ -84,6 +84,8 @@ def _check(n, z, kind):
         raise ValueError("order n must be >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order n={n} exceeds supported maximum {MAX_ORDER}")
+    if not (cmath.isfinite(z) if isinstance(z, complex) else np.isfinite(z).all()):
+        raise ValueError(f"argument z = {z if isinstance(z, complex) else z[~np.isfinite(z)][0]} is not finite")
     if _any(abs(z.imag) > _IM_OVERFLOW):
         raise OverflowError("spherical Bessel argument overflows double range")
     if kind not in _KINDS:

@@ -242,10 +242,13 @@ SMALL_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_help_schema_is_the_output_schema(command, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside the schema
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    help_schema = re.search(r"column schema: (\S+)", capsys.readouterr().out).group(1)
+    schemas = set()
+    for columns in ("80", "1000"):  # the schema is never wrapped, at any width
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        schemas.add(re.search(r"column schema: (\S+)", capsys.readouterr().out).group(1))
+    help_schema, = schemas
     code, out, _ = _run(capsys, command, *SMALL_RUNS[command])
     assert code == 0
     assert out.splitlines()[0] == f"# schema: {help_schema}"
@@ -269,6 +272,14 @@ def test_every_flag_lands_under_its_config_key(command):
         cfg = _merge_config(build_parser().parse_args([command, "--" + key.replace("_", "-"), *values]))
         typed = [kwargs.get("type", str)(v) for v in values]
         assert cfg == {"command": command, key: typed if "nargs" in kwargs else typed[0]}
+
+
+@pytest.mark.parametrize("flag", ["--direction", "--polarization"])
+def test_zero_incidence_vector_gives_one_value_error_record(capsys, flag):
+    code, out, err = _run(capsys, "amplitude", "--delta", "0.1", "--omega", "3", flag, "0", "0", "0")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ValueError", "message": f"{flag[2:]} must be a nonzero vector"}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -274,6 +274,26 @@ def test_jacobi_anger_matches_full_table_contraction(rng):
     assert_allclose(jacobi_anger_partial(w, 8, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
+def test_jacobi_anger_coefficients_match_frame_components(rng):
+    # the coefficients -4 pi i^n / (n(n+1)) (conj(d_theta, d_phi) against the
+    # frame components of e0) from a harmonic table of the incident direction
+    from dieres.fields import _multipole_sum
+    from dieres.specfun import harmonic_table
+
+    for _ in range(3):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        e0 = np.cross(d, rng.normal(size=3))
+        w = IncidentWave(d, e0 / np.linalg.norm(e0), rng.uniform(0.5, 3.0))
+        table = harmonic_table(8, w.direction)
+        e_t, e_p = table.theta_hat @ w.polarization, table.phi_hat @ w.polarization
+        d_t, d_p = np.conj(table.d_theta), np.conj(table.d_phi)
+        coeff = np.array([0.0] + [-4 * math.pi * 1j ** n / (n * (n + 1)) for n in table.degree[1:]])
+        x = np.concatenate([[[0, 0, 0], [0, 0, 0.8]], rng.normal(size=(30, 3))])
+        ref = _multipole_sum("entire", coeff * (d_t * e_p - d_p * e_t), coeff * (d_t * e_t + d_p * e_p), w.omega, x)
+        assert_allclose(jacobi_anger_partial(w, 8, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
 def test_grid_shaped_points_match_the_flattened_call(rng):
     grid = rng.normal(size=(4, 5, 3))
     flat = grid.reshape(-1, 3)

@@ -210,6 +210,28 @@ def test_config_rejects_orders_past_the_cap():
     assert ScatterConfig(0.1, 15, 2.0, n_max=64).n_max == 64
 
 
+@pytest.mark.parametrize("seed, oblique, lossy", [(1, False, False), (2, False, True), (3, True, False),
+                                                   (4, True, True), (5, True, True)])
+def test_extinction_sum_matches_forward_far_field(seed, oblique, lossy):
+    # the optical theorem as the forward far field: Qext = Im(a) with
+    # a = 4 pi / w e0 . far field in the incident direction.  For small
+    # spheres Im(a) is a small part of a, so both forms are held to |a|
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.5, 4.0)
+    cfg = ScatterConfig(rng.uniform(0.05, 0.3), complex(rng.uniform(10, 120), rng.uniform(0.5, 5) if lossy else 0),
+                        omega)
+    w = _random_incidence(omega, rng) if oblique else _wave(omega)
+    t = mie_coefficients(cfg, w)
+    a = 4 * math.pi / omega * np.dot(w.polarization, far_field(t, w.direction))
+    rep = cross_sections(t)
+    assert abs(rep.Qext - a.imag) <= 1e-13 * abs(a)
+    assert rep.Qabs == rep.Qext - rep.Qs
+    if lossy:
+        assert rep.Qabs > 1e-6 * rep.Qext
+    else:
+        assert abs(rep.Qabs) <= 1e-13 * abs(a)
+
+
 def test_cross_sections_reject_complex_omega():
     cfg = ScatterConfig(0.1, 50.0, 2.0 - 0.1j, n_max=4)
     t = MieTable(cfg, _wave(2.0), {(1, 0): 0.1}, {(1, 0): 0.0})
@@ -336,9 +358,9 @@ def test_incidence_memo_and_stacks_are_read_only():
     cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=4)
     w = _wave(2.0, d=[0.3, -0.4, 0.87])
     t = mie_coefficients(cfg, w)
-    table, proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
     assert isinstance(proj_te, tuple) and isinstance(proj_tm, tuple) and len(proj_te) == 24
-    for part in (*table, t.te, t.tm):
+    for part in (t.te, t.tm):
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0] = 1.0

@@ -425,6 +425,43 @@ def test_resonant_moments_match_cartesian_reference(seed):
     assert np.max(np.abs(rm.q0_hat - q0)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_resonant_moments_m1_matches_phase_grid_overlaps(seed):
+    # the mode overlaps as quadrature of e^{i delta w r x.d} tabulated on the
+    # whole ball grid and projected on V_1^j in (theta-hat, phi-hat) components
+    from dieres.fields import _incidence
+    from dieres.multipole import _harmonic_grid
+
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    e0 = np.cross(d, rng.normal(size=3))
+    e0 /= np.linalg.norm(e0)
+    model = ContrastModel(1.0) if seed % 2 else ContrastModel(1.3 + 0.08j, (0.4, -0.2))
+    omega0 = quasi_static_pole(model)
+    omega = (omega0 + rng.uniform(0.005, 0.05)).real
+    delta = rng.uniform(0.05, 0.2)
+    quad = ball_quadrature(24, 32, 64)
+    xa, wa = quad.angular.points, quad.angular.weights
+    r, wr = quad.radial_nodes, quad.radial_weights
+    k0 = bessel_zero(0, 1)
+    prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real
+    grid = _harmonic_grid(quad.angular, 1)
+    dt1, dp1 = (grid.at_nodes(part, slice(1, 4)) for part in (grid.table.d_theta, grid.table.d_phi))
+    e0_t, e0_p = grid.theta_hat @ e0, grid.phi_hat @ e0
+    radial = (wr * prof) @ np.exp(1j * delta * omega * np.outer(r, xa @ d))
+    ref = np.einsum("a,ja->j", wa * radial, np.conj(dt1) * e0_p - np.conj(dp1) * e0_t) / math.sqrt(2)
+    # the overlaps resonant_moments reads: sqrt(2) P_1^TE times one radial sum
+    proj_te, _ = _incidence(1, d.tobytes(), e0.tobytes())
+    got = math.sqrt(2) * np.array(proj_te) * np.sum(wr * prof * sph_bessel_j(1, delta * omega * r))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # M1 is linear in the overlaps through the blow-up coefficient
+    rm = resonant_moments(IncidentWave(d, e0, omega), omega, delta, model, quad=quad)
+    c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, 1 / k0 ** 2)
+    m1 = rm.m1_hat + c_m * sum((o_ref - o) * mode_potential_integral(j) for j, o_ref, o in zip((-1, 0, 1), ref, got))
+    assert np.linalg.norm(rm.m1_hat - m1) <= 1e-13 * np.linalg.norm(m1)
+
+
 def test_resonant_moments_need_a_product_quadrature():
     q = ball_quadrature(8, 10, 20)
     for bare in (BallQuadrature(q.points, q.weights, q.degree),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -188,11 +189,20 @@ def test_scalar_and_array_elements_agree(kind):
     (3, 0.5, "k", ValueError),
     (3, 0.0, "y", ZeroDivisionError),
     (0, 0.0, "h", ZeroDivisionError),
+    (2, math.nan, "j", ValueError),
+    (1, math.nan, "h", ValueError),
+    (3, math.inf, "h", ValueError),
+    (1, math.inf, "j", ValueError),
+    (1, -math.inf, "y", ValueError),
+    (2, complex(0.5, math.inf), "j", ValueError),
+    (2, complex(math.nan, 1.0), "y", ValueError),
 ])
 def test_scalar_and_array_errors(n, z, kind, error):
+    # a non-finite argument is named, also the one bad element of an array
+    match = None if np.isfinite(z) else re.escape(f"argument z = {complex(z)} is not finite")
     for arg in (z, np.complex128(z), np.array(z), np.array([1.5, z])):
         for call in (radial_pair, radial_table):
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 call(n, arg, kind)
 
 
