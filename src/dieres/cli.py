@@ -92,9 +92,10 @@ def to_dimensionless(radius_nm: float, wavelength_nm: float, epsilon_r: complex)
     """Physical (radius, wavelength, permittivity) to the dimensionless
     (size parameter, contrast, resonance indicator) triple; the indicator
     sits near pi when the interior wavelength matches the particle size."""
+    radius_nm, wavelength_nm = _finite("radius_nm", radius_nm), _finite("wavelength_nm", wavelength_nm)
+    epsilon_r = _finite("epsilon_r", complex(epsilon_r))
     if radius_nm <= 0 or wavelength_nm <= 0:
         raise ValueError("radius and wavelength must be positive")
-    epsilon_r = complex(epsilon_r)
     if epsilon_r.real <= 1:
         raise ValueError("relative permittivity must exceed 1")
     delta_omega = 2 * math.pi * radius_nm / wavelength_nm
@@ -208,7 +209,7 @@ def _cmd_mie(cfg):
     delta, tau = _sphere(cfg)
     omega = complex(float(cfg["omega"]), float(cfg.get("omega_im", 0.0)))
     n_max = cfg.get("n_max")
-    config = mie.ScatterConfig(delta, tau, omega, int(n_max) if n_max else None)
+    config = mie.ScatterConfig(delta, tau, omega, None if n_max is None else int(n_max))
     table = mie.mie_coefficients(config, _incident(cfg, omega))
     rows = [[n, m, g.real, g.imag, table.eta[(n, m)].real, table.eta[(n, m)].imag]
             for (n, m), g in table.gamma.items()]

@@ -46,6 +46,8 @@ class IncidentWave:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         e0 = np.asarray(self.polarization, dtype=float)
+        if d.shape != (3,) or e0.shape != (3,):
+            raise ValueError(f"direction and polarization must be 3-vectors, not of shapes {d.shape} and {e0.shape}")
         size_d, size_e0 = _finite("|direction|", np.linalg.norm(d)), _finite("|polarization|", np.linalg.norm(e0))
         if abs(size_d - 1) > 1e-12 or abs(size_e0 - 1) > 1e-12:
             raise ValueError("incident direction and polarization must be unit vectors")

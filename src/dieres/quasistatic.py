@@ -143,26 +143,16 @@ def mode_potential_curl_part(j: int, pts) -> np.ndarray:
     return vals.reshape(np.shape(pts)[:-1] + (3,))
 
 
-@functools.lru_cache(maxsize=None)
-def _mode_potential_integral_checked(j: int):
-    analytic = (4 / math.pi) * solid_harmonic_gradient_deg1(j)
-    quad = _default_ball_quad()
-    vals = mode_potential_curl_part(j, quad.points)
-    numeric = np.einsum("p,pi->i", quad.weights, vals)
-    if np.max(np.abs(numeric - analytic)) > 1e-8:
-        raise AssertionError("mode potential integral: quadrature disagrees with the closed form")
-    return analytic
-
-
 def mode_potential_integral(j: int) -> np.ndarray:
-    """Ball integral of the ground TE mode potential: (4/pi) grad(|x| Y_1^j).
+    """Ball integral of the ground TE mode potential: (4/pi) grad(|x| Y_1^j),
+    in closed form, as a new array on each call.
 
-    Evaluated in closed form and cross-checked once against ball quadrature
-    of the explicit part (the H_0^1 gradient part integrates to zero).
+    Only the explicit part contributes (the H_0^1 gradient part integrates to
+    zero); the tests check the closed form by ball quadrature of that part.
     """
     if j not in (-1, 0, 1):
         raise ValueError("ground mode potentials carry m in {-1, 0, 1}")
-    return _mode_potential_integral_checked(j)
+    return (4 / math.pi) * solid_harmonic_gradient_deg1(j)
 
 
 def gradient_outer_sum() -> np.ndarray:

@@ -3,9 +3,9 @@ real Bessel zeros, and scalar/vector spherical harmonics.
 
 Radial functions come in tables.  radial_table(n_max, z, kind) returns f_0..f_N
 and the Riccati combinations F_0..F_N of one kind (j, y or h^(1)) from one pass
-per argument; radial_pair and the value and derivative functions read rows of
-that pass and keep only the rows they return.  The pass is chosen element by
-element from the top order N (at least 1):
+per argument; radial_pair and the value and derivative functions index the
+rows of that pass.  The pass is chosen element by element from the top order
+N (at least 1):
 
 - j for |z| <= 1: the ascending power series of every order;
 - j for N <= 2 and |z| > 1, or for |Re z| >= N with |Im z| at most
@@ -20,11 +20,13 @@ element from the top order N (at least 1):
   h^(1)(z) = 2 j(z) - conj h^(1)(conj z) (compare Amos, ACM TOMS 12, 265
   (1986)).
 
-Element types: an array argument runs the pass on numpy arrays, with masks
-splitting the elements between passes.  A 0-d argument (a Python number, a
-numpy scalar or a 0-d array) runs the same pass on Python complex with cmath
-and returns Python complex; the two agree to rounding.  On both, y and h^(1)
-past the double range (high orders at small arguments) raise OverflowError.
+Element types: an array argument of any shape runs the pass on numpy arrays
+of that shape, never flattened; boolean masks, which index an n-d array in C
+order like its ravel, split the elements between passes.  A 0-d argument (a
+Python number, a numpy scalar or a 0-d array) runs the same pass on Python
+complex with cmath and returns Python complex; the two agree to rounding.  On
+both, y and h^(1) past the double range (high orders at small arguments)
+raise OverflowError.
 
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
@@ -32,7 +34,6 @@ See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 import cmath
 import functools
 import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -56,16 +57,10 @@ def _ns(z):
 
 
 def _elements(z):
-    """A 0-d z as a Python complex with shape None, else z flattened to a
-    complex array and its shape."""
+    """A 0-d z as a Python complex, else z as a complex array of its shape."""
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
-        return complex(z), None
-    arr = np.asarray(z, dtype=np.complex128)
-    return arr.ravel(), arr.shape
-
-
-def _restore(value, shape):
-    return value if shape is None else value.reshape(shape)
+        return complex(z)
+    return np.asarray(z, dtype=np.complex128)
 
 
 def _any(flags):
@@ -110,8 +105,8 @@ def _jn_series(n, z):
     return acc * z ** n / _double_factorial(2 * n + 1)
 
 
-def _series(top, z, kind, keep):
-    return [_jn_series(k, z) for k in range(0 if keep else top - 1, top + 1)]
+def _series(top, z, kind):
+    return [_jn_series(k, z) for k in range(top + 1)]
 
 
 def _closed(kind, z):
@@ -134,14 +129,11 @@ def _riccati_0(kind, z):
     return xp.cos(z) if kind == "j" else xp.sin(z)
 
 
-def _upward(top, z, kind, keep):
-    fm, f = _closed(kind, z)
-    rows = [fm, f]
+def _upward(top, z, kind):
+    rows = list(_closed(kind, z))
     for k in range(1, top):
-        fm, f = f, (2 * k + 1) / z * f - fm
-        if keep:
-            rows.append(f)
-    return rows if keep else [fm, f]
+        rows.append((2 * k + 1) / z * rows[-1] - rows[-2])
+    return rows
 
 
 def _rescale(f_lo, f_hi):
@@ -153,7 +145,7 @@ def _rescale(f_lo, f_hi):
     return np.where(big, 1e-250, 1.0) if big.any() else None
 
 
-def _miller(top, z, kind, keep):
+def _miller(top, z, kind):
     # downward recurrence from a padded start order, normalized against the
     # larger of j_0/j_1 to dodge zeros of the reference.  With |z| > 1 a step
     # grows the larger of the two iterates by less than 2k + 2, and this
@@ -162,10 +154,10 @@ def _miller(top, z, kind, keep):
     # eighth step.
     start = top + 30 + int(np.max(np.abs(z), initial=0))
     f_hi, f_lo = 0 * z, 1e-280 + 0 * z
-    kept = []  # f_top down to f_0, or only f_top, f_{top-1}, f_1 and f_0
+    kept = []  # f_top down to f_0
     for k in range(start, 0, -1):
         f_hi, f_lo = f_lo, (2 * k + 1) / z * f_lo - f_hi
-        if k <= top + 1 and (keep or k >= top or k <= 2):
+        if k <= top + 1:
             kept.append(f_lo)
         if k % 8 == 0:
             factor = _rescale(f_lo, f_hi)
@@ -175,23 +167,23 @@ def _miller(top, z, kind, keep):
     j0, j1 = _closed("j", z)
     use0 = abs(j0) >= abs(j1)
     scale = _select(use0, j0, j1) / _select(use0, kept[-1], kept[-2])
-    return [f * scale for f in (kept[::-1] if keep else kept[1::-1])]
+    return [f * scale for f in kept[::-1]]
 
 
-def _reflected(top, z, kind, keep):
+def _reflected(top, z, kind):
     # y and h^(1) from j and h^(1) at w = z or conj z, whichever lies in the
     # upper half plane: y(w) = -i (h(w) - j(w)), h^(2)(w) = 2 j(w) - h(w),
     # y(conj w) = conj y(w) and h^(1)(conj w) = conj h^(2)(w)
     lower = z.imag < 0
     w = _select(lower, z.conjugate(), z)
     rows = [-1j * (h - j) if kind == "y" else 2 * j - h
-            for j, h in zip(_pass(top, w, "j", keep), _upward(top, w, "h", keep))]
+            for j, h in zip(_pass(top, w, "j"), _upward(top, w, "h"))]
     return [_select(lower, f.conjugate(), f) for f in rows]
 
 
-def _pass(top, z, kind, keep):
-    """f_0..f_top (keep) or f_{top-1}, f_top of z, a Python complex or a flat
-    array, as a list of rows from one pass per element; top >= 1."""
+def _pass(top, z, kind):
+    """f_0..f_top of z, a Python complex or an array, as a list of rows from
+    one pass per element; top >= 1."""
     if kind == "j":
         re, im = abs(z.real), abs(z.imag)
         past_order = (re >= top) & (im <= 0.1 * re) & (im <= _OFF_AXIS + 0.1 * (re - top))
@@ -203,14 +195,14 @@ def _pass(top, z, kind, keep):
     if isinstance(z, complex):
         for flag, method in choices:
             if flag:
-                return method(top, z, kind, keep)
-    rows, rest = None, np.ones(len(z), dtype=bool)
+                return method(top, z, kind)
+    rows, rest = None, np.ones(z.shape, dtype=bool)
     for flag, method in choices:
         mask = rest & flag
         if mask.all():
-            return method(top, z, kind, keep)
+            return method(top, z, kind)
         if mask.any():
-            part = method(top, z[mask], kind, keep)
+            part = method(top, z[mask], kind)
             rows = rows or [np.empty_like(z) for _ in part]
             for row, value in zip(rows, part):
                 row[mask] = value
@@ -218,30 +210,29 @@ def _pass(top, z, kind, keep):
     return rows
 
 
-def _one_pass(n, z, kind, keep):
-    """z as _elements gives it, after the checks, the rows of its pass with
-    top order max(n, 1), and z's shape.
+def _one_pass(n, z, kind):
+    """z as _elements gives it and, after the checks, the rows f_0..f_top of
+    its pass, top = max(n, 1), each a Python complex or an array of z's shape.
 
     y and h^(1) grow with the order below |z| ~ n, and past the double range
     the recurrence yields inf and then nan; the top row, the largest, tells.
     """
-    z, shape = _elements(z)
+    z = _elements(z)
     _check(n, z, kind)
-    if shape is not None and kind != "j":
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _pass(max(n, 1), z, kind, keep)
-        finite = np.isfinite(rows[-1]).all()
-    else:
-        rows = _pass(max(n, 1), z, kind, keep)
+    if isinstance(z, complex) or kind == "j":
+        rows = _pass(max(n, 1), z, kind)
         finite = kind == "j" or cmath.isfinite(rows[-1])
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _pass(max(n, 1), z, kind)
+        finite = np.isfinite(rows[-1]).all()
     if not finite:
         raise OverflowError(f"{'y' if kind == 'y' else 'h^(1)'}_{max(n, 1)}(z) overflows the double range")
-    return z, rows, shape
+    return z, rows
 
 
 def _value(n, z, kind):
-    _, (prev, f), shape = _one_pass(n, z, kind, False)
-    return _restore(f if n else prev, shape)
+    return _one_pass(n, z, kind)[1][n]
 
 
 def sph_bessel_j(n: int, z) -> complex:
@@ -271,36 +262,36 @@ def radial_table(n_max: int, z, kind: str = "j"):
 
     Both are arrays of shape (N + 1,) + shape of z, order first.
     """
-    z, rows, shape = _one_pass(n_max, z, kind, True)
+    z, rows = _one_pass(n_max, z, kind)
     rows = rows[:n_max + 1]
     big = [_riccati_0(kind, z)] + [z * fm - k * f for k, (fm, f) in enumerate(zip(rows, rows[1:]), 1)]
-    out = (n_max + 1,) + (shape or ())
-    return np.array(rows).reshape(out), np.array(big).reshape(out)
+    return np.array(rows), np.array(big)
 
 
 def radial_pair(n: int, z, kind: str = "j"):
     """f_n(z) and its Riccati combination F_n(z) = f_n(z) + z f_n'(z)
-    = z f_{n-1}(z) - n f_n(z): row n of radial_table(n, z, kind), from the
-    same pass without the rows below n - 1."""
-    z, (prev, f), shape = _one_pass(n, z, kind, False)
+    = z f_{n-1}(z) - n f_n(z): row n of radial_table(n, z, kind), read from
+    the rows of the same pass."""
+    z, rows = _one_pass(n, z, kind)
     if n == 0:
-        return _restore(prev, shape), _restore(_riccati_0(kind, z), shape)
-    return _restore(f, shape), _restore(z * prev - n * f, shape)
+        return rows[0], _riccati_0(kind, z)
+    return rows[n], z * rows[n - 1] - n * rows[n]
 
 
 def _derivative(n, z, kind):
     # f_n' = f_{n-1} - (n+1)/z f_n from the pass of radial_pair, f_0' = -f_1,
     # and j_n'(0) = 1/3 for n = 1, else 0
-    z, (prev, f), shape = _one_pass(n, z, kind, False)
+    z, rows = _one_pass(n, z, kind)
     if n == 0:
-        return _restore(-f, shape)
+        return -rows[1]
+    prev, f = rows[n - 1], rows[n]
     at_zero = 1.0 / 3.0 if n == 1 else 0.0
     if isinstance(z, complex):
         return complex(at_zero) if z == 0 else prev - (n + 1) / z * f
     out = np.full_like(z, at_zero)
     nz = z != 0
     out[nz] = prev[nz] - (n + 1) / z[nz] * f[nz]
-    return out.reshape(shape)
+    return out
 
 
 def sph_bessel_jp(n: int, z) -> complex:
@@ -344,29 +335,10 @@ def small_arg_leading(n: int, t, kind: str) -> complex:
     return complex(res) if res.ndim == 0 else res
 
 
-class _BesselZeroTable:
-    """Positive zeros of j_n, built row by row from the interlacing brackets
-    k_{n-1,s} < k_{n,s} < k_{n-1,s+1}.  Thread-safe; rows grow on demand."""
-
-    def __init__(self):
-        self._rows = {}
-        self._lock = threading.RLock()
-
-    def zero(self, n, s):
-        if n < 0 or s < 1:
-            raise ValueError("need n >= 0 and s >= 1")
-        with self._lock:
-            row = self._rows.setdefault(n, [])
-            while len(row) < s:
-                row.append(self._next_zero(n, len(row) + 1))
-            return row[s - 1]
-
-    def _next_zero(self, n, s):
-        if n == 0:
-            return s * math.pi
-        lo = self.zero(n - 1, s)
-        hi = self.zero(n - 1, s + 1)
-        return _refine_zero(n, lo, hi)
+@functools.lru_cache(maxsize=None)
+def _zero(n, s):
+    """k_{n,s}, refined inside the interlacing brackets k_{n-1,s} < k_{n,s} < k_{n-1,s+1}."""
+    return s * math.pi if n == 0 else _refine_zero(n, _zero(n - 1, s), _zero(n - 1, s + 1))
 
 
 def _jn_real(n, x):
@@ -402,12 +374,11 @@ def _refine_zero(n, lo, hi):
     return root
 
 
-_ZERO_TABLE = _BesselZeroTable()
-
-
 def bessel_zero(n: int, s: int) -> float:
     """s-th positive zero k_{n,s} of the spherical Bessel function j_n."""
-    return _ZERO_TABLE.zero(n, s)
+    if n < 0 or s < 1:
+        raise ValueError("need n >= 0 and s >= 1")
+    return _zero(n, s)
 
 
 # ---------------------------------------------------------------------------

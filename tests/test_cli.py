@@ -289,8 +289,18 @@ def test_zero_incidence_vector_gives_one_value_error_record(capsys, flag):
      "contrast tau = (nan+0j) is not finite"),
     (["resonance-sweep", "--deltas", "0.05", "nan", "0.1"], "delta = nan is not finite"),
     (["amplitude", "--delta", "0.1", "--omega", "3", "--direction", "0", "nan", "1"], "|direction| = nan is not finite"),
+    (["units", "--radius-nm", "nan", "--wavelength-nm", "600"], "radius_nm = nan is not finite"),
+    (["units", "--radius-nm", "75", "--wavelength-nm", "inf"], "wavelength_nm = inf is not finite"),
+    (["units", "--radius-nm", "75", "--wavelength-nm", "600", "--epsilon-r", "nan", "0"],
+     "epsilon_r = (nan+0j) is not finite"),
 ])
 def test_non_finite_parameter_gives_a_value_error_record(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_zero_n_max_is_rejected_not_replaced_by_the_default(capsys):
+    code, out, err = _run(capsys, "mie", "--delta", "0.1", "--omega", "3", "--n-max", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "n_max must be >= 1"}

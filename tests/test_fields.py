@@ -185,6 +185,15 @@ def test_incident_wave_validation():
         IncidentWave(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), 1.0)
 
 
+@pytest.mark.parametrize("direction, polarization", [
+    ([0.0, 1.0], [1.0, 0.0]),
+    ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]),
+])
+def test_incident_wave_needs_3_vectors(direction, polarization):
+    with pytest.raises(ValueError, match="direction and polarization must be 3-vectors"):
+        IncidentWave(np.array(direction), np.array(polarization), 1.0)
+
+
 def test_jacobi_anger_at_origin_reproduces_polarization():
     w = _wave()
     val = jacobi_anger_partial(w, 2, np.zeros(3))

@@ -515,6 +515,14 @@ def test_extinction_average_against_double_quadrature_oracle():
     assert_allclose(total_qs, qs_closed, rtol=1e-6)
 
 
+def test_mode_potential_integral_is_a_new_array_on_each_call():
+    before = averaged_cross_sections(3.16, 0.1, UNIT)
+    expected = mode_potential_integral(0).copy()
+    mode_potential_integral(0)[:] = 0
+    assert np.array_equal(mode_potential_integral(0), expected)
+    assert averaged_cross_sections(3.16, 0.1, UNIT) == before
+
+
 def test_averaged_cross_sections_pole_error():
     with pytest.raises(PoleError):
         averaged_cross_sections(math.pi, 0.1, UNIT)

@@ -132,6 +132,12 @@ def test_radial_pair_views_and_shapes():
         assert table.shape == riccati_table.shape == (6,) + z.shape
         assert np.array_equal(table[5], f) and np.array_equal(riccati_table[5], big)
         assert np.array_equal(riccati_table[0], radial_pair(0, z, kind)[1])
+        # the elements take three different passes, and the 2 x 2 array runs
+        # them unflattened: the same bits as its flattened copy, reshaped
+        for n in (0, 1, 5):
+            for grid, flat in zip(radial_pair(n, z, kind) + radial_table(n, z, kind),
+                                  radial_pair(n, z.ravel(), kind) + radial_table(n, z.ravel(), kind)):
+                assert np.array_equal(grid, flat.reshape(grid.shape))
     assert radial_table(3, 2.0)[0].shape == (4,)
     with pytest.raises(ValueError):
         radial_pair(2, 1.0, "k")
@@ -593,16 +599,16 @@ def test_solid_harmonic_gradients():
 
 
 def test_bessel_zero_table_concurrent_access():
-    # the memoized zero table is shared; hammer it from several threads
+    # the memoized zeros are shared; hammer them from several threads
     import threading
 
-    from dieres.specfun import _BesselZeroTable
+    from dieres.specfun import _zero
 
-    table = _BesselZeroTable()
+    _zero.cache_clear()
     results = {}
 
     def worker(tid):
-        results[tid] = [table.zero(n, s) for n in range(6) for s in range(1, 6)]
+        results[tid] = [bessel_zero(n, s) for n in range(6) for s in range(1, 6)]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for t in threads:

@@ -67,6 +67,8 @@ COMMANDS = [
     ("error-nan-tau", ["cross-sections", "--delta", "0.1", "--tau", "nan", "0", "--omega-min", "1",
                        "--omega-max", "2"], 1),
     ("error-zero-direction", ["amplitude", "--delta", "0.1", "--omega", "3", "--direction", "0", "0", "0"], 1),
+    ("error-nan-radius", ["units", "--radius-nm", "nan", "--wavelength-nm", "600"], 1),
+    ("error-n-max-zero", ["mie", "--delta", "0.1", "--omega", "3", "--n-max", "0"], 1),
     ("error-bad-choice", ["resonance", "--delta", "0.1", "--family", "XX"], 2),
     ("help", ["--help"], 0),
     *((f"help-{name}", [name, "--help"], 0) for name in (
