@@ -220,10 +220,12 @@ def _cmd_cross_sections(cfg):
     delta, tau = _sphere(cfg)
     rows = []
     meta = []
+    w = None  # the unit vectors are read once, after the first omega's configuration
     for om in _omega_grid(cfg):
         config = mie.ScatterConfig(delta, tau, om)
+        w = _incident(cfg, om) if w is None else IncidentWave(w.direction, w.polarization, om)
         try:
-            rep = mie.cross_sections(mie.mie_coefficients(config, _incident(cfg, om)))
+            rep = mie.cross_sections(mie.mie_coefficients(config, w))
         except mie.ResonanceError as exc:
             meta.append(f"failed omega={om}: {exc}")
             continue

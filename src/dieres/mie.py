@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _farfield_coefficient, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _harmonic_blocks, radial_pair, radial_table, riccati_H, riccati_J
+from .specfun import MAX_ORDER, _harmonic_blocks, _riccati, _rows, radial_pair, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -79,11 +79,15 @@ def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
     and D_TM with the extra (1+tau)^-1 on the first product.
 
     These are exactly the resonance functions whose complex zeros are the
-    dielectric resonances.  One recurrence pass per argument; j_n(dw), which
-    only the numerators need, is not evaluated.
+    dielectric resonances.  One recurrence pass per argument (the 0-d pass
+    for a scalar omega); j_n(dw), which only the numerators need, is not evaluated.
     """
     x, y = _arguments(delta, tau, omega)
-    return _matching(*radial_pair(n, x, "h"), *radial_pair(n, y, "j"), tau)
+    if isinstance(x, np.ndarray):
+        return _matching(*radial_pair(n, x, "h"), *radial_pair(n, y, "j"), tau)
+    x, y = complex(x), complex(y)
+    hx, jy = _rows(n, x, "h"), _rows(n, y, "j")
+    return _matching(hx[n], _riccati(n, x, hx, "h"), jy[n], _riccati(n, y, jy, "j"), tau)
 
 
 def _factor_row(hx, bighx, jx, bigjx, jy, bigjy, tau):
@@ -98,13 +102,15 @@ def _factor_row(hx, bighx, jx, bigjx, jy, bigjy, tau):
 
 
 def _factor_table(n_max, delta, tau, omega):
-    """_factor_row of every order 0..n_max from one radial table per function:
-    h(dw), j(dw) and j(dw_t).  The rows are Python complex, like the pairs
-    mie_denominators reads, so that row n of the table of size n and the
+    """_factor_row of every order 0..n_max from the rows f and F of one 0-d
+    pass per function: h(dw), j(dw) and j(dw_t).  mie_denominators reads the
+    same Python complex rows, so that row n of the table of size n and the
     denominators of order n agree bit for bit."""
-    x, y = _arguments(delta, tau, omega)
-    tables = [part.tolist() for arg, kind in ((x, "h"), (x, "j"), (y, "j"))
-              for part in radial_table(n_max, arg, kind)]
+    x, y = map(complex, _arguments(delta, tau, omega))
+    tables = []
+    for z, kind in ((x, "h"), (x, "j"), (y, "j")):
+        rows = _rows(n_max, z, kind)
+        tables += [rows[:n_max + 1], [_riccati(k, z, rows, kind) for k in range(n_max + 1)]]
     return [_factor_row(*row, tau) for row in zip(*tables)]
 
 

@@ -106,17 +106,27 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
     raise MullerNoConvergence(best[0], abs(best[1]), max_iter)
 
 
+def _family_index(family):
+    """0 for TE and 1 for TM, the index of the family's Mie denominator."""
+    if family not in ("TE", "TM"):
+        raise ValueError(f"unknown family {family!r}")
+    return int(family == "TM")
+
+
+def _denominator(family, n, delta, tau):
+    """The TE or TM Mie denominator as a function of omega != 0, the family resolved once."""
+    index = _family_index(family)
+    def f(omega):
+        if omega == 0:
+            raise ValueError("resonance function is evaluated away from omega = 0")
+        return mie_denominators(n, delta, tau, omega)[index]
+    return f
+
+
 def resonance_function(family: str, n: int, delta: float, tau: complex, omega: complex) -> complex:
     """TE/TM Mie denominator whose complex zeros are the dielectric
     resonances; shares its implementation with the coefficient table."""
-    if omega == 0:
-        raise ValueError("resonance function is evaluated away from omega = 0")
-    d_te, d_tm = mie_denominators(n, delta, tau, omega)
-    if family == "TE":
-        return d_te
-    if family == "TM":
-        return d_tm
-    raise ValueError(f"unknown family {family!r}")
+    return _denominator(family, n, delta, tau)(omega)
 
 
 def quasi_static_prediction(family: str, n: int, s: int, model: ContrastModel,
@@ -126,12 +136,7 @@ def quasi_static_prediction(family: str, n: int, s: int, model: ContrastModel,
     tau(delta))) variant is returned instead."""
     if n < 1:
         raise ValueError("mode order n must be >= 1")
-    if family == "TE":
-        k = bessel_zero(n - 1, s)
-    elif family == "TM":
-        k = bessel_zero(n, s)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    k = bessel_zero(n - 1 + _family_index(family), s)
     if finite_tau:
         if delta <= 0:
             raise ValueError("finite-tau prediction needs delta > 0")
@@ -160,7 +165,7 @@ def find_resonance(family: str, n: int, s: int, delta: float, model: ContrastMod
             f"|delta * seed| = {abs(delta * seed):.3f} leaves the quasi-static regime"
         )
     tau = model.evaluate(delta)
-    f = lambda w: resonance_function(family, n, delta, tau, w)
+    f = _denominator(family, n, delta, tau)
     root, residual, iterations = muller_root(
         f, seed * (1 - 1e-3), seed * (1 + 1e-3), seed * (1 + 1e-3j), tol=tol, max_iter=max_iter
     )

@@ -20,13 +20,13 @@ N (at least 1):
   h^(1)(z) = 2 j(z) - conj h^(1)(conj z) (compare Amos, ACM TOMS 12, 265
   (1986)).
 
-Element types: an array argument of any shape runs the pass on numpy arrays
-of that shape, never flattened; boolean masks, which index an n-d array in C
-order like its ravel, split the elements between passes.  A 0-d argument (a
-Python number, a numpy scalar or a 0-d array) runs the same pass on Python
-complex with cmath and returns Python complex; the two agree to rounding.  On
-both, y and h^(1) past the double range (high orders at small arguments)
-raise OverflowError.
+Element types: a 0-d argument (a Python number, a numpy scalar or a 0-d array)
+takes one dispatch, _rows, as a Python complex: plain branches check it and
+choose its pass, run with cmath; the Mie denominators and factor table read its
+rows.  An array of any shape runs the same passes on arrays of that shape,
+never flattened, boolean masks of the same flags (C order, like its ravel)
+splitting the elements.  The two agree to rounding.  On both, y and h^(1) past
+the double range (high orders at small arguments) raise OverflowError.
 
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
@@ -51,22 +51,6 @@ _SERIES_TERMS = 10
 _KINDS = ("j", "y", "h")
 
 
-def _ns(z):
-    """Math namespace of the element type."""
-    return cmath if isinstance(z, complex) else np
-
-
-def _elements(z):
-    """A 0-d z as a Python complex, else z as a complex array of its shape."""
-    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
-        return complex(z)
-    return np.asarray(z, dtype=np.complex128)
-
-
-def _any(flags):
-    return flags if isinstance(flags, bool) else bool(flags.any())
-
-
 def _select(flags, a, b):
     """a where flags hold, else b."""
     if isinstance(flags, bool):
@@ -75,20 +59,33 @@ def _select(flags, a, b):
 
 
 def _check(n, z, kind):
+    """The argument checks of a pass of order n on the Python complex z."""
     if n < 0:
         raise ValueError("order n must be >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order n={n} exceeds supported maximum {MAX_ORDER}")
-    if not (cmath.isfinite(z) if isinstance(z, complex) else np.isfinite(z).all()):
-        raise ValueError(f"argument z = {z if isinstance(z, complex) else z[~np.isfinite(z)][0]} is not finite")
-    if _any(abs(z.imag) > _IM_OVERFLOW):
+    if not cmath.isfinite(z):
+        raise ValueError(f"argument z = {z} is not finite")
+    if abs(z.imag) > _IM_OVERFLOW:
         raise OverflowError("spherical Bessel argument overflows double range")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if kind != "j" and _any(z == 0):
+    if z == 0 and kind != "j":
         raise ZeroDivisionError(f"{'y_n' if kind == 'y' else 'h_n^(1)'} has a pole at z = 0")
 
 
+def _probe(z):
+    """The element of the array z that _check reads for all of them: the
+    first to fail the earliest check that any element fails, else 1j."""
+    fails = [f for f in (~np.isfinite(z), np.abs(z.imag) > _IM_OVERFLOW, z == 0) if f.any()]
+    return complex(z[fails[0]][0]) if fails else 1j
+
+
+def _overflow(kind, n):
+    return OverflowError(f"{'y' if kind == 'y' else 'h^(1)'}_{max(n, 1)}(z) overflows the double range")
+
+
+@functools.lru_cache(maxsize=None)
 def _double_factorial(k):
     if k <= 0:
         return 1.0
@@ -109,28 +106,26 @@ def _series(top, z, kind):
     return [_jn_series(k, z) for k in range(top + 1)]
 
 
-def _closed(kind, z):
-    """f_0 and f_1 in closed form (z nonzero)."""
-    xp = _ns(z)
-    if kind == "h":
-        e = xp.exp(1j * z)
-        return -1j * e / z, -e * (z + 1j) / z ** 2
-    s, c = xp.sin(z), xp.cos(z)
-    if kind == "j":
-        return s / z, s / z ** 2 - c / z
-    return -c / z, -c / z ** 2 - s / z
-
-
-def _riccati_0(kind, z):
-    """F_0 = z f_{-1}: j_{-1} = cos z / z, y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z."""
-    xp = _ns(z)
+def _riccati(k, z, rows, kind):
+    """F_k = z f_{k-1} - k f_k from the rows of the pass at z, and F_0 = z f_{-1}:
+    j_{-1} = cos z / z, y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z."""
+    if k:
+        return z * rows[k - 1] - k * rows[k]
+    xp = cmath if isinstance(z, complex) else np
     if kind == "h":
         return xp.exp(1j * z)
     return xp.cos(z) if kind == "j" else xp.sin(z)
 
 
 def _upward(top, z, kind):
-    rows = list(_closed(kind, z))
+    """f_0..f_top by upward recurrence from the closed forms of f_0 and f_1 (z nonzero)."""
+    xp = cmath if isinstance(z, complex) else np
+    if kind == "h":
+        e = xp.exp(1j * z)
+        rows = [-1j * e / z, -e * (z + 1j) / z ** 2]
+    else:
+        s, c = xp.sin(z), xp.cos(z)
+        rows = [s / z, s / z ** 2 - c / z] if kind == "j" else [-c / z, -c / z ** 2 - s / z]
     for k in range(1, top):
         rows.append((2 * k + 1) / z * rows[-1] - rows[-2])
     return rows
@@ -164,7 +159,7 @@ def _miller(top, z, kind):
             if factor is not None:
                 f_lo, f_hi = f_lo * factor, f_hi * factor
                 kept = [f * factor for f in kept]
-    j0, j1 = _closed("j", z)
+    j0, j1 = _upward(1, z, "j")
     use0 = abs(j0) >= abs(j1)
     scale = _select(use0, j0, j1) / _select(use0, kept[-1], kept[-2])
     return [f * scale for f in kept[::-1]]
@@ -176,26 +171,48 @@ def _reflected(top, z, kind):
     # y(conj w) = conj y(w) and h^(1)(conj w) = conj h^(2)(w)
     lower = z.imag < 0
     w = _select(lower, z.conjugate(), z)
-    rows = [-1j * (h - j) if kind == "y" else 2 * j - h
-            for j, h in zip(_pass(top, w, "j"), _upward(top, w, "h"))]
+    j_rows = (_rows if isinstance(w, complex) else _masked_pass)(top, w, "j")
+    rows = [-1j * (h - j) if kind == "y" else 2 * j - h for j, h in zip(j_rows, _upward(top, w, "h"))]
     return [_select(lower, f.conjugate(), f) for f in rows]
 
 
-def _pass(top, z, kind):
-    """f_0..f_top of z, a Python complex or an array, as a list of rows from
-    one pass per element; top >= 1."""
+def _series_j(z):
+    return abs(z) <= 1.0
+
+
+def _upward_j(top, z):
+    # upward j keeps its accuracy up to order 2, and near the real axis past the order
+    if top <= 2:
+        return True
+    re, im = abs(z.real), abs(z.imag)
+    return (re >= top) & (im <= 0.1 * re) & (im <= _OFF_AXIS + 0.1 * (re - top))
+
+
+def _off_axis(z, kind):
+    # y off the axis, h^(1) below it
+    return (abs(z.imag) if kind == "y" else -z.imag) > _OFF_AXIS
+
+
+def _rows(n, z, kind):
+    """The 0-d dispatch: the checks, then the rows f_0..f_top, top = max(n, 1),
+    of the pass of the Python complex z, chosen by plain branches on the flags
+    _masked_pass reads.  y and h^(1) grow with the order below |z| ~ n, and
+    past the double range the recurrence yields inf, then nan: the top row tells."""
+    _check(n, z, kind)
+    top = max(n, 1)
     if kind == "j":
-        re, im = abs(z.real), abs(z.imag)
-        past_order = (re >= top) & (im <= 0.1 * re) & (im <= _OFF_AXIS + 0.1 * (re - top))
-        choices = ((abs(z) <= 1.0, _series), ((top <= 2) | past_order, _upward), (True, _miller))
-    else:
-        off_axis = (abs(z.imag) > _OFF_AXIS) & ((kind == "y") | (z.imag < 0))
-        choices = ((off_axis, _reflected), (True, _upward))
-    # each element takes the first pass whose flag it meets
-    if isinstance(z, complex):
-        for flag, method in choices:
-            if flag:
-                return method(top, z, kind)
+        return (_series if _series_j(z) else _upward if _upward_j(top, z) else _miller)(top, z, kind)
+    rows = (_reflected if _off_axis(z, kind) else _upward)(top, z, kind)
+    if not cmath.isfinite(rows[-1]):
+        raise _overflow(kind, n)
+    return rows
+
+
+def _masked_pass(top, z, kind):
+    """f_0..f_top of the array z, rows of its shape, from one pass per element:
+    the first whose flag it meets, boolean masks splitting the elements."""
+    choices = (((_series_j(z), _series), (_upward_j(top, z), _upward), (True, _miller)) if kind == "j"
+               else ((_off_axis(z, kind), _reflected), (True, _upward)))
     rows, rest = None, np.ones(z.shape, dtype=bool)
     for flag, method in choices:
         mask = rest & flag
@@ -211,38 +228,29 @@ def _pass(top, z, kind):
 
 
 def _one_pass(n, z, kind):
-    """z as _elements gives it and, after the checks, the rows f_0..f_top of
-    its pass, top = max(n, 1), each a Python complex or an array of z's shape.
-
-    y and h^(1) grow with the order below |z| ~ n, and past the double range
-    the recurrence yields inf and then nan; the top row, the largest, tells.
-    """
-    z = _elements(z)
-    _check(n, z, kind)
-    if isinstance(z, complex) or kind == "j":
-        rows = _pass(max(n, 1), z, kind)
-        finite = kind == "j" or cmath.isfinite(rows[-1])
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _pass(max(n, 1), z, kind)
-        finite = np.isfinite(rows[-1]).all()
-    if not finite:
-        raise OverflowError(f"{'y' if kind == 'y' else 'h^(1)'}_{max(n, 1)}(z) overflows the double range")
+    """z and the rows of its pass: a 0-d z (a Python number, a numpy scalar
+    or a 0-d array) as a Python complex with the rows of _rows, else z as a
+    complex array with rows of its shape, checked alike."""
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        z = complex(z)
+        return z, _rows(n, z, kind)
+    z = np.asarray(z, dtype=np.complex128)
+    _check(n, _probe(z), kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _masked_pass(max(n, 1), z, kind)
+    if kind != "j" and not np.isfinite(rows[-1]).all():
+        raise _overflow(kind, n)
     return z, rows
-
-
-def _value(n, z, kind):
-    return _one_pass(n, z, kind)[1][n]
 
 
 def sph_bessel_j(n: int, z) -> complex:
     """Spherical Bessel function of the first kind j_n(z), complex z allowed."""
-    return _value(n, z, "j")
+    return _one_pass(n, z, "j")[1][n]
 
 
 def sph_bessel_y(n: int, z) -> complex:
     """Spherical Bessel function of the second kind y_n(z); z must be nonzero."""
-    return _value(n, z, "y")
+    return _one_pass(n, z, "y")[1][n]
 
 
 def sph_hankel1(n: int, z) -> complex:
@@ -252,7 +260,7 @@ def sph_hankel1(n: int, z) -> complex:
     from the upper half plane for Im z < -2), so that j + iy cancellation is
     avoided.
     """
-    return _value(n, z, "h")
+    return _one_pass(n, z, "h")[1][n]
 
 
 def radial_table(n_max: int, z, kind: str = "j"):
@@ -263,9 +271,7 @@ def radial_table(n_max: int, z, kind: str = "j"):
     Both are arrays of shape (N + 1,) + shape of z, order first.
     """
     z, rows = _one_pass(n_max, z, kind)
-    rows = rows[:n_max + 1]
-    big = [_riccati_0(kind, z)] + [z * fm - k * f for k, (fm, f) in enumerate(zip(rows, rows[1:]), 1)]
-    return np.array(rows), np.array(big)
+    return np.array(rows[:n_max + 1]), np.array([_riccati(k, z, rows, kind) for k in range(n_max + 1)])
 
 
 def radial_pair(n: int, z, kind: str = "j"):
@@ -273,9 +279,7 @@ def radial_pair(n: int, z, kind: str = "j"):
     = z f_{n-1}(z) - n f_n(z): row n of radial_table(n, z, kind), read from
     the rows of the same pass."""
     z, rows = _one_pass(n, z, kind)
-    if n == 0:
-        return rows[0], _riccati_0(kind, z)
-    return rows[n], z * rows[n - 1] - n * rows[n]
+    return rows[n], _riccati(n, z, rows, kind)
 
 
 def _derivative(n, z, kind):

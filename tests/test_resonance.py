@@ -266,3 +266,46 @@ def test_cluster_resonances_single_family():
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
         call()
+
+
+# Muller roots as the scalar radial pass gives them, written as float.hex so
+# that an edit which moves one bit of the pass fails here:
+# (family, n, s, Re omega, Im omega, residual, iterations) at delta = 0.1
+PINNED_MODEL = ContrastModel(complex(1.5, 0.1), (0.3, -0.5))
+PINNED_ROOTS = [
+    ("TE", 1, 1, "0x1.420423bf8649bp+1", "-0x1.5b533f189a17ep-4", "0x1.840fd5733ae50p-49", 3),
+    ("TE", 1, 2, "0x1.42470a16a8899p+2", "-0x1.67d4831b9122fp-3", "0x1.4aafa0017e6dep-47", 3),
+    ("TE", 2, 1, "0x1.ce7271549be11p+1", "-0x1.dfbd53c706070p-4", "0x1.007fe00ff6070p-47", 3),
+    ("TE", 2, 2, "0x1.8d7860c4ae76dp+2", "-0x1.9dac04e6cf169p-3", "0x1.b271321f790a4p-47", 3),
+    ("TE", 3, 1, "0x1.28db43f3cf505p+2", "-0x1.34452533bae6ap-3", "0x1.0284d3e2a2305p-42", 3),
+    ("TE", 3, 2, "0x1.d46feb4efed4bp+2", "-0x1.e672bac4b708fp-3", "0x1.ea4e57c727d90p-45", 3),
+    ("TM", 1, 1, "0x1.cc1bac71c8e7bp+1", "-0x1.dc49693424774p-4", "0x1.69da99a5ec912p-53", 3),
+    ("TM", 1, 2, "0x1.8aec68557e7b7p+2", "-0x1.ac14822c893b7p-3", "0x1.73cc0761601e8p-52", 3),
+    ("TM", 2, 1, "0x1.2840739b3ad8ap+2", "-0x1.3257f1ec1a4a1p-3", "0x1.799cab7fd7b2fp-48", 3),
+    ("TM", 2, 2, "0x1.d363ac158f226p+2", "-0x1.e351b09ef3521p-3", "0x1.195f2b19f4d48p-51", 3),
+    ("TM", 3, 1, "0x1.679b704f4a9d1p+2", "-0x1.74bf3a71b0cbbp-3", "0x1.52505765f7d51p-46", 3),
+    ("TM", 3, 2, "0x1.0c057d68031bcp+3", "-0x1.15be8bce28bd3p-2", "0x1.dd0fd4cd61f4ap-52", 3),
+]
+# (Re omega, Im omega, residual, iterations) of the TM n = 2, s = 1 sweep
+PINNED_SWEEP = [
+    ("0x1.2c04ca2524d5dp+2", "-0x1.3e4483045ed6cp-3", "0x1.5d12f2cacdd51p-42", 3),
+    ("0x1.2a8d339c78b5bp+2", "-0x1.3999b5e6eab52p-3", "0x1.913fd07d09c9bp-45", 3),
+    ("0x1.28b658cbf4421p+2", "-0x1.33c9f4e12114ep-3", "0x1.9ba09f4a4704fp-47", 3),
+    ("0x1.267c1090f1919p+2", "-0x1.2ce07856e82bep-3", "0x1.3825045e40478p-49", 3),
+    ("0x1.23d4ef9879949p+2", "-0x1.25301da27192bp-3", "0x1.3414e8f3da903p-48", 3),
+    ("0x1.20b1f2af0450bp+2", "-0x1.1dceeb78c226cp-3", "0x1.2be3b8ef18236p-46", 3),
+]
+
+
+def _hex(root):
+    return root.omega.real.hex(), root.omega.imag.hex(), root.residual.hex(), root.iterations
+
+
+@pytest.mark.parametrize("family, n, s, re, im, residual, iterations", PINNED_ROOTS)
+def test_root_track_is_pinned(family, n, s, re, im, residual, iterations):
+    assert _hex(find_resonance(family, n, s, 0.1, PINNED_MODEL)) == (re, im, residual, iterations)
+
+
+def test_root_track_sweep_is_pinned():
+    points = sweep_resonance("TM", 2, 1, np.linspace(0.02, 0.2, 6), PINNED_MODEL)
+    assert [_hex(p.root) for p in points] == PINNED_SWEEP

@@ -187,6 +187,34 @@ def test_scalar_and_array_elements_agree(kind):
             assert abs(big_s - big) <= 1e-13 * cancelling
 
 
+def _spellings(z):
+    """The 0-d spellings of z: complex, np.complex128, a 0-d array, and for a
+    real z float, np.float64 and, when integral, int."""
+    out = [complex(z), np.complex128(z), np.array(z)]
+    if z.imag == 0:
+        out += [z.real, np.float64(z.real)] + ([int(z.real)] if z.real.is_integer() else [])
+    return out
+
+
+# (n, z, kind) on each pass: the series (|z| <= 1), upward j (low order, and
+# past the order near the axis), Miller, upward y and h, and y and h reflected
+# at |Im z| > 2 on both sides of the axis
+@pytest.mark.parametrize("n, z, kind", [
+    (0, 0.5, "j"), (5, 0.9j, "j"), (12, 1.0, "j"), (2, 3.0, "j"), (8, 20 - 0.4j, "j"),
+    (8, 5.0, "j"), (20, 3 + 2.5j, "j"), (3, 7.0, "y"), (5, 2 - 1j, "h"), (4, 3.0, "h"),
+    (3, 1 + 3j, "y"), (6, -4 - 2.5j, "y"), (2, 0.5 - 3j, "h"), (7, 2 + 4j, "h"),
+])
+def test_zero_d_spellings_agree(n, z, kind):
+    pairs = [radial_pair(n, arg, kind) for arg in _spellings(complex(z))]
+    assert all(type(v) is complex for pair in pairs for v in pair)
+    assert all(pair == pairs[0] for pair in pairs)
+    (f,), (big,) = radial_pair(n, np.array([z]), kind)
+    assert abs(pairs[0][0] - f) <= 1e-15 * abs(f)
+    # F_n = z f_{n-1} - n f_n, relative to the two products that cancel in it
+    below = radial_table(n, complex(z), kind)[0][n - 1] if n else 0
+    assert abs(pairs[0][1] - big) <= 1e-15 * max(abs(z * below) + n * abs(f), abs(big))
+
+
 @pytest.mark.parametrize("n, z, kind, error", [
     (-1, 0.5, "j", ValueError),
     (65, 0.5, "j", ValueError),
