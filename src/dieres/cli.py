@@ -220,10 +220,10 @@ def _cmd_cross_sections(cfg):
     delta, tau = _sphere(cfg)
     rows = []
     meta = []
-    w = None  # the unit vectors are read once, after the first omega's configuration
+    w = None
     for om in _omega_grid(cfg):
         config = mie.ScatterConfig(delta, tau, om)
-        w = _incident(cfg, om) if w is None else IncidentWave(w.direction, w.polarization, om)
+        w = w or _incident(cfg, om)
         try:
             rep = mie.cross_sections(mie.mie_coefficients(config, w))
         except mie.ResonanceError as exc:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _farfield_coefficient, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _harmonic_blocks, _riccati, _rows, radial_pair, riccati_H, riccati_J
+from .specfun import MAX_ORDER, _harmonic_blocks, _one_pass, _riccati, _rows, radial_pair, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -79,14 +79,11 @@ def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
     and D_TM with the extra (1+tau)^-1 on the first product.
 
     These are exactly the resonance functions whose complex zeros are the
-    dielectric resonances.  One recurrence pass per argument (the 0-d pass
-    for a scalar omega); j_n(dw), which only the numerators need, is not evaluated.
+    dielectric resonances.  One recurrence pass per argument; j_n(dw), which
+    only the numerators need, is not evaluated.
     """
     x, y = _arguments(delta, tau, omega)
-    if isinstance(x, np.ndarray):
-        return _matching(*radial_pair(n, x, "h"), *radial_pair(n, y, "j"), tau)
-    x, y = complex(x), complex(y)
-    hx, jy = _rows(n, x, "h"), _rows(n, y, "j")
+    (x, hx), (y, jy) = _one_pass(n, x, "h"), _one_pass(n, y, "j")
     return _matching(hx[n], _riccati(n, x, hx, "h"), jy[n], _riccati(n, y, jy, "j"), tau)
 
 

@@ -73,17 +73,18 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
     a degenerate parabola falls back to a secant step.  Returns the best
     iterate as (root, residual, iterations).
     """
-    xs = [complex(z0), complex(z1), complex(z2)]
-    if len({xs[0], xs[1], xs[2]}) < 3:
+    x0, x1, x2 = complex(z0), complex(z1), complex(z2)
+    if len({x0, x1, x2}) < 3:
         raise ValueError("Muller needs three distinct starting points")
-    fs = [f(z) for z in xs]
-    best = min(zip(xs, fs), key=lambda p: abs(p[1]))
+    f0, f1, f2 = f(x0), f(x1), f(x2)
+    best, f_best = min((x0, f0), (x1, f1), (x2, f2), key=lambda p: abs(p[1]))
+    best_abs = abs(f_best)
     for it in range(1, max_iter + 1):
-        (x0, x1, x2), (f0, f1, f2) = xs, fs
         q = (x2 - x1) / (x1 - x0)
-        a = q * f2 - q * (1 + q) * f1 + q * q * f0
-        c = (1 + q) * f2
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
+        qqf0, q1 = q * q * f0, 1 + q
+        a = q * f2 - q * q1 * f1 + qqf0
+        c = q1 * f2
+        b = (2 * q + 1) * f2 - q1 ** 2 * f1 + qqf0
         if abs(a) < 1e-30 * max(abs(b), 1.0):
             # flat parabola: secant step
             if f2 == f1:
@@ -95,15 +96,14 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
             if den == 0:
                 break
             step = -(x2 - x1) * 2 * c / den
-        x3 = x2 + step
-        f3 = f(x3)
-        xs = [x1, x2, x3]
-        fs = [f1, f2, f3]
-        if abs(f3) < abs(best[1]):
-            best = (x3, f3)
-        if abs(f3) <= tol or abs(step) <= tol * max(abs(x3), 1e-300):
-            return best[0], abs(best[1]), it
-    raise MullerNoConvergence(best[0], abs(best[1]), max_iter)
+        x0, x1, x2 = x1, x2, x2 + step
+        f0, f1, f2 = f1, f2, f(x2)
+        r = abs(f2)
+        if r < best_abs:
+            best, best_abs = x2, r
+        if r <= tol or abs(step) <= tol * max(abs(x2), 1e-300):
+            return best, best_abs, it
+    raise MullerNoConvergence(best, best_abs, max_iter)
 
 
 def _family_index(family):

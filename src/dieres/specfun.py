@@ -199,7 +199,7 @@ def _rows(n, z, kind):
     _masked_pass reads.  y and h^(1) grow with the order below |z| ~ n, and
     past the double range the recurrence yields inf, then nan: the top row tells."""
     _check(n, z, kind)
-    top = max(n, 1)
+    top = n or 1  # max(n, 1): _check let only n >= 0 through
     if kind == "j":
         return (_series if _series_j(z) else _upward if _upward_j(top, z) else _miller)(top, z, kind)
     rows = (_reflected if _off_axis(z, kind) else _upward)(top, z, kind)
@@ -231,14 +231,18 @@ def _one_pass(n, z, kind):
     """z and the rows of its pass: a 0-d z (a Python number, a numpy scalar
     or a 0-d array) as a Python complex with the rows of _rows, else z as a
     complex array with rows of its shape, checked alike."""
-    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+    # numpy scalars subclass complex or float: only a Python complex skips the conversion
+    if type(z) is not complex and (isinstance(z, (float, int)) or np.ndim(z) == 0):
         z = complex(z)
+    if type(z) is complex:
         return z, _rows(n, z, kind)
     z = np.asarray(z, dtype=np.complex128)
     _check(n, _probe(z), kind)
+    if kind == "j":
+        return z, _masked_pass(max(n, 1), z, kind)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _masked_pass(max(n, 1), z, kind)
-    if kind != "j" and not np.isfinite(rows[-1]).all():
+    if not np.isfinite(rows[-1]).all():
         raise _overflow(kind, n)
     return z, rows
 
