@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _harmonic_blocks, harmonic_table, radial_table, solid_harmonic_gradient_deg1, vsh_UV
+from .specfun import (_check_order, _harmonic_blocks, _radius_split, harmonic_table, radial_table,
+                      solid_harmonic_gradient_deg1, vsh_UV)
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,11 @@ def plane_wave(w: IncidentWave, x) -> np.ndarray:
     return np.asarray(phase)[..., None] * w.polarization
 
 
-def _radius_split(x):
-    """Points x, (..., 3), flattened to (P, 3), and their radii."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,):
-        raise ValueError("points must have a trailing axis of length 3")
-    x = x.reshape(-1, 3)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"point {x[~finite][0]} is not finite")
-    return x, np.linalg.norm(x, axis=-1)
+def _family_index(family):
+    """0 for TE and 1 for TM, the index of the family's Mie denominator and coefficients."""
+    if family not in ("TE", "TM"):
+        raise ValueError(f"unknown family {family!r}")
+    return int(family == "TM")
 
 
 def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) -> np.ndarray:
@@ -101,14 +97,12 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
     replaces j_n by the first-kind Hankel function (and J_n by H_n) and is
     singular at the origin.
     """
-    if family not in ("TE", "TM"):
-        raise ValueError(f"unknown family {family!r}")
+    index = _family_index(family)
     if n < 1:
         raise ValueError("multipole fields start at n = 1")
-    if abs(m) > n:
-        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+    _check_order(n, m)
     coeffs = np.zeros((2, (n + 1) ** 2), dtype=complex)
-    coeffs[int(family == "TM"), n * (n + 1) + m] = 1.0
+    coeffs[index, n * (n + 1) + m] = 1.0
     return _multipole_sum(variant, *coeffs, k, x)
 
 
@@ -167,8 +161,7 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
         raise ValueError(f"unknown kind {kind!r}")
     if n < 1:
         raise ValueError("exterior harmonic fields start at n = 1")
-    if abs(m) > n:
-        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+    _check_order(n, m)
     pts, r = _radius_split(x)
     if np.any(r == 0):
         raise ValueError("exterior harmonic fields are singular at x = 0")
@@ -187,13 +180,11 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
 def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.ndarray:
     """Far-field pattern of the radiating multipole:
     -sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2} V_n^m (TE) or U_n^m (TM)."""
-    if family not in ("TE", "TM"):
-        raise ValueError(f"unknown family {family!r}")
+    index = _family_index(family)
     omega = complex(omega)
     if omega == 0:
         raise ValueError("far-field pattern needs a nonzero frequency")
-    u, v = vsh_UV(n, m, xhat)
-    return _farfield_coefficient(n, omega) * (v if family == "TE" else u)
+    return _farfield_coefficient(n, omega) * vsh_UV(n, m, xhat)[1 - index]
 
 
 def _farfield_coefficient(n, omega):

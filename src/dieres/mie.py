@@ -4,6 +4,7 @@ asymptotics."""
 
 import cmath
 import math
+import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ class ScatterConfig:
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.delta, tau, self.omega))
-        elif self.n_max < 1:
+        elif operator.index(self.n_max) < 1:
             raise ValueError("n_max must be >= 1")
         if self.n_max > MAX_ORDER:
             raise ValueError(f"n_max = {self.n_max} exceeds the supported maximum {MAX_ORDER} "
@@ -58,8 +59,7 @@ class ScatterConfig:
 
 def default_n_max(delta, tau, omega) -> int:
     """Truncation adapted to the interior wavenumber, the large one here."""
-    interior = abs(delta * omega * np.sqrt(complex(1 + tau)))
-    return max(8, math.ceil(interior) + 8)
+    return max(8, math.ceil(abs(_arguments(delta, tau, omega)[1])) + 8)
 
 
 def _arguments(delta, tau, omega):
@@ -109,11 +109,6 @@ def _factor_table(n_max, delta, tau, omega):
         rows = _rows(n_max, z, kind)
         tables += [rows[:n_max + 1], [_riccati(k, z, rows, kind) for k in range(n_max + 1)]]
     return [_factor_row(*row, tau) for row in zip(*tables)]
-
-
-def _radial_factors(n, delta, tau, omega):
-    """_factor_row of order n from the pass of order n, the one mie_denominators makes."""
-    return _factor_table(n, delta, tau, omega)[n]
 
 
 class _Coefficients(Mapping):

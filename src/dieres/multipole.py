@@ -243,15 +243,11 @@ def amplitude_from_moments(moments, delta: float, tau: complex, omega: complex,
         if (kind, l) not in table:
             raise KeyError(f"missing {kind} moment of order {l} for truncation {truncation!r}")
         mt = table[(kind, l)]
-        coef = (-1j * delta * omega) ** l / math.factorial(l)
-        if kind == "magnetic":
-            if l == 0:
-                continue
-            vec = _contract_trailing(mt.entries, xhat, l - 1)
-            total = total + coef * np.cross(vec, xhat)
-        else:
-            vec = _contract_trailing(mt.entries, xhat, l)
-            total = total + coef * vec
+        magnetic = kind == "magnetic"
+        if magnetic and l == 0:
+            continue
+        vec = _contract_trailing(mt.entries, xhat, l - magnetic)
+        total = total + (-1j * delta * omega) ** l / math.factorial(l) * (np.cross(vec, xhat) if magnetic else vec)
     total = total - xhat * np.dot(xhat, total)
     return tau * omega ** 2 * delta ** 3 / (4 * math.pi) * total
 

@@ -5,15 +5,17 @@ resonant approximate moments and orientation-averaged cross sections."""
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .fields import IncidentWave, _incidence, _radius_split, multipole_field
+from .fields import IncidentWave, _finite, _incidence, _radius_split, multipole_field
+from .mie import _arguments
 from .multipole import _harmonic_grid, ball_quadrature
-from .resonance import ContrastModel
+from .resonance import ContrastModel, quasi_static_prediction
 from .specfun import bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
 
 
@@ -22,7 +24,7 @@ class PoleError(ArithmeticError):
 
 
 def _guard_pole(value, pole, what):
-    if abs(value - pole) <= 1e-12 * max(abs(pole), 1.0):
+    if abs(_finite("omega", value) - pole) <= 1e-12 * max(abs(pole), 1.0):
         raise PoleError(f"{what} has a pole at {pole}")
 
 
@@ -60,7 +62,7 @@ def _labels_for(family_n, k):
 def sphere_spectrum(count: int):
     """The `count` largest quasi-static eigenvalues 1/k_{n,s}^2 of the unit
     ball, sorted descending, with multiplicities and mode labels."""
-    if count < 1:
+    if operator.index(count) < 1:
         raise ValueError("count must be >= 1")
     # scan rows of zeros, tightening the cutoff to the count-th smallest seen
     bound = count * math.pi  # row 0 alone provides `count` zeros below this
@@ -83,34 +85,25 @@ def sphere_spectrum(count: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _radial_quadrature(n_nodes=48):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (x + 1), 0.5 * w
-
-
-@functools.lru_cache(maxsize=None)
 def eigenmode_norm(label: EigenModeLabel) -> float:
     """L2(B(0,1)) norm of the labeled entire multipole field.
 
-    TE modes use the Lommel integral int_0^1 j_n(kr)^2 r^2 dr =
-    (j_n(k)^2 - j_{n+1}(k) j_{n-1}(k)) / 2; TM modes integrate the two
-    radial profiles by Gauss quadrature.
+    The TE norm squared is n(n+1) L, L = int_0^1 j_n(kr)^2 r^2 dr = (j_n(k)^2 -
+    j_{n+1}(k) j_{n-1}(k)) / 2 (Lommel); the TM one is n(n+1) (j_n(k) F_n(k) / k^2 + L),
+    by parts with psi = t j_n(t), psi' = F_n (Watson, Bessel Functions (1944), sec. 5.11).
     """
     n, k = label.n, label.k
-    if label.kind == "TE":
-        j_below, j, j_above = radial_table(n + 1, k)[0][n - 1:].tolist()
-        lommel = 0.5 * (j ** 2 - j_above * j_below).real
-        return math.sqrt(n * (n + 1) * lommel)
-    r, w = _radial_quadrature()
-    jj, big = (a.real for a in radial_pair(n, k * r))
-    val = n * (n + 1) / k ** 2 * np.sum(w * (big ** 2 + n * (n + 1) * jj ** 2))
-    return math.sqrt(val)
+    rows, riccati = radial_table(n + 1, k)
+    j_below, j, j_above = rows[n - 1:].tolist()
+    lommel = 0.5 * (j ** 2 - j_above * j_below).real
+    if label.kind == "TM":
+        lommel += (j * riccati[n]).real / k ** 2
+    return math.sqrt(n * (n + 1) * lommel)
 
 
 def eigenmode(label: EigenModeLabel, x, normalized: bool = False):
     """Evaluate the labeled eigenmode inside the closed unit ball."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(np.linalg.norm(pts, axis=-1) > 1 + 1e-12):
+    if np.any(_radius_split(x)[1] > 1 + 1e-12):
         raise ValueError("eigenmodes are defined on the unit ball")
     val = multipole_field("entire", label.kind, label.n, label.m, label.k, x)
     if normalized:
@@ -172,8 +165,7 @@ def gradient_outer_sum() -> np.ndarray:
 def scatter_fn_explicit(omega: complex, delta: float, tau: complex) -> complex:
     """Mie-derived scattering function (8 pi^2/3)(2 j_1 - J_1)/(J_1 + j_1)
     evaluated at the interior argument delta omega sqrt(1 + tau)."""
-    t = delta * omega * np.sqrt(complex(1 + tau))
-    small, big = radial_pair(1, t)
+    small, big = radial_pair(1, _arguments(delta, tau, omega)[1])
     den = big + small
     if abs(den) < 1e-12 * (abs(big) + abs(small)):
         raise PoleError("scattering function pole: J_1 + j_1 vanishes at this frequency")
@@ -223,8 +215,8 @@ class DipolePair:
 
 
 def quasi_static_pole(model: ContrastModel) -> complex:
-    """Ground magnetic resonance k_{0,1} / sqrt(c_tau)."""
-    return bessel_zero(0, 1) / np.sqrt(complex(model.c_tau))
+    """Ground magnetic resonance k_{0,1} / sqrt(c_tau), the TE n = 1, s = 1 prediction."""
+    return quasi_static_prediction("TE", 1, 1, model)
 
 
 def dipole_approximation(w: IncidentWave, omega: float, delta: float,

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import _finite
+from .fields import _family_index, _finite
 from .mie import mie_denominators
 from .specfun import bessel_zero
 
@@ -106,13 +106,6 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
     raise MullerNoConvergence(best, best_abs, max_iter)
 
 
-def _family_index(family):
-    """0 for TE and 1 for TM, the index of the family's Mie denominator."""
-    if family not in ("TE", "TM"):
-        raise ValueError(f"unknown family {family!r}")
-    return int(family == "TM")
-
-
 def _denominator(family, n, delta, tau):
     """The TE or TM Mie denominator as a function of omega != 0, the family resolved once."""
     index = _family_index(family)
@@ -151,11 +144,16 @@ def first_order_correction(omega_i: complex, model: ContrastModel, delta: float)
     return omega_i - delta * omega_i * model.c_minus1 / (2 * model.c_tau)
 
 
+def _corrected_prediction(family, n, s, model, delta):
+    """The quasi-static prediction with its first-order radius correction."""
+    return first_order_correction(quasi_static_prediction(family, n, s, model, delta), model, delta)
+
+
 def find_resonance(family: str, n: int, s: int, delta: float, model: ContrastModel,
                    tol: float = 1e-12, max_iter: int = 50, seed: complex = None) -> ResonanceRoot:
     """Muller-polished dielectric resonance seeded at the corrected
     quasi-static prediction, reported in the fourth quadrant."""
-    if delta <= 0:
+    if _finite("delta", delta) <= 0:
         raise ValueError("delta must be positive")
     prediction = quasi_static_prediction(family, n, s, model, delta)
     if seed is None:
@@ -182,9 +180,7 @@ def cluster_resonances(family: str, n: int, s: int, delta: float, model: Contras
     within 1e-8; resolves multiplicity splits without deflation.  For the
     sphere the TE/TM families already separate degeneracies, so this
     normally returns a single representative."""
-    prediction = first_order_correction(
-        quasi_static_prediction(family, n, s, model, delta), model, delta
-    )
+    prediction = _corrected_prediction(family, n, s, model, delta)
     roots = []
     for k in range(n_starts):
         angle = 2 * np.pi * k / max(n_starts, 1)
@@ -217,9 +213,7 @@ def sweep_resonance(family: str, n: int, s: int, deltas, model: ContrastModel,
     points = []
     prev_root = None
     for delta in deltas:
-        prediction = first_order_correction(
-            quasi_static_prediction(family, n, s, model, delta), model, delta
-        )
+        prediction = _corrected_prediction(family, n, s, model, delta)
         seed = prev_root if prev_root is not None else prediction
         try:
             root = find_resonance(family, n, s, delta, model, tol=tol, seed=seed)

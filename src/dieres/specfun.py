@@ -34,6 +34,7 @@ See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 import cmath
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -161,7 +162,16 @@ def _miller(top, z, kind):
                 kept = [f * factor for f in kept]
     j0, j1 = _upward(1, z, "j")
     use0 = abs(j0) >= abs(j1)
-    scale = _select(use0, j0, j1) / _select(use0, kept[-1], kept[-2])
+    j_ref, f_ref = _select(use0, j0, j1), _select(use0, kept[-1], kept[-2])
+    # far off the axis the iterates barely grow and j_ref / f_ref can overflow: only there f / f_ref, then j_ref
+    if isinstance(z, complex):
+        scale = j_ref / f_ref
+        return [f * scale for f in kept[::-1]] if cmath.isfinite(scale) else [f / f_ref * j_ref for f in kept[::-1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = j_ref / f_ref
+        two_step = ~np.isfinite(scale)
+        if two_step.any():
+            return [np.where(two_step, f / f_ref * j_ref, f * scale) for f in kept[::-1]]
     return [f * scale for f in kept[::-1]]
 
 
@@ -325,21 +335,19 @@ def riccati_H(n: int, z) -> complex:
 def small_arg_leading(n: int, t, kind: str) -> complex:
     """Two-term small-argument expansion of j, h, J (Riccati-j) or H (Riccati-h).
 
-    Returns the literal leading term times (1 + correction * t^2); for the
-    Hankel kinds this is the singular part only, so the relative error of the
-    true function against it carries an extra O(t^(2n+1)) cross term.
+    t^n / (2n+1)!! (a - b t^2 / (2 (2n+3))) for j and J, -i (2n-1)!! t^-(n+1)
+    (a + b t^2 / (2 (2n-1))) for h and H: the Hankel singular part only, so the
+    relative error of the true function against it carries an extra O(t^(2n+1)) cross term.
     """
-    t = np.asarray(t, dtype=complex)
-    if kind == "j":
-        res = t ** n / _double_factorial(2 * n + 1) * (1 - t * t / (2 * (2 * n + 3)))
-    elif kind == "h":
-        res = -1j * _double_factorial(2 * n - 1) / t ** (n + 1) * (1 + t * t / (2 * (2 * n - 1)))
-    elif kind == "J":
-        res = t ** n / _double_factorial(2 * n + 1) * ((n + 1) - (n + 3) * t * t / (2 * (2 * n + 3)))
-    elif kind == "H":
-        res = -1j * _double_factorial(2 * n - 1) / t ** (n + 1) * (-n - (n - 2) * t * t / (2 * (2 * n - 1)))
-    else:
+    coefficients = {"j": (1, 1), "J": (n + 1, n + 3), "h": (1, 1), "H": (-n, 2 - n)}
+    if kind not in coefficients:
         raise ValueError(f"unknown kind {kind!r}")
+    a, b = coefficients[kind]
+    t = np.asarray(t, dtype=complex)
+    if kind in ("j", "J"):
+        res = t ** n / _double_factorial(2 * n + 1) * (a - b * t * t / (2 * (2 * n + 3)))
+    else:
+        res = -1j * _double_factorial(2 * n - 1) / t ** (n + 1) * (a + b * t * t / (2 * (2 * n - 1)))
     return complex(res) if res.ndim == 0 else res
 
 
@@ -384,6 +392,7 @@ def _refine_zero(n, lo, hi):
 
 def bessel_zero(n: int, s: int) -> float:
     """s-th positive zero k_{n,s} of the spherical Bessel function j_n."""
+    n, s = operator.index(n), operator.index(s)
     if n < 0 or s < 1:
         raise ValueError("need n >= 0 and s >= 1")
     return _zero(n, s)
@@ -403,18 +412,28 @@ def angles_to_unit(theta, phi):
     )
 
 
+def _radius_split(x, noun="point"):
+    """x, (..., 3), as (P, 3) points checked finite (noun names them in errors), and their lengths."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError(f"{noun}s must have a trailing axis of length 3")
+    x = x.reshape(-1, 3)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{noun} {x[~finite][0]} is not finite")
+    return x, np.linalg.norm(x, axis=-1)
+
+
+def _check_order(n, m):
+    if abs(m) > n:
+        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+
+
 def _direction_frame(x):
     """cos(theta), sin(theta), phi and the local (theta-hat, phi-hat) frame of
     the directions x, flattened to P directions so that a single direction
     takes the same array path as a batch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,):
-        raise ValueError("directions must have a trailing axis of length 3")
-    x = x.reshape(-1, 3)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"direction {x[~finite][0]} is not finite")
-    r = np.sqrt(np.sum(x * x, axis=-1))
+    x, r = _radius_split(x, "direction")
     if np.any(r == 0):
         raise ValueError("zero vector is not a direction")
     xh = x / r[..., None]
@@ -545,8 +564,7 @@ def sph_harmonic(n: int, m: int, x) -> complex:
 
     x is a Cartesian (..., 3) array (use angles_to_unit for the angle form).
     """
-    if abs(m) > n:
-        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+    _check_order(n, m)
     y = harmonic_table(n, x).y[n * (n + 1) + m]
     return complex(y) if y.ndim == 0 else y.copy()
 
@@ -556,8 +574,7 @@ def vsh_UV(n: int, m: int, x):
     V_n^m = x-hat cross U_n^m, evaluated at unit direction(s) x."""
     if n < 1:
         raise ValueError("vector harmonics need n >= 1")
-    if abs(m) > n:
-        raise ValueError(f"|m| = {abs(m)} exceeds degree n = {n}")
+    _check_order(n, m)
     return harmonic_table(n, x).vectors(n * (n + 1) + m)
 
 

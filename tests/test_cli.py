@@ -158,14 +158,12 @@ def test_error_record_on_bad_input(capsys):
     assert out == ""
 
 
-def test_threaded_sweep_matches_sequential(capsys, monkeypatch):
+def test_repeated_sweep_is_deterministic(capsys):
     args = ["cross-sections", "--delta", "0.1", "--tau", "50", "0",
             "--omega-min", "1.0", "--omega-max", "1.5", "--omega-count", "6"]
-    monkeypatch.delenv("DIERES_THREADS", raising=False)
-    _, seq, _ = _run(capsys, *args)
-    monkeypatch.setenv("DIERES_THREADS", "4")
-    _, par, _ = _run(capsys, *args)
-    assert seq == par
+    _, first, _ = _run(capsys, *args)
+    _, second, _ = _run(capsys, *args)
+    assert first == second
 
 
 def test_run_config_unknown_command():

@@ -16,7 +16,7 @@ from dieres.mie import (
     far_field,
     mie_coefficients,
     mie_denominators,
-    _radial_factors,
+    _factor_table,
     scattered_field,
 )
 from dieres.specfun import riccati_J, sph_bessel_j, vsh_table
@@ -94,7 +94,7 @@ def test_radial_factors_shared_by_table_and_denominators():
             u, v = angular[(n, m)]
             assert full.gamma[(n, m)] == pref * np.dot(np.conj(v), w.polarization) * bare.radial_te(n)
             assert full.eta[(n, m)] == pref * np.dot(np.conj(u), w.polarization) * bare.radial_tm(n)
-        (_, den_te, _), (_, den_tm, _) = _radial_factors(n, cfg.delta, cfg.tau, cfg.omega)
+        (_, den_te, _), (_, den_tm, _) = _factor_table(n, cfg.delta, cfg.tau, cfg.omega)[n]
         assert mie_denominators(n, cfg.delta, cfg.tau, cfg.omega) == (den_te, den_tm)
 
 
@@ -497,3 +497,9 @@ def test_non_finite_inputs_raise(bad, rng):
 def test_scatter_config_names_a_non_finite_parameter(delta, tau, omega, n_max, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
         ScatterConfig(delta, tau, omega, n_max)
+
+
+def test_scatter_config_takes_an_integer_n_max():
+    assert ScatterConfig(0.1, 40.0, 3.0, np.int64(4)).n_max == 4
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ScatterConfig(0.1, 40.0, 3.0, 3.5)

@@ -34,6 +34,7 @@ from dieres.resonance import ContrastModel
 from dieres.specfun import (
     bessel_zero,
     harmonic_table,
+    radial_pair,
     riccati_J,
     solid_harmonic_gradient_deg1,
     sph_bessel_j,
@@ -73,6 +74,12 @@ def test_spectrum_strictly_decreasing_no_duplicates():
     assert len({round(e.k, 10) for e in eigs}) == len(eigs)
 
 
+def test_spectrum_count_is_an_integer():
+    assert sphere_spectrum(np.int64(3)) == sphere_spectrum(3)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sphere_spectrum(2.5)
+
+
 def test_spectrum_matches_bessel_zero_table():
     for e in sphere_spectrum(12):
         assert_allclose(e.k, bessel_zero(e.family_n, e.zero_index_s), atol=1e-12, rtol=0)
@@ -87,6 +94,19 @@ def test_ground_mode_lommel_norm(ball_quad):
     norm_sq = np.sum(ball_quad.weights * np.sum(np.abs(vals) ** 2, axis=-1))
     assert_allclose(norm_sq, 1 / math.pi ** 2, atol=1e-8, rtol=0)
     assert_allclose(eigenmode_norm(label), 1 / math.pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_tm_norm_matches_radial_quadrature(n):
+    # the closed form against 48-node Gauss quadrature of the two TM radial
+    # profiles, at a zero of j_n (an eigenmode) and off the zeros, where the
+    # boundary term j_n(k) F_n(k) / k^2 does not vanish
+    x, w = np.polynomial.legendre.leggauss(48)
+    r, w = 0.5 * (x + 1), 0.5 * w
+    for k in (bessel_zero(n, 1), bessel_zero(n, 1) + 1.3, 2.0):
+        j, big = (a.real for a in radial_pair(n, k * r))
+        quadrature = n * (n + 1) / k ** 2 * np.sum(w * (big ** 2 + n * (n + 1) * j ** 2))
+        assert_allclose(eigenmode_norm(EigenModeLabel("TM", n, 0, k)) ** 2, quadrature, rtol=1e-13)
 
 
 def test_normalized_mode_unit_norm(ball_quad):

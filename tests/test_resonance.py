@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dieres.fields import IncidentWave
+from dieres.quasistatic import (
+    averaged_cross_sections,
+    blowup_coefficient,
+    dipole_approximation,
+    resonant_moments,
+    scatter_fn_general,
+)
 from dieres.resonance import (
     ContrastModel,
     MullerNoConvergence,
@@ -18,6 +26,7 @@ from dieres.resonance import (
 from dieres.specfun import riccati_J, sph_bessel_j
 
 UNIT_MODEL = ContrastModel(1.0)
+WAVE = IncidentWave([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 3.3)
 
 
 # --- Muller ------------------------------------------------------------------
@@ -36,6 +45,17 @@ def test_muller_finds_complex_root_from_real_function():
 def test_muller_requires_distinct_points():
     with pytest.raises(ValueError):
         muller_root(lambda z: z, 1.0, 1.0, 2.0)
+
+
+def test_muller_secant_step_on_a_flat_parabola():
+    # a linear f has no curvature: one secant step lands on its root
+    assert muller_root(lambda z: 2 * z - 3, 0.0, 1.0, 2.0) == (1.5, 0.0, 1)
+
+
+def test_muller_stops_on_a_constant_function():
+    with pytest.raises(MullerNoConvergence) as info:
+        muller_root(lambda z: 1.0 + 0j, 0.0, 1.0, 2.0)
+    assert (info.value.root, info.value.residual) == (0.0, 1.0)
 
 
 def test_muller_no_convergence_carries_iterate():
@@ -246,6 +266,14 @@ def test_seeding_consistency_with_sphere_spectrum():
     assert abs(pred - 1 / math.sqrt(lam * 2.0)) <= 1e-12
 
 
+def test_prediction_takes_integer_orders_only():
+    assert quasi_static_prediction("TM", np.int64(2), np.int64(1), UNIT_MODEL) == quasi_static_prediction(
+        "TM", 2, 1, UNIT_MODEL)
+    for family, n, s in (("TE", 1.5, 1), ("TM", 1.5, 1), ("TE", 2, 1.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            quasi_static_prediction(family, n, s, UNIT_MODEL)
+
+
 def test_cluster_resonances_single_family():
     from dieres.resonance import cluster_resonances
 
@@ -261,6 +289,12 @@ def test_cluster_resonances_single_family():
     (lambda: UNIT_MODEL.evaluate(math.nan), "delta"),
     (lambda: UNIT_MODEL.evaluate(math.inf), "delta"),
     (lambda: find_resonance("TE", 1, 1, math.nan, UNIT_MODEL), "delta"),
+    (lambda: find_resonance("TE", 1, 1, math.inf, UNIT_MODEL), "delta"),
+    (lambda: scatter_fn_general(math.nan, math.pi, 1.0), "omega"),
+    (lambda: blowup_coefficient(math.nan, 0.1, math.pi, 1.0, 0.0, 0.1), "omega"),
+    (lambda: dipole_approximation(WAVE, math.nan, 0.1, UNIT_MODEL), "omega"),
+    (lambda: resonant_moments(WAVE, math.inf, 0.1, UNIT_MODEL), "omega"),
+    (lambda: averaged_cross_sections(complex(3.3, math.nan), 0.1, UNIT_MODEL), "omega"),
     (lambda: sweep_resonance("TE", 1, 1, [0.05, math.nan, 0.1], UNIT_MODEL), "delta"),
 ])
 def test_non_finite_parameters_are_named(call, name):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from dieres import specfun
 from dieres.specfun import (
     angles_to_unit,
     bessel_zero,
@@ -119,6 +120,47 @@ def test_y_and_h_complex_plane_against_mpmath(kind, n, z):
     riccati = z * _mp_radial(kind, n - 1, z) - n * _mp_radial(kind, n, z)
     assert_allclose(f, complex(_mp_radial(kind, n, z)), rtol=1e-12)
     assert_allclose(big, complex(riccati), rtol=1e-12)
+
+
+def _far_off_axis_grid(seed, count):
+    """Seeded (n, z) with n <= 64 and 100 <= |Im z| <= 699 on both sides of
+    the axis, |Re z| up to about 10 |Im z| (past that j runs upward)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        im = rng.uniform(100, 699) * rng.choice([-1, 1])
+        points.append((int(rng.integers(0, 65)), complex(rng.uniform(-10, 10) * abs(im) * rng.random() ** 2, im)))
+    return points
+
+
+# the Miller pass of j far off the axis, where its iterates barely grow: at
+# the first three points one normalizing factor j_0 / f_0 overflows (inf or
+# nan for j, a false OverflowError for y and h, reflected from j); values
+# below the normal double range (h above the axis) are checked to 1e-300
+@pytest.mark.parametrize("kind", ["j", "y", "h"])
+def test_far_off_axis_against_mpmath(kind):
+    points = [(12, 1 + 230j), (20, 3 + 300j), (20, 3 - 300j)] + _far_off_axis_grid(5, 12)
+    zs = np.array([z for _, z in points])
+    table = radial_table(64, zs, kind)[0]
+    for i, (n, z) in enumerate(points):
+        expect = complex(_mp_radial(kind, n, z))
+        assert_allclose([radial_pair(n, z, kind)[0], table[n, i]], [expect, expect], rtol=1e-14, atol=1e-300)
+
+
+def test_miller_rescale_keeps_the_rows(monkeypatch):
+    # from 1e-280 the Miller iterates of an accepted argument (n <= 64,
+    # |Im z| <= 700) stay below about 1e-25, so only a pass to a higher order
+    # grows them past the 1e250 at which they are scaled down
+    scaled = []
+    rescale = specfun._rescale
+    monkeypatch.setattr(specfun, "_rescale", lambda lo, hi: scaled.append(rescale(lo, hi)) or scaled[-1])
+    z = 3 + 100j
+    rows = specfun._miller(600, z, "j")
+    columns = specfun._miller(600, np.array([z, z.conjugate()]), "j")
+    assert sum(factor is not None for factor in scaled) >= 2
+    for n in (0, 1, 30, 64):
+        expect = complex(_mp_radial("j", n, z))
+        assert_allclose([rows[n], columns[n][0], columns[n][1].conjugate()], [expect] * 3, rtol=1e-14)
 
 
 def test_radial_pair_views_and_shapes():
@@ -307,6 +349,15 @@ def test_riccati_equals_derivative_form(n, z):
     assert_allclose(riccati_H(n, z), h + z * hp, rtol=1e-11)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 6])
+def test_derivative_of_an_array_matches_the_scalar_path(n):
+    zs = np.array([0.0, 0.5, 3 - 1j, 2 + 4j, 20 - 2j])
+    jp = sph_bessel_jp(n, zs)
+    assert_allclose(jp, [sph_bessel_jp(n, z) for z in zs], rtol=1e-14)
+    assert jp[0] == (1 / 3 if n == 1 else 0)
+    assert_allclose(sph_bessel_yp(n, zs[1:]), [sph_bessel_yp(n, z) for z in zs[1:]], rtol=1e-14)
+
+
 # --- invariants: Wronskian, recurrence --------------------------------------
 
 @pytest.mark.parametrize("z", [0.5, 2.0, 7 + 3j])
@@ -368,6 +419,13 @@ def test_hankel_ratio_slope_example():
 
 
 # --- Bessel zeros ------------------------------------------------------------
+
+def test_bessel_zero_takes_integer_indices_only():
+    assert bessel_zero(np.int64(2), np.int64(3)) == bessel_zero(2, 3)
+    for n, s in ((0, 1.5), (1.5, 1), (2.0, 1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bessel_zero(n, s)
+
 
 def test_zero_row0_is_multiples_of_pi():
     for s in range(1, 6):
