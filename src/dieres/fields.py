@@ -180,11 +180,12 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
 def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.ndarray:
     """Far-field pattern of the radiating multipole:
     -sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2} V_n^m (TE) or U_n^m (TM)."""
-    index = _family_index(family)
+    _family_index(family)
     omega = complex(omega)
     if omega == 0:
         raise ValueError("far-field pattern needs a nonzero frequency")
-    return _farfield_coefficient(n, omega) * vsh_UV(n, m, xhat)[1 - index]
+    u, v = vsh_UV(n, m, xhat)
+    return _farfield_coefficient(n, omega) * (v if family == "TE" else u)
 
 
 def _farfield_coefficient(n, omega):

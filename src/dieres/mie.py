@@ -54,7 +54,7 @@ class ScatterConfig:
     @property
     def omega_tau(self) -> complex:
         """Interior wavenumber omega sqrt(1 + tau), principal branch."""
-        return self.omega * np.sqrt(complex(1 + self.tau))
+        return _arguments(1.0, self.tau, self.omega)[1]
 
 
 def default_n_max(delta, tau, omega) -> int:
@@ -300,10 +300,9 @@ def coefficient_asymptotics(n: int, cfg: ScatterConfig) -> CoefficientAsymptotic
     """
     if n < 1:
         raise ValueError("asymptotics start at n = 1")
-    x = cfg.delta * cfg.omega
+    x, y = _arguments(cfg.delta, cfg.tau, cfg.omega)
     if abs(x) >= 1:
         raise ValueError("asymptotics need |delta omega| < 1")
-    y = cfg.delta * cfg.omega_tau
     j_y, bigj_y = radial_pair(n, y)
     predicted_tm = riccati_J(n, x) / riccati_H(n, x)
     if n == 1:

@@ -246,8 +246,11 @@ def amplitude_from_moments(moments, delta: float, tau: complex, omega: complex,
         magnetic = kind == "magnetic"
         if magnetic and l == 0:
             continue
-        vec = _contract_trailing(mt.entries, xhat, l - magnetic)
-        total = total + (-1j * delta * omega) ** l / math.factorial(l) * (np.cross(vec, xhat) if magnetic else vec)
+        order = l - 1 if magnetic else l
+        vec = _contract_trailing(mt.entries, xhat, order)
+        if magnetic:
+            vec = np.cross(vec, xhat)
+        total = total + (-1j * delta * omega) ** l / math.factorial(l) * vec
     total = total - xhat * np.dot(xhat, total)
     return tau * omega ** 2 * delta ** 3 / (4 * math.pi) * total
 

@@ -163,16 +163,8 @@ def _miller(top, z, kind):
     j0, j1 = _upward(1, z, "j")
     use0 = abs(j0) >= abs(j1)
     j_ref, f_ref = _select(use0, j0, j1), _select(use0, kept[-1], kept[-2])
-    # far off the axis the iterates barely grow and j_ref / f_ref can overflow: only there f / f_ref, then j_ref
-    if isinstance(z, complex):
-        scale = j_ref / f_ref
-        return [f * scale for f in kept[::-1]] if cmath.isfinite(scale) else [f / f_ref * j_ref for f in kept[::-1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = j_ref / f_ref
-        two_step = ~np.isfinite(scale)
-        if two_step.any():
-            return [np.where(two_step, f / f_ref * j_ref, f * scale) for f in kept[::-1]]
-    return [f * scale for f in kept[::-1]]
+    # f / f_ref first: far off the axis the iterates barely grow and j_ref / f_ref alone can overflow
+    return [f / f_ref * j_ref for f in kept[::-1]]
 
 
 def _reflected(top, z, kind):
@@ -333,11 +325,11 @@ def riccati_H(n: int, z) -> complex:
 
 
 def small_arg_leading(n: int, t, kind: str) -> complex:
-    """Two-term small-argument expansion of j, h, J (Riccati-j) or H (Riccati-h).
-
-    t^n / (2n+1)!! (a - b t^2 / (2 (2n+3))) for j and J, -i (2n-1)!! t^-(n+1)
-    (a + b t^2 / (2 (2n-1))) for h and H: the Hankel singular part only, so the
-    relative error of the true function against it carries an extra O(t^(2n+1)) cross term.
+    """Two-term small-argument expansion of j, h, J = (t j)' or H = (t h)', one (a, b) pair per kind:
+    j_n ~ t^n/(2n+1)!! (1 - t^2/(2(2n+3))), J_n ~ t^n/(2n+1)!! ((n+1) - (n+3) t^2/(2(2n+3))),
+    h_n ~ -i (2n-1)!! t^-(n+1) (1 + t^2/(2(2n-1))), H_n ~ -i (2n-1)!! t^-(n+1) (-n + (2-n) t^2/(2(2n-1))).
+    For h and H this is the singular part only, so the relative error of the true function against it
+    carries an extra O(t^(2n+1)) cross term.
     """
     coefficients = {"j": (1, 1), "J": (n + 1, n + 3), "h": (1, 1), "H": (-n, 2 - n)}
     if kind not in coefficients:
