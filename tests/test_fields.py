@@ -337,3 +337,28 @@ def test_non_finite_points_raise(bad):
 def test_incident_wave_names_a_non_finite_parameter(direction, polarization, omega, name):
     with pytest.raises(ValueError, match=re.escape(name) + " = .* is not finite"):
         IncidentWave(np.array(direction), np.array(polarization), omega)
+
+
+_X = np.array([0.3, -0.4, 0.5])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: multipole_field("entire", "TX", 1, 0, 1.0, _X), "unknown family 'TX'"),
+    (lambda: multipole_field("entire", "TE", 0, 0, 1.0, _X), "multipole fields start at n = 1"),
+    (lambda: multipole_field("radiating", "TM", 2, -3, 1.0, _X), "|m| = 3 exceeds degree n = 2"),
+    (lambda: multipole_field("outgoing", "TE", 1, 0, 1.0, _X), "unknown variant 'outgoing'"),
+    (lambda: multipole_field("entire", "TM", 1, 0, 0.0, _X), "TM fields need a nonzero wavenumber"),
+    (lambda: harmonic_exterior("E", 1, 0, _X), "unknown kind 'E'"),
+    (lambda: harmonic_exterior("Eh", 0, 0, _X), "exterior harmonic fields start at n = 1"),
+    (lambda: harmonic_exterior("curlEh", 1, 2, _X), "|m| = 2 exceeds degree n = 1"),
+    (lambda: harmonic_exterior("Eh", 1, 0, [_X, [0.0, 0.0, 0.0]]), "exterior harmonic fields are singular at x = 0"),
+    (lambda: farfield_pattern("TX", 1, 0, 1.0, _X), "unknown family 'TX'"),
+    (lambda: farfield_pattern("TE", 0, 0, 1.0, _X), "vector harmonics need n >= 1"),
+    (lambda: farfield_pattern("TM", 1, -2, 1.0, _X), "|m| = 2 exceeds degree n = 1"),
+    (lambda: farfield_pattern("TE", 1, 0, 0.0, _X), "far-field pattern needs a nonzero frequency"),
+    (lambda: jacobi_anger_partial(_wave(), 0, _X), "need at least one expansion order"),
+])
+def test_field_evaluators_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        call()
+    assert caught.type is ValueError
