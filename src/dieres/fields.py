@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (_check_order, _harmonic_blocks, _radius_split, harmonic_table, radial_table,
-                      solid_harmonic_gradient_deg1, vsh_UV)
+                      solid_harmonic_gradient_deg1)
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,16 @@ def _family_index(family):
     return int(family == "TM")
 
 
+def _single_field(family, n, m, noun):
+    """Stacks (te, tm) of the one TE or TM field of order (n, m); noun names the fields in errors."""
+    if n < 1:
+        raise ValueError(f"{noun} start at n = 1")
+    _check_order(n, m)
+    coeffs = np.zeros((2, (n + 1) ** 2), dtype=complex)
+    coeffs[_family_index(family), n * (n + 1) + m] = 1.0
+    return coeffs
+
+
 def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) -> np.ndarray:
     """Entire or radiating electric multipole field of order (n, m).
 
@@ -97,26 +107,46 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
     replaces j_n by the first-kind Hankel function (and J_n by H_n) and is
     singular at the origin.
     """
-    index = _family_index(family)
-    if n < 1:
-        raise ValueError("multipole fields start at n = 1")
-    _check_order(n, m)
-    coeffs = np.zeros((2, (n + 1) ** 2), dtype=complex)
-    coeffs[index, n * (n + 1) + m] = 1.0
-    return _multipole_sum(variant, *coeffs, k, x)
+    return _multipole_sum(variant, *_single_field(family, n, m, "multipole fields"), k, x)
+
+
+def _field_sum(te, tm, a, b, c, xh):
+    """The field sum_k te_k a_n (d_phi theta-hat - d_theta phi-hat)
+    - tm_k (b_n (d_theta theta-hat + d_phi phi-hat) + c_n Y x-hat), which
+    every field of this module is, at the directions xh, (..., 3) (unit
+    where c is nonzero).  grad_S Y = (d_theta, d_phi); te and tm are stacked
+    at k = n(n+1) + m (entry 0 unused).  Each radial factor holds per degree
+    one constant, (n_max + 1,), or one row over the P points, (n_max + 1, P).
+    Each degree is contracted as the ladder yields it, so the table is never
+    stored, and its Y part only where c is nonzero.
+    """
+    theta_hat, phi_hat, blocks = _harmonic_blocks(math.isqrt(len(te) - 1), xh)
+    # weighted by (b_n, a_n), the d_theta products of (-tm, -te) are the (theta-hat,
+    # phi-hat) terms and the d_phi products of (-tm, te) the (phi-hat, theta-hat)
+    # terms; constants weight the rows once, for one product per degree
+    pairs = np.array([[-tm, -te], [-tm, te]])
+    weights = np.array(np.broadcast_arrays(b, a))
+    per_point = weights.ndim == 3
+    weighted = pairs if per_point else pairs * weights[:, np.sqrt(np.arange(len(te))).astype(int)]
+    with_y = np.count_nonzero(c) > 0
+    comp, comp_x = np.zeros((2, len(theta_hat)), dtype=complex), 0
+    for n, block in enumerate(blocks):
+        rows = slice(n * n, (n + 1) ** 2)
+        # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
+        terms = weighted[:, :, rows] @ block[1:]
+        if per_point:
+            terms *= weights[:, n]
+        comp += terms[0] + terms[1, ::-1]
+        if with_y:
+            comp_x += c[n] * (pairs[0, :, rows] @ block[0])[0]
+    out = comp[0][:, None] * theta_hat + comp[1][:, None] * phi_hat
+    return out + comp_x[:, None] * xh if with_y else out
 
 
 def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     """Sum of te[j] TE_{n,m} + tm[j] TM_{n,m} over multipole fields of one
-    variant at the points x, (..., 3), the coefficients stacked at
-    j = n(n+1) + m (entry 0 unused).
-
-    The harmonic table of the directions of x block by block as the ladder
-    yields it, and one radial table over all orders.  In the (theta-hat,
-    phi-hat, x-hat) frame, with grad_S Y = sqrt(n(n+1)) U = (d_theta, d_phi):
-    TE = -f_n (d_theta phi-hat - d_phi theta-hat) and
-    TM = -(F_n (d_theta theta-hat + d_phi phi-hat) + n(n+1) f_n Y x-hat) / (i k r).
-    """
+    variant at the points x, (..., 3), te and tm stacked as in _field_sum:
+    its radial factors are f_n, F_n / (i k r) and n(n+1) f_n / (i k r)."""
     if variant not in ("entire", "radiating"):
         raise ValueError(f"unknown variant {variant!r}")
     k = complex(k)
@@ -133,70 +163,44 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     off = ~origin
     if np.any(off):
         ro = r[off]
-        xh = pts[off] / ro[:, None]
-        n_max = math.isqrt(len(te) - 1)
-        theta_hat, phi_hat, blocks = _harmonic_blocks(n_max, xh)
-        radial, riccati = radial_table(n_max, k * ro, "j" if variant == "entire" else "h")
-        comp = np.zeros((3, len(ro)), dtype=complex)  # theta-hat, phi-hat, x-hat
-        for n, block in enumerate(blocks):
-            rows = slice(n * n, (n + 1) ** 2)
-            g, e = te[rows], tm[rows]
-            if n == 0 or not (g.any() or e.any()):
-                continue
-            f, big = radial[n], riccati[n]
-            # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
-            (_, e_y), (g_t, e_t), (g_p, e_p) = np.stack([g, e]) @ block
-            comp[0] += f * g_p
-            comp[1] -= f * g_t
-            if e.any():
-                comp -= np.stack([big * e_t, big * e_p, n * (n + 1) * f * e_y]) / (1j * k * ro)
-        out[off] = comp[0][:, None] * theta_hat + comp[1][:, None] * phi_hat + comp[2][:, None] * xh
+        f, big = radial_table(math.isqrt(len(te) - 1), k * ro, "j" if variant == "entire" else "h")
+        degree, ikr = np.arange(len(f))[:, None], 1j * k * ro
+        tm_factors = (big / ikr, degree * (degree + 1) * f / ikr) if k else (0, 0)  # no TM term at k = 0
+        out[off] = _field_sum(te, tm, f, *tm_factors, pts[off] / ro[:, None])
     return out.reshape(np.shape(x)[:-1] + (3,))
 
 
 def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
     """Exterior harmonic multipole fields built from Debye potentials:
-    E^h_{n,m} = -sqrt(n(n+1)) r^-(n+1) V_n^m and its curl."""
+    E^h_{n,m} = -sqrt(n(n+1)) r^-(n+1) V_n^m and its curl
+    r^-(n+2) (n(n+1) Y_n^m x-hat - n grad_S Y_n^m)."""
     if kind not in ("Eh", "curlEh"):
         raise ValueError(f"unknown kind {kind!r}")
-    if n < 1:
-        raise ValueError("exterior harmonic fields start at n = 1")
-    _check_order(n, m)
+    curl = kind == "curlEh"
+    te, tm = _single_field("TM" if curl else "TE", n, m, "exterior harmonic fields")
     pts, r = _radius_split(x)
     if np.any(r == 0):
         raise ValueError("exterior harmonic fields are singular at x = 0")
-    xh = pts / r[:, None]
-    table = harmonic_table(n, xh)
-    j = n * (n + 1) + m
-    d_t, d_p = table.d_theta[j][:, None], table.d_phi[j][:, None]
-    if kind == "Eh":
-        out = -(r ** -(n + 1))[:, None] * (d_t * table.phi_hat - d_p * table.theta_hat)
-    else:
-        rad = (r ** -(n + 2))[:, None]
-        out = rad * (n * (n + 1) * table.y[j][:, None] * xh - n * (d_t * table.theta_hat + d_p * table.phi_hat))
-    return out.reshape(np.shape(x)[:-1] + (3,))
+    degree = np.arange(n + 1)[:, None]
+    rad = r ** -(degree + 1 + curl)
+    factors = (0, degree * rad, -degree * (degree + 1) * rad) if curl else (rad, 0, 0)
+    return _field_sum(te, tm, *factors, pts / r[:, None]).reshape(np.shape(x)[:-1] + (3,))
+
+
+def _far_field_sum(te, tm, omega, xhat):
+    """The far field lim r e^{-i w r} E(r xhat) of the radiating sum at the direction(s) xhat:
+    h_n(w r) -> (-i)^{n+1} e^{i w r} / (w r) gives a_n = b_n = (-i)^{n+1} / w and c_n = 0."""
+    phase = (-1j) ** np.arange(1, math.isqrt(len(te)) + 1) * (1 / omega)
+    return _field_sum(te, tm, phase, phase, 0, xhat).reshape(np.shape(xhat)[:-1] + (3,))
 
 
 def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.ndarray:
     """Far-field pattern of the radiating multipole:
-    -sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2} V_n^m (TE) or U_n^m (TM)."""
-    _family_index(family)
-    omega = complex(omega)
+    -sqrt(n(n+1)) w^-1 (-i)^{n+1} V_n^m (TE) or U_n^m (TM)."""
+    coeffs = _single_field(family, n, m, "far-field patterns")
     if omega == 0:
         raise ValueError("far-field pattern needs a nonzero frequency")
-    u, v = vsh_UV(n, m, xhat)
-    return _farfield_coefficient(n, omega) * (v if family == "TE" else u)
-
-
-def _farfield_coefficient(n, omega):
-    """-sqrt(n(n+1)) w^-1 e^{-i(n+1)pi/2}: the far-field factor of order n."""
-    return -math.sqrt(n * (n + 1)) / omega * _farfield_phase(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _farfield_phase(n):
-    """e^{-i(n+1)pi/2}, the omega-independent part of the far-field factor."""
-    return np.exp(-1j * (n + 1) * math.pi / 2)
+    return _far_field_sum(*coeffs, omega, xhat)
 
 
 def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _farfield_coefficient, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _harmonic_blocks, _one_pass, _riccati, _rows, radial_pair, riccati_H, riccati_J
+from .fields import IncidentWave, _far_field_sum, _finite, _incidence, _multipole_sum, _radius_split
+from .specfun import MAX_ORDER, _one_pass, _riccati, _rows, radial_pair, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -229,23 +229,8 @@ def scattered_field(t: MieTable, x) -> np.ndarray:
 
 
 def far_field(t: MieTable, xhat) -> np.ndarray:
-    """Scattering amplitude at the direction(s) xhat, (..., 3): the tangential
-    far-field pattern sum of c_n (gamma V_n^m + eta U_n^m) in the
-    (theta-hat, phi-hat) frame, sqrt(n(n+1)) U_n^m = (d_theta, d_phi) and
-    V_n^m its rotation by x-hat, contracted degree by degree as the ladder
-    yields the harmonic table, which is never stored."""
-    top = _top(t.te)
-    theta_hat, phi_hat, blocks = _harmonic_blocks(top, xhat)
-    coeff = np.repeat([_farfield_coefficient(n, t.config.omega) / math.sqrt(n * (n + 1)) if n else 0
-                       for n in range(top + 1)], [2 * n + 1 for n in range(top + 1)])
-    g, e = coeff * t.te, coeff * t.tm
-    # (theta-hat, phi-hat) components from two-row products, as in fields._multipole_sum
-    pairs = np.array([[e, g], [-g, e]])
-    f_t, f_p = f = np.zeros((2, len(theta_hat)), dtype=complex)
-    for n, block in enumerate(blocks):
-        if n:
-            f += (pairs[:, :, n * n:(n + 1) ** 2] @ block[1:]).sum(axis=0)
-    return (f_t[:, None] * theta_hat + f_p[:, None] * phi_hat).reshape(np.shape(xhat)[:-1] + (3,))
+    """Scattering amplitude at the direction(s) xhat, (..., 3): the far field of scattered_field."""
+    return _far_field_sum(t.te, t.tm, t.config.omega, xhat)
 
 
 @dataclass(frozen=True)

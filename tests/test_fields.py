@@ -353,7 +353,7 @@ _X = np.array([0.3, -0.4, 0.5])
     (lambda: harmonic_exterior("curlEh", 1, 2, _X), "|m| = 2 exceeds degree n = 1"),
     (lambda: harmonic_exterior("Eh", 1, 0, [_X, [0.0, 0.0, 0.0]]), "exterior harmonic fields are singular at x = 0"),
     (lambda: farfield_pattern("TX", 1, 0, 1.0, _X), "unknown family 'TX'"),
-    (lambda: farfield_pattern("TE", 0, 0, 1.0, _X), "vector harmonics need n >= 1"),
+    (lambda: farfield_pattern("TE", 0, 0, 1.0, _X), "far-field patterns start at n = 1"),
     (lambda: farfield_pattern("TM", 1, -2, 1.0, _X), "|m| = 2 exceeds degree n = 1"),
     (lambda: farfield_pattern("TE", 1, 0, 0.0, _X), "far-field pattern needs a nonzero frequency"),
     (lambda: jacobi_anger_partial(_wave(), 0, _X), "need at least one expansion order"),
