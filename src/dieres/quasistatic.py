@@ -15,7 +15,7 @@ import numpy as np
 from .fields import IncidentWave, _finite, _incidence, _radius_split, multipole_field
 from .mie import _arguments
 from .multipole import _harmonic_grid, ball_quadrature
-from .resonance import ContrastModel, quasi_static_prediction
+from .resonance import ContrastModel, _radius, quasi_static_prediction
 from .specfun import bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
 
 
@@ -184,7 +184,8 @@ def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_tau: com
     -w0/(2(w-w0)) + delta w0^2 c_{-1} w^2 lambda0 / (4 (w-w0)^2)."""
     _guard_pole(omega, omega0, "blow-up coefficient")
     eps = omega - omega0
-    return -omega0 / (2 * eps) + delta * omega0 ** 2 * c_m1 * omega ** 2 * lambda0 / (4 * eps ** 2)
+    # delta = 0 leaves the simple pole alone
+    return -omega0 / (2 * eps) + _finite("delta", delta) * omega0 ** 2 * c_m1 * omega ** 2 * lambda0 / (4 * eps ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def dipole_approximation(w: IncidentWave, omega: float, delta: float,
     _guard_pole(omega, omega0, "dipole approximation")
     # (1/2 + K*)^{-1}[nu] = (3/2) nu on degree-1 densities; with
     # int x (x) x = (4 pi/3) I the electric factor collapses to 2 pi.
-    p = 2 * math.pi * delta ** 3 * w.polarization.astype(complex)
+    p = 2 * math.pi * _radius(delta) ** 3 * w.polarization.astype(complex)
     drive = np.cross(w.direction, w.polarization)
     m = (
         model.c_tau * omega ** 2 * delta ** 3
@@ -370,6 +371,7 @@ def averaged_cross_sections(omega: float, delta: float, model: ContrastModel):
     with I_phi the ground mode-potential integral (|I_phi|^2 = 12/pi^3)."""
     omega0 = quasi_static_pole(model)
     _guard_pole(omega, omega0, "averaged cross sections")
+    _radius(delta)
     i_phi_sq = float(np.sum(np.abs(mode_potential_integral(0)) ** 2))
     qs = (
         abs(model.c_tau) ** 2 * delta ** 6

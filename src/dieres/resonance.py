@@ -149,12 +149,18 @@ def _corrected_prediction(family, n, s, model, delta):
     return first_order_correction(quasi_static_prediction(family, n, s, model, delta), model, delta)
 
 
+def _radius(delta):
+    """The sphere radius delta, checked to be finite and positive."""
+    if _finite("delta", delta) <= 0:
+        raise ValueError("delta must be positive")
+    return delta
+
+
 def find_resonance(family: str, n: int, s: int, delta: float, model: ContrastModel,
                    tol: float = 1e-12, max_iter: int = 50, seed: complex = None) -> ResonanceRoot:
     """Muller-polished dielectric resonance seeded at the corrected
     quasi-static prediction, reported in the fourth quadrant."""
-    if _finite("delta", delta) <= 0:
-        raise ValueError("delta must be positive")
+    _radius(delta)
     prediction = quasi_static_prediction(family, n, s, model, delta)
     if seed is None:
         seed = first_order_correction(prediction, model, delta)

@@ -143,11 +143,13 @@ def _rescale(f_lo, f_hi):
 
 def _miller(top, z, kind):
     # downward recurrence from a padded start order, normalized against the
-    # larger of j_0/j_1 to dodge zeros of the reference.  With |z| > 1 a step
-    # grows the larger of the two iterates by less than 2k + 2, and this
-    # regime has |Re z| < N + 10 |Im z| <= 7064, so k < 7200: eight steps
-    # from below 1e250 stay below 1e284 and the rescaling test runs every
-    # eighth step.
+    # larger of j_0/j_1 to dodge zeros of the reference.  An array pass starts
+    # every element at the order its largest |z| needs, so the iterates of a
+    # small element grow for thousands of steps and pass 1e250 (j_10 at 1.5
+    # next to 5000 + 600j): they are scaled down.  With |z| > 1 a step grows
+    # the larger of the two iterates by less than 2k + 2, and this regime has
+    # |Re z| < N + 10 |Im z| <= 7064, so k < 7200: eight steps from below
+    # 1e250 stay below 1e284 and the rescaling test runs every eighth step.
     start = top + 30 + int(np.max(np.abs(z), initial=0))
     f_hi, f_lo = 0 * z, 1e-280 + 0 * z
     kept = []  # f_top down to f_0

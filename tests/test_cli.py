@@ -99,6 +99,13 @@ def test_resonance_sweep_red_shift(capsys):
     assert all(row[2] < 0 for row in table.rows)
 
 
+def test_resonance_sweep_reports_a_failed_delta(capsys):
+    code, out, _ = _run(capsys, "resonance-sweep", "--deltas", "0.1", "0.5", "1.0", "1.5", "3.0")
+    assert code == 0
+    assert "# failed delta=3.0: |delta * seed| = 5.063 leaves the quasi-static regime\n" in out
+    assert [row[0] for row in parse_csv(out).rows] == [0.1, 0.5, 1.0, 1.5]
+
+
 def test_scatter_functions_sign_changes(capsys):
     code, out, _ = _run(capsys, "scatter-functions", "--delta", "0.15",
                         "--omega-min", "2.9", "--omega-max", "3.4", "--omega-count", "500")

@@ -230,6 +230,14 @@ def test_sweep_quadratic_error_column():
     assert 1.8 <= slope <= 2.2
 
 
+def test_sweep_records_a_failed_point_and_goes_on():
+    pts = sweep_resonance("TE", 1, 1, [0.1, 0.5, 1.0, 1.5, 3.0], UNIT_MODEL)
+    assert [p.root is not None for p in pts] == [True, True, True, True, False]
+    assert all(p.error is None for p in pts[:4])
+    assert pts[4].delta == 3.0 and pts[4].prediction == quasi_static_prediction("TE", 1, 1, UNIT_MODEL, 3.0)
+    assert pts[4].error == "|delta * seed| = 5.063 leaves the quasi-static regime"
+
+
 def test_sweep_requires_increasing_deltas():
     with pytest.raises(ValueError):
         sweep_resonance("TE", 1, 1, [0.1, 0.05], UNIT_MODEL)
@@ -296,9 +304,23 @@ def test_cluster_resonances_single_family():
     (lambda: resonant_moments(WAVE, math.inf, 0.1, UNIT_MODEL), "omega"),
     (lambda: averaged_cross_sections(complex(3.3, math.nan), 0.1, UNIT_MODEL), "omega"),
     (lambda: sweep_resonance("TE", 1, 1, [0.05, math.nan, 0.1], UNIT_MODEL), "delta"),
+    (lambda: dipole_approximation(WAVE, 3.3, math.nan, UNIT_MODEL), "delta"),
+    (lambda: averaged_cross_sections(3.3, math.nan, UNIT_MODEL), "delta"),
+    (lambda: averaged_cross_sections(3.3, math.inf, UNIT_MODEL), "delta"),
+    (lambda: blowup_coefficient(3.3, math.nan, math.pi, 1.0, 0.0, 0.1), "delta"),
 ])
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dipole_approximation(WAVE, 3.3, -0.1, UNIT_MODEL),
+    lambda: averaged_cross_sections(3.3, 0.0, UNIT_MODEL),
+    lambda: find_resonance("TE", 1, 1, 0.0, UNIT_MODEL),
+])
+def test_non_positive_radius_is_rejected(call):
+    with pytest.raises(ValueError, match="^delta must be positive$"):
         call()
 
 

@@ -148,9 +148,10 @@ def test_far_off_axis_against_mpmath(kind):
 
 
 def test_miller_rescale_keeps_the_rows(monkeypatch):
-    # from 1e-280 the Miller iterates of an accepted argument (n <= 64,
-    # |Im z| <= 700) stay below about 1e-25, so only a pass to a higher order
-    # grows them past the 1e250 at which they are scaled down
+    # from 1e-280 the Miller iterates grow past the 1e250 at which they are
+    # scaled down in a pass to a higher order than the API accepts, and in an
+    # accepted array pass: it starts every element at top + 30 + max|z|, so
+    # a small element takes thousands of growing steps
     scaled = []
     rescale = specfun._rescale
     monkeypatch.setattr(specfun, "_rescale", lambda lo, hi: scaled.append(rescale(lo, hi)) or scaled[-1])
@@ -161,6 +162,12 @@ def test_miller_rescale_keeps_the_rows(monkeypatch):
     for n in (0, 1, 30, 64):
         expect = complex(_mp_radial("j", n, z))
         assert_allclose([rows[n], columns[n][0], columns[n][1].conjugate()], [expect] * 3, rtol=1e-14)
+    scaled.clear()
+    mixed = np.array([1.5, 5000 + 600j])
+    got = sph_bessel_j(10, mixed)
+    assert sum(factor is not None for factor in scaled) >= 2
+    expect = [complex(_mp_radial("j", 10, v)) for v in mixed]
+    assert_allclose([*got, *(sph_bessel_j(10, v) for v in mixed)], expect * 2, rtol=1e-14)
 
 
 def test_radial_pair_views_and_shapes():
