@@ -137,6 +137,7 @@ def _field_sum(te, tm, a, b, c, xh):
         if per_point:
             terms *= weights[:, n]
         comp += terms[0] + terms[1, ::-1]
+        del terms  # not held while the ladder builds the next block
         if with_y:
             comp_x += c[n] * (pairs[0, :, rows] @ block[0])[0]
     out = comp[0][:, None] * theta_hat + comp[1][:, None] * phi_hat
@@ -182,7 +183,7 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
     if np.any(r == 0):
         raise ValueError("exterior harmonic fields are singular at x = 0")
     degree = np.arange(n + 1)[:, None]
-    rad = r ** -(degree + 1 + curl)
+    rad = r ** -(degree + (2 if curl else 1))
     factors = (0, degree * rad, -degree * (degree + 1) * rad) if curl else (rad, 0, 0)
     return _field_sum(te, tm, *factors, pts / r[:, None]).reshape(np.shape(x)[:-1] + (3,))
 
