@@ -122,20 +122,18 @@ def _field_sum(te, tm, a, b, c, xh):
     """
     theta_hat, phi_hat, blocks = _harmonic_blocks(math.isqrt(len(te) - 1), xh)
     # weighted by (b_n, a_n), the d_theta products of (-tm, -te) are the (theta-hat,
-    # phi-hat) terms and the d_phi products of (-tm, te) the (phi-hat, theta-hat)
-    # terms; constants weight the rows once, for one product per degree
+    # phi-hat) terms and the d_phi products of (-tm, te) the (phi-hat, theta-hat) terms
     pairs = np.array([[-tm, -te], [-tm, te]])
     weights = np.array(np.broadcast_arrays(b, a))
-    per_point = weights.ndim == 3
-    weighted = pairs if per_point else pairs * weights[:, np.sqrt(np.arange(len(te))).astype(int)]
+    weights = weights.reshape(weights.shape[:2] + (-1,))  # a constant broadcasts over the points
     with_y = np.count_nonzero(c) > 0
     comp, comp_x = np.zeros((2, len(theta_hat)), dtype=complex), 0
-    for n, block in enumerate(blocks):
+    next(blocks)  # degree 0, whose entry is unused
+    for n, block in enumerate(blocks, 1):
         rows = slice(n * n, (n + 1) ** 2)
         # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
-        terms = weighted[:, :, rows] @ block[1:]
-        if per_point:
-            terms *= weights[:, n]
+        terms = pairs[:, :, rows] @ block[1:]
+        terms *= weights[:, n]
         comp += terms[0] + terms[1, ::-1]
         del terms  # not held while the ladder builds the next block
         if with_y:
