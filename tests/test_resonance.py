@@ -234,7 +234,7 @@ def test_sweep_records_a_failed_point_and_goes_on():
     pts = sweep_resonance("TE", 1, 1, [0.1, 0.5, 1.0, 1.5, 3.0], UNIT_MODEL)
     assert [p.root is not None for p in pts] == [True, True, True, True, False]
     assert all(p.error is None for p in pts[:4])
-    assert pts[4].delta == 3.0 and pts[4].prediction == quasi_static_prediction("TE", 1, 1, UNIT_MODEL, 3.0)
+    assert pts[4].delta == 3.0
     assert pts[4].error == "|delta * seed| = 5.063 leaves the quasi-static regime"
 
 
