@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -589,6 +590,24 @@ def test_harmonic_blocks_stack_to_the_table():
         for part, stack in zip(block, (table.y, table.d_theta, table.d_phi)):
             assert np.array_equal(part, stack[n * n:(n + 1) ** 2])
     assert n == 6
+
+
+_PIN_RANDOM = np.random.default_rng(20261019).normal(size=(196, 3))
+_PIN_DIRS = np.vstack([_PIN_RANDOM / np.linalg.norm(_PIN_RANDOM, axis=1)[:, None],
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-12, 0.0, 1.0], [0.0, -1e-12, -1.0]]])
+
+
+@pytest.mark.parametrize("n_max, digest", [
+    (12, "d823434260732dc39e9c1739e1606a66cd20154432eaeefef75da26a2eb4b9d8"),
+    (64, "ac844f3f5a3fb968d762fb65a16059fa450b86e1f40d40323e697f14eb2b8da8"),
+])
+def test_harmonic_table_bits_are_pinned(n_max, digest):
+    # 196 seeded directions, both poles and sin(theta) = 1e-12 next to each
+    table = harmonic_table(n_max, _PIN_DIRS)
+    sha = hashlib.sha256()
+    for part in (table.y, table.d_theta, table.d_phi):
+        sha.update(np.ascontiguousarray(part).tobytes())
+    assert sha.hexdigest() == digest
 
 
 # --- vector spherical harmonics ----------------------------------------------
