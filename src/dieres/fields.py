@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (_check_order, _harmonic_blocks, _radius_split, harmonic_table, radial_table,
-                      solid_harmonic_gradient_deg1)
+from .specfun import (_check_n_max, _check_order, _direction_frame, _legendre_rows, _radius_split, harmonic_table,
+                      radial_table, solid_harmonic_gradient_deg1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,52 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
     return _multipole_sum(variant, *_single_field(family, n, m, "multipole fields"), k, x)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_sources(n_max):
+    """Where the rows (n, mu) of the real ladder, 0 <= mu <= n <= n_max in
+    degree-major order, meet the harmonic table: the degree n of each row,
+    and per sign of the order and
+    per source s, the entry k of te/tm (len(te) where there is none) and the
+    factor, sign (-1)^m included, that takes the row q_n^mu times z^mu or
+    conj(z)^mu, z = sin(theta) e^{i phi}, to a part of that entry.
+
+    Every part of order m >= 0 is a row times a power of z: Y = q z^m,
+    d_theta = (up q^{m+1} z^{m+1} e^{-i phi} - down q^{m-1} z^{m-1} e^{i phi}) / 2
+    (sqrt(n(n+1)) q^1 z e^{-i phi} at m = 0) with up and down of the ladder
+    identity, and, from m P_n^m / sin = -(P_{n-1}^{m+1} + (n+m-1)(n+m) P_{n-1}^{m-1}) / 2,
+    d_phi = i m q z^{m-1} e^{i phi} is the same pair of neighbouring orders
+    on the rows of degree n - 1.  Orders -m follow from
+    Y_n^{-m} = (-1)^m conj(Y_n^m), which swaps e^{-+i phi} and the sign of i.
+    The sources are d_theta (s = 0, 1) and d_phi (s = 2, 3, degree n + 1),
+    left with e^{-i phi} (s even) or e^{i phi} (s odd), and Y (s = 4).
+    """
+    n, mu = np.tril_indices(n_max + 1)
+    # the factors at the source (n_s, m) of the row order m + 1 (below) or m - 1 (above)
+    theta_part = {-1: lambda n_s, m: np.where(m > 0, 0.5, 1.0) * np.sqrt((n_s - m) * (n_s + m + 1)),
+                  1: lambda n_s, m: -0.5 * np.sqrt((n_s + m) * (n_s - m + 1))}
+    phi_part = {-1: lambda n_s, m: -0.5j * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s - m) * (n_s - m - 1)) * (m > 0),
+                1: lambda n_s, m: -0.5j * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s + m) * (n_s + m - 1)) * (m > 0)}
+    idx, factor = [], []
+    for sign in (1, -1):
+        sources = [(0, -sign, theta_part[-sign]), (0, sign, theta_part[sign]),
+                   (1, -sign, lambda n_s, m, at=phi_part[-sign]: sign * at(n_s, m)),
+                   (1, sign, lambda n_s, m, at=phi_part[sign]: sign * at(n_s, m)),
+                   (0, 0, lambda n_s, m: np.ones(len(m)))]
+        for dn, dm, at in sources:
+            n_s, m = n + dn, mu + dm
+            valid = (m >= (sign < 0)) & (m <= n_s) & (n_s >= 1) & (n_s <= n_max)
+            n_s, m = np.where(valid, n_s, 1), np.where(valid, m, 0)
+            idx.append(np.where(valid, n_s * (n_s + 1) + sign * m, (n_max + 1) ** 2))
+            factor.append(np.where(valid, at(n_s, m) * (-1.0) ** (m * (sign < 0)), 0))
+    return n, np.reshape(idx, (2, 5, -1)), np.reshape(factor, (2, 5, -1))
+
+
+# the nine column sums of _field_sum, each of one radial factor (0, 1, 2 for
+# a, b, c) at the degree of its row (0) or the next one (1)
+_COLUMN_FACTOR = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
+_COLUMN_SHIFT = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0])
+
+
 def _field_sum(te, tm, a, b, c, xh):
     """The field sum_k te_k a_n (d_phi theta-hat - d_theta phi-hat)
     - tm_k (b_n (d_theta theta-hat + d_phi phi-hat) + c_n Y x-hat), which
@@ -117,29 +163,52 @@ def _field_sum(te, tm, a, b, c, xh):
     where c is nonzero).  grad_S Y = (d_theta, d_phi); te and tm are stacked
     at k = n(n+1) + m (entry 0 unused).  Each radial factor holds per degree
     one constant, (n_max + 1,), or one row over the P points, (n_max + 1, P).
-    Each degree is contracted as the ladder yields it, so the table is never
-    stored, and its Y part only where c is nonzero.
+
+    The sum runs over the real rows of _legendre_rows, order by order in the
+    powers of z = sin(theta) e^{i phi} (see _row_sources): the real and
+    imaginary parts of q_n^mu z^mu are the rows of one real product with a
+    table of the coefficients, whose nine column sums e^{-+i phi} and the
+    frame turn into the field.  The radial factors weight the table's rows
+    where they are constant, and each degree's product where they vary over
+    the points.
     """
-    theta_hat, phi_hat, blocks = _harmonic_blocks(math.isqrt(len(te) - 1), xh)
-    # weighted by (b_n, a_n), the d_theta products of (-tm, -te) are the (theta-hat,
-    # phi-hat) terms and the d_phi products of (-tm, te) the (phi-hat, theta-hat) terms
-    pairs = np.array([[-tm, -te], [-tm, te]])
-    weights = np.array(np.broadcast_arrays(b, a))
-    weights = weights.reshape(weights.shape[:2] + (-1,))  # a constant broadcasts over the points
-    with_y = np.count_nonzero(c) > 0
-    comp, comp_x = np.zeros((2, len(theta_hat)), dtype=complex), 0
-    next(blocks)  # degree 0, whose entry is unused
-    for n, block in enumerate(blocks, 1):
-        rows = slice(n * n, (n + 1) ** 2)
-        # two-row products: one-row ones (gemv) can stall for milliseconds in threaded BLAS
-        terms = pairs[:, :, rows] @ block[1:]
-        terms *= weights[:, n]
-        comp += terms[0] + terms[1, ::-1]
-        del terms  # not held while the ladder builds the next block
-        if with_y:
-            comp_x += c[n] * (pairs[0, :, rows] @ block[0])[0]
-    out = comp[0][:, None] * theta_hat + comp[1][:, None] * phi_hat
-    return out + comp_x[:, None] * xh if with_y else out
+    n_max = math.isqrt(len(te) - 1)
+    _check_n_max(n_max)
+    cos_t, sin_t, _, theta_hat, phi_hat = _direction_frame(xh)
+    e_phi = phi_hat[:, 1] - 1j * phi_hat[:, 0]  # phi-hat = (-sin phi, cos phi, 0)
+    z, z_pow = sin_t * e_phi, np.ones_like(e_phi)
+    z_parts = np.empty((n_max + 1, 2, len(z)))
+    rows = np.empty(((n_max + 1) * (n_max + 2), len(z)))
+    for n, q in enumerate(_legendre_rows(n_max, cos_t)):
+        z_parts[n, 0], z_parts[n, 1] = z_pow.real, z_pow.imag
+        z_pow = z_pow * z
+        np.multiply(q[:, None], z_parts[:n + 1], out=rows[n * (n + 1):(n + 1) * (n + 2)].reshape(n + 1, 2, -1))
+    degree, idx, factor = _row_sources(n_max)
+    parts = np.append([te, tm], [[0], [0]], axis=1)[:, idx] * factor  # te, tm x sign x source x row
+    # nine columns, each left with e^{-i phi} and e^{i phi}: the d_theta parts of te a (phi-hat), the
+    # d_phi parts of te a (theta-hat), the d_theta parts of tm b (theta-hat), the d_phi parts of tm b
+    # (phi-hat) and Y of tm c (x-hat); z^mu q meets the orders +m and conj(z)^mu q the orders -m, so
+    # the real row takes the sum of the two and the imaginary row i times their difference
+    cols = np.concatenate([parts[0, :, :4] * [[-1], [-1], [1], [1]], -parts[1, :, :4], -parts[1, :, 4:]], axis=1)
+    table = np.stack([cols[0] + cols[1], 1j * (cols[0] - cols[1])], axis=1).T
+    factors = np.array(np.broadcast_arrays(a, b, c), dtype=complex).reshape(3, n_max + 1, -1)
+    factors = np.concatenate([factors, np.zeros_like(factors[:, :1])], axis=1)  # none at degree n_max + 1
+    if factors.shape[-1] == 1:
+        # a constant weights the rows of its degree in the table, and all degrees make one product
+        table = table * factors[_COLUMN_FACTOR, degree[:, None] + _COLUMN_SHIFT, 0][:, None]
+        blocks, weights = [slice(None)], [1]
+    else:
+        # a factor that varies over the points weights each degree's product
+        blocks = [slice(n * (n + 1), (n + 1) * (n + 2)) for n in range(n_max + 1)]
+        weights = (factors[_COLUMN_FACTOR, n + _COLUMN_SHIFT] for n in range(n_max + 1))
+    table = np.concatenate([table.real, table.imag], axis=-1).reshape(len(rows), 18)
+    sums = 0
+    for block, weight in zip(blocks, weights):
+        part = table[block].T @ rows[block]
+        sums = sums + weight * (part[:9] + 1j * part[9:])
+    pairs = sums[[2, 3, 0, 1]] + sums[[4, 5, 6, 7]]  # theta-hat and phi-hat, left with e^{-i phi} and e^{i phi}
+    theta, phi = pairs[0::2] * np.conj(e_phi) + pairs[1::2] * e_phi
+    return theta[:, None] * theta_hat + phi[:, None] * phi_hat + sums[8][:, None] * np.reshape(xh, (-1, 3))
 
 
 def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:

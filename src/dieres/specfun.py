@@ -485,71 +485,69 @@ def _ladder_columns(n):
             np.sqrt((n + m) * (n - m + 1)), 1j * m[1:], (-1) ** m[1:])
 
 
-def _harmonic_blocks(n_max, x):
-    """The local frame (theta-hat, phi-hat) of the directions x, flattened to
-    (P, 3), and a generator of the harmonic table of x by degree: for
-    n = 0..n_max the block of shape (3, 2n + 1, P) that holds Y, d_theta and
-    d_phi, rows m = -n..n.
-
-    The Legendre ladder runs degree by degree over all orders at once on the
-    orthonormalized associated Legendre functions divided by sin(theta)^m,
-    so polar evaluations stay finite; the Condon-Shortley phase is carried by
-    the diagonal.  The polar derivative comes from the m+-1 ladder identity
-    and the azimuthal one from the sin-scaled functions (no NaN at the poles).
-    Consumers that contract each degree as it comes never hold the table
-    (Holmes & Featherstone, J. Geodesy 76, 279 (2002)).
-    """
+def _check_n_max(n_max):
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max exceeds supported maximum {MAX_ORDER}")
-    cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
-    return theta_hat, phi_hat, _ladder(n_max, cos_t, sin_t, phi)
 
 
-def _ladder(n_max, cos_t, sin_t, phi):
-    """The blocks of _harmonic_blocks, written in place into one buffer: a
-    block is valid until the next one is drawn."""
-    # one power per order: numpy squares sin_t ** 2, where an array of exponents would call pow
-    sin_pow = np.stack([sin_t ** m for m in range(n_max + 1)])
-    phase = np.exp(1j * np.arange(n_max + 1)[:, None] * phi)
-    # row 2n + 1 of the Y part is first written at degree n + 1, so it still
-    # holds Y_n^{n+1} = 0 at degree n
-    buf = np.zeros((3, 2 * n_max + 2, len(cos_t)), dtype=complex)
+def _legendre_rows(n_max, cos_t):
+    """The real Legendre ladder, degree by degree: for n = 0..n_max the rows
+    q_n^m, m = 0..n, of shape (n + 1, P), valid until the next degree is drawn.
+
+    q_n^m are the orthonormalized associated Legendre functions divided by
+    sin(theta)^m, so polar evaluations stay finite, with the Condon-Shortley
+    phase carried by the diagonal: Y_n^m = q_n^m sin(theta)^m e^{i m phi}.
+    The recurrence runs over all orders at once (Holmes & Featherstone,
+    J. Geodesy 76, 279 (2002)).
+    """
     q = np.full_like(cos_t, 1.0 / math.sqrt(4 * math.pi), dtype=float)[None]
     q_prev = q[:0]
     for n in range(n_max + 1):
-        y, d_theta, d_phi = block = buf[:, :2 * n + 1]
         if n > 0:
-            a, b, diagonal, up, down, i_m, parity = _ladder_columns(n)
-            recur = a * cos_t * q
-            recur[:n - 1] -= b * q_prev[:n - 1]
-            q_prev, q = q, np.concatenate([recur, diagonal * q[n - 1:]])
-        np.multiply(q * sin_pow[:n + 1], phase[:n + 1], out=y[n:])
-        if n > 0:
-            # the orders m +- 1 of the ladder identity for m = 0..n are rows
-            # of the buffer once it holds Y_n^{-1} = -conj(Y_n^1)
-            np.negative(np.conj(y[n + 1]), out=y[n - 1])
-            d_theta[n:] = 0.5 * (up * buf[0, n + 1:2 * n + 2] / phase[1] - down * y[n - 1:2 * n] * phase[1])
-            d_phi[n + 1:] = i_m * q[1:] * sin_pow[:n] * phase[1:n + 1]
-            # orders -1..-n of the three parts from Y_n^{-m} = (-1)^m conj(Y_n^m)
-            negative = block[:, n - 1::-1]
-            np.conjugate(block[:, n + 1:], out=negative)
-            np.multiply(parity, negative, out=negative)
-        d_phi[n] = 0  # the row held order 1 of degree n - 1
-        yield block
+            a, b, diagonal = _ladder_columns(n)[:3]
+            q_next = np.empty((n + 1, len(cos_t)))
+            np.multiply(a * cos_t, q, out=q_next[:n])
+            q_next[:n - 1] -= b * q_prev[:n - 1]
+            np.multiply(diagonal, q[n - 1:], out=q_next[n:])
+            q_prev, q = q, q_next
+        yield q
 
 
 def harmonic_table(n_max: int, x) -> HarmonicTable:
     """Y_n^m and grad_S Y_n^m for all 0 <= n <= n_max, |m| <= n at unit
-    direction(s) x: the blocks of _harmonic_blocks, stacked."""
-    theta_hat, phi_hat, blocks = _harmonic_blocks(n_max, x)
+    direction(s) x, built from the rows of _legendre_rows.
+
+    The polar derivative comes from the m+-1 ladder identity and the
+    azimuthal one from the sin-scaled rows (no NaN at the poles); orders
+    -1..-n follow from Y_n^{-m} = (-1)^m conj(Y_n^m).
+    """
+    _check_n_max(n_max)
+    cos_t, sin_t, phi, theta_hat, phi_hat = _direction_frame(x)
+    # one power per order: numpy squares sin_t ** 2, where an array of exponents would call pow
+    sin_pow = np.stack([sin_t ** m for m in range(n_max + 1)])
+    phase = np.exp(1j * np.arange(n_max + 1)[:, None] * phi)
+    size = (n_max + 1) ** 2
+    # one spare row: the Y part of the row after degree n's block still holds
+    # Y_n^{n+1} = 0 while degree n is built
+    stacks = np.zeros((3, size + 1, len(cos_t)), dtype=complex)
+    for n, q in enumerate(_legendre_rows(n_max, cos_t)):
+        y, d_theta, d_phi = block = stacks[:, n * n:(n + 1) ** 2]
+        np.multiply(q * sin_pow[:n + 1], phase[:n + 1], out=y[n:])
+        if n > 0:
+            up, down, i_m, parity = _ladder_columns(n)[3:]
+            # the orders m +- 1 of the ladder identity for m = 0..n are rows
+            # of the stack once it holds Y_n^{-1} = -conj(Y_n^1)
+            np.negative(np.conj(y[n + 1]), out=y[n - 1])
+            upper = stacks[0, n * n + n + 1:(n + 1) ** 2 + 1]
+            d_theta[n:] = 0.5 * (up * upper / phase[1] - down * y[n - 1:2 * n] * phase[1])
+            d_phi[n + 1:] = i_m * q[1:] * sin_pow[:n] * phase[1:n + 1]
+            negative = block[:, n - 1::-1]
+            np.conjugate(block[:, n + 1:], out=negative)
+            np.multiply(parity, negative, out=negative)
     shape = np.shape(x)[:-1]
-    k = ((n_max + 1) ** 2,)
-    stacks = np.empty((3,) + k + (len(theta_hat),), dtype=complex)
-    for n, block in enumerate(blocks):
-        stacks[:, n * n:(n + 1) ** 2] = block
-    y, d_theta, d_phi = (part.reshape(k + shape) for part in stacks)
+    y, d_theta, d_phi = (part[:size].reshape((size,) + shape) for part in stacks)
     return HarmonicTable(y, d_theta, d_phi, theta_hat.reshape(shape + (3,)), phi_hat.reshape(shape + (3,)))
 
 

@@ -578,17 +578,18 @@ def test_harmonic_table_rejects_non_finite_directions(bad):
         sph_harmonic(2, 1, x[1])
 
 
-def test_harmonic_blocks_stack_to_the_table():
-    from dieres.specfun import _harmonic_blocks
+def test_legendre_rows_build_the_table():
+    from dieres.specfun import _direction_frame, _legendre_rows
 
     x = np.concatenate([_TABLE_DIRS, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     table = harmonic_table(6, x)
-    theta_hat, phi_hat, blocks = _harmonic_blocks(6, x)
-    assert np.array_equal(theta_hat, table.theta_hat) and np.array_equal(phi_hat, table.phi_hat)
-    for n, block in enumerate(blocks):
-        assert block.shape == (3, 2 * n + 1, len(x))
-        for part, stack in zip(block, (table.y, table.d_theta, table.d_phi)):
-            assert np.array_equal(part, stack[n * n:(n + 1) ** 2])
+    cos_t, sin_t, phi, _, _ = _direction_frame(x)
+    sin_pow = np.stack([sin_t ** m for m in range(7)])
+    phase = np.exp(1j * np.arange(7)[:, None] * phi)
+    for n, q in enumerate(_legendre_rows(6, cos_t)):
+        # Y_n^m = q_n^m sin^m e^{i m phi} for m >= 0, the rows the table holds
+        assert q.shape == (n + 1, len(x)) and q.dtype == float
+        assert np.array_equal(q * sin_pow[:n + 1] * phase[:n + 1], table.y[n * (n + 1):(n + 1) ** 2])
     assert n == 6
 
 
