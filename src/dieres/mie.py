@@ -43,6 +43,8 @@ class ScatterConfig:
             raise ValueError("contrast must satisfy Re tau > 0 and Im tau >= 0")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
+        if self.omega == 0:
+            raise ValueError(f"omega = {self.omega} must be nonzero")
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.delta, tau, self.omega))
         elif operator.index(self.n_max) < 1:

@@ -303,6 +303,58 @@ def test_jacobi_anger_coefficients_match_frame_components(rng):
         assert_allclose(jacobi_anger_partial(w, 8, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
+# --- every field evaluator against one stored harmonic table -----------------
+
+_EDGE = np.random.default_rng(20261019).normal(size=(20, 3))
+# random directions, both poles, and sin(theta) = 1e-12 and 1e-8 next to them
+_EDGE_DIRS = np.vstack([_EDGE / np.linalg.norm(_EDGE, axis=1)[:, None],
+                        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-12, 0.0, 1.0], [0.0, -1e-8, -1.0]]])
+_EDGE_POINTS = _EDGE_DIRS * np.linspace(0.4, 3.0, len(_EDGE_DIRS))[:, None]
+
+
+def _stored_table_field(kind, family, n, m, k, x):
+    """Reference: the field of order (n, m) of one kind ("pattern" at the
+    directions x, "entire", "radiating", "Eh" or "curlEh" at the points x)
+    from U, V and Y of one stored harmonic table."""
+    from dieres.specfun import harmonic_table, radial_table
+
+    r = np.linalg.norm(x, axis=-1)[:, None]
+    xh = x / r
+    table = harmonic_table(n, xh)
+    entry = n * (n + 1) + m
+    u, v = table.vectors(entry)
+    y = table.y[entry][:, None]
+    root = math.sqrt(n * (n + 1))
+    if kind == "pattern":
+        return -root / k * (-1j) ** (n + 1) * (v if family == "TE" else u)
+    if kind == "Eh":
+        return -root * r ** -(n + 1) * v
+    if kind == "curlEh":
+        return r ** -(n + 2) * (n * (n + 1) * y * xh - n * root * u)
+    f, big = (part[n][:, None] for part in radial_table(n, k * r[:, 0], "j" if kind == "entire" else "h"))
+    if family == "TE":
+        return -root * f * v
+    return -(root * big * u + n * (n + 1) * f * y * xh) / (1j * k * r)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(-n, n + 1)])
+def test_field_evaluators_match_one_stored_table(n, m):
+    k = 1.7
+    cases = [("Eh", None, lambda x: harmonic_exterior("Eh", n, m, x), _EDGE_POINTS),
+             ("curlEh", None, lambda x: harmonic_exterior("curlEh", n, m, x), _EDGE_POINTS)]
+    for family in ("TE", "TM"):
+        cases += [("pattern", family, lambda x, f=family: farfield_pattern(f, n, m, k, x), _EDGE_DIRS)]
+        cases += [(variant, family, lambda x, f=family, v=variant: multipole_field(v, f, n, m, k, x), _EDGE_POINTS)
+                  for variant in ("entire", "radiating")]
+    for kind, family, call, x in cases:
+        ref = _stored_table_field(kind, family, n, m, k, x)
+        tol = 1e-14 * np.max(np.abs(ref))
+        assert_allclose(call(x), ref, rtol=0, atol=tol, err_msg=f"{kind} {family}")
+        # one point at a time, the poles and the points next to them included
+        for i in (0, -4, -3, -2, -1):
+            assert_allclose(call(x[i]), ref[i], rtol=0, atol=tol, err_msg=f"{kind} {family} at {x[i]}")
+
+
 def test_grid_shaped_points_match_the_flattened_call(rng):
     grid = rng.normal(size=(4, 5, 3))
     flat = grid.reshape(-1, 3)

@@ -19,7 +19,7 @@ from dieres.mie import (
     _factor_table,
     scattered_field,
 )
-from dieres.specfun import riccati_J, sph_bessel_j, vsh_table
+from dieres.specfun import MAX_ORDER, riccati_J, sph_bessel_j, vsh_table
 
 
 def _wave(omega, d=None, e0=None):
@@ -434,6 +434,17 @@ def test_far_field_matches_full_table_contraction(rng):
     assert_allclose(far_field(t, xh[0]), ref[0], rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
+def test_far_field_at_the_order_cap_matches_full_table_contraction(rng):
+    cfg = ScatterConfig(1.0, 3.0, 20.0, n_max=MAX_ORDER)
+    t = mie_coefficients(cfg, _random_incidence(20.0, rng))
+    xh = np.concatenate([[[0, 0, 1.0], [0, 0, -1.0], [1e-12, 0, 1.0]], rng.normal(size=(40, 3))])
+    xh /= np.linalg.norm(xh, axis=1, keepdims=True)
+    ref = _full_table_sum(t, xh, "far")
+    assert_allclose(far_field(t, xh), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    for i in range(4):
+        assert_allclose(far_field(t, xh[i]), ref[i], rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
 def test_scattered_field_matches_full_table_contraction(rng):
     cfg = ScatterConfig(0.3, complex(120, 2), 1.0)
     t = mie_coefficients(cfg, _random_incidence(1.0, rng))
@@ -457,8 +468,9 @@ def test_far_field_memory_stays_below_the_table(sphere_quad, rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the stored (169, 8192) table alone takes 66 MB in its three complex parts
-    assert peak <= 30e6
+    # the stored (169, 8192) table alone takes 66 MB in its three complex parts, the
+    # real and imaginary rows of q_n^m z^m 12 MB
+    assert peak <= 21.4e6
 
 
 def test_grid_shaped_inputs_match_the_flattened_call(rng):
@@ -497,6 +509,13 @@ def test_non_finite_inputs_raise(bad, rng):
 def test_scatter_config_names_a_non_finite_parameter(delta, tau, omega, n_max, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
         ScatterConfig(delta, tau, omega, n_max)
+
+
+@pytest.mark.parametrize("omega, n_max", [(0.0, None), (0j, 4), (complex(-0.0, 0.0), None)])
+def test_scatter_config_rejects_zero_frequency(omega, n_max):
+    # every observable of the configuration would divide by omega
+    with pytest.raises(ValueError, match=r"^omega = .* must be nonzero$"):
+        ScatterConfig(0.1, 40.0, omega, n_max)
 
 
 def test_scatter_config_takes_an_integer_n_max():
