@@ -112,42 +112,33 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
 
 @functools.lru_cache(maxsize=None)
 def _row_sources(n_max):
-    """Where the rows (n, mu) of the real ladder, 0 <= mu <= n <= n_max in
-    degree-major order, meet the harmonic table: the degree n of each row,
-    and per sign of the order and
-    per source s, the entry k of te/tm (len(te) where there is none) and the
-    factor, sign (-1)^m included, that takes the row q_n^mu times z^mu or
-    conj(z)^mu, z = sin(theta) e^{i phi}, to a part of that entry.
+    """The rows (n, mu), 0 <= mu <= n <= n_max, of the real ladder in degree-major
+    order, as parts of the harmonic table: the degree n of each row and, per
+    sign of the order (+, -), per source and per row, the entry k of te and tm
+    (len(te) where there is none) and the factor that takes q_n^mu times
+    z^mu (orders +m) or conj(z)^mu (orders -m), z = sin(theta) e^{i phi}, to
+    that part of entry k.
 
-    Every part of order m >= 0 is a row times a power of z: Y = q z^m,
-    d_theta = (up q^{m+1} z^{m+1} e^{-i phi} - down q^{m-1} z^{m-1} e^{i phi}) / 2
-    (sqrt(n(n+1)) q^1 z e^{-i phi} at m = 0) with up and down of the ladder
-    identity, and, from m P_n^m / sin = -(P_{n-1}^{m+1} + (n+m-1)(n+m) P_{n-1}^{m-1}) / 2,
-    d_phi = i m q z^{m-1} e^{i phi} is the same pair of neighbouring orders
-    on the rows of degree n - 1.  Orders -m follow from
-    Y_n^{-m} = (-1)^m conj(Y_n^m), which swaps e^{-+i phi} and the sign of i.
-    The sources are d_theta (s = 0, 1) and d_phi (s = 2, 3, degree n + 1),
-    left with e^{-i phi} (s even) or e^{i phi} (s odd), and Y (s = 4).
+    With up and down of the ladder identity, the parts of order m >= 0 are
+    Y = q z^m, d_theta = (up q^{m+1} z^{m+1} e^{-i phi} - down q^{m-1} z^{m-1} e^{i phi}) / 2
+    (sqrt(n(n+1)) q^1 z e^{-i phi} at m = 0) and, from
+    m P_n^m / sin(theta) = -(P_{n-1}^{m+1} + (n+m-1)(n+m) P_{n-1}^{m-1}) / 2,
+    d_phi = i m q z^{m-1} e^{i phi}, the same two neighbouring orders on the
+    rows of degree n - 1.  Y_n^{-m} = (-1)^m conj(Y_n^m) swaps e^{-+i phi}
+    and the sign of i.  The sources are d_theta (0, 1), d_phi of degree n + 1
+    (2, 3) and Y (4); the even ones are left with e^{-i phi}, the odd with e^{i phi}.
     """
     n, mu = np.tril_indices(n_max + 1)
-    # the factors at the source (n_s, m) of the row order m + 1 (below) or m - 1 (above)
-    theta_part = {-1: lambda n_s, m: np.where(m > 0, 0.5, 1.0) * np.sqrt((n_s - m) * (n_s + m + 1)),
-                  1: lambda n_s, m: -0.5 * np.sqrt((n_s + m) * (n_s - m + 1))}
-    phi_part = {-1: lambda n_s, m: -0.5j * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s - m) * (n_s - m - 1)) * (m > 0),
-                1: lambda n_s, m: -0.5j * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s + m) * (n_s + m - 1)) * (m > 0)}
-    idx, factor = [], []
-    for sign in (1, -1):
-        sources = [(0, -sign, theta_part[-sign]), (0, sign, theta_part[sign]),
-                   (1, -sign, lambda n_s, m, at=phi_part[-sign]: sign * at(n_s, m)),
-                   (1, sign, lambda n_s, m, at=phi_part[sign]: sign * at(n_s, m)),
-                   (0, 0, lambda n_s, m: np.ones(len(m)))]
-        for dn, dm, at in sources:
-            n_s, m = n + dn, mu + dm
-            valid = (m >= (sign < 0)) & (m <= n_s) & (n_s >= 1) & (n_s <= n_max)
-            n_s, m = np.where(valid, n_s, 1), np.where(valid, m, 0)
-            idx.append(np.where(valid, n_s * (n_s + 1) + sign * m, (n_max + 1) ** 2))
-            factor.append(np.where(valid, at(n_s, m) * (-1.0) ** (m * (sign < 0)), 0))
-    return n, np.reshape(idx, (2, 5, -1)), np.reshape(factor, (2, 5, -1))
+    sign = np.array([1, -1])[:, None, None]
+    step = sign * np.array([-1, 1, -1, 1, 0])[:, None]  # the source's order is mu + step
+    n_s, m = n + np.array([0, 0, 1, 1, 0])[:, None], mu + step
+    valid = (m >= (sign < 0)) & (m <= n_s) & (n_s >= 1) & (n_s <= n_max)
+    n_s, m, t = np.where(valid, n_s, 1), np.where(valid, m, 0), -np.sign(step)  # the row's order is m + t
+    theta = 0.5 * t * np.sqrt((n_s - t * m) * (n_s + t * m + 1)) * np.where(m == 0, 2, 1)
+    phi = -0.5j * sign * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s - t * m) * (n_s - t * m - 1)) * (m > 0)
+    factor = np.concatenate([theta[:, :2], phi[:, 2:4], np.ones_like(theta[:, 4:])], axis=1)
+    idx = np.where(valid, n_s * (n_s + 1) + sign * m, (n_max + 1) ** 2)
+    return n, idx, np.where(valid, factor * (-1.0) ** (m * (sign < 0)), 0)
 
 
 # the nine column sums of _field_sum, each of one radial factor (0, 1, 2 for
@@ -189,7 +180,7 @@ def _field_sum(te, tm, a, b, c, xh):
     # d_phi parts of te a (theta-hat), the d_theta parts of tm b (theta-hat), the d_phi parts of tm b
     # (phi-hat) and Y of tm c (x-hat); z^mu q meets the orders +m and conj(z)^mu q the orders -m, so
     # the real row takes the sum of the two and the imaginary row i times their difference
-    cols = np.concatenate([parts[0, :, :4] * [[-1], [-1], [1], [1]], -parts[1, :, :4], -parts[1, :, 4:]], axis=1)
+    cols = np.concatenate([parts[0, :, :4] * [[-1], [-1], [1], [1]], -parts[1]], axis=1)
     table = np.stack([cols[0] + cols[1], 1j * (cols[0] - cols[1])], axis=1).T
     factors = np.array(np.broadcast_arrays(a, b, c), dtype=complex).reshape(3, n_max + 1, -1)
     factors = np.concatenate([factors, np.zeros_like(factors[:, :1])], axis=1)  # none at degree n_max + 1
