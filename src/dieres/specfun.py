@@ -494,7 +494,7 @@ def _check_n_max(n_max):
 
 def _legendre_rows(n_max, cos_t):
     """The real Legendre ladder, degree by degree: for n = 0..n_max the rows
-    q_n^m, m = 0..n, of shape (n + 1, P), valid until the next degree is drawn.
+    q_n^m, m = 0..n, of shape (n + 1, P).
 
     q_n^m are the orthonormalized associated Legendre functions divided by
     sin(theta)^m, so polar evaluations stay finite, with the Condon-Shortley
