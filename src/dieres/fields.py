@@ -157,7 +157,7 @@ def _field_sum(te, tm, a, b, c, xh):
 
     The sum runs over the real rows of _legendre_rows, order by order in the
     powers of z = sin(theta) e^{i phi} (see _row_sources): the real and
-    imaginary parts of q_n^mu z^mu are the rows of one real product with a
+    imaginary parts of q_n^mu z^mu are the rows of real products with a
     table of the coefficients, whose nine column sums e^{-+i phi} and the
     frame turn into the field.  The radial factors weight the table's rows
     where they are constant, and each degree's product where they vary over
@@ -166,14 +166,6 @@ def _field_sum(te, tm, a, b, c, xh):
     n_max = math.isqrt(len(te) - 1)
     _check_n_max(n_max)
     cos_t, sin_t, _, theta_hat, phi_hat = _direction_frame(xh)
-    e_phi = phi_hat[:, 1] - 1j * phi_hat[:, 0]  # phi-hat = (-sin phi, cos phi, 0)
-    z, z_pow = sin_t * e_phi, np.ones_like(e_phi)
-    z_parts = np.empty((n_max + 1, 2, len(z)))
-    rows = np.empty(((n_max + 1) * (n_max + 2), len(z)))
-    for n, q in enumerate(_legendre_rows(n_max, cos_t)):
-        z_parts[n, 0], z_parts[n, 1] = z_pow.real, z_pow.imag
-        z_pow = z_pow * z
-        np.multiply(q[:, None], z_parts[:n + 1], out=rows[n * (n + 1):(n + 1) * (n + 2)].reshape(n + 1, 2, -1))
     degree, idx, factor = _row_sources(n_max)
     parts = np.append([te, tm], [[0], [0]], axis=1)[:, idx] * factor  # te, tm x sign x source x row
     # nine columns, each left with e^{-i phi} and e^{i phi}: the d_theta parts of te a (phi-hat), the
@@ -184,19 +176,29 @@ def _field_sum(te, tm, a, b, c, xh):
     table = np.stack([cols[0] + cols[1], 1j * (cols[0] - cols[1])], axis=1).T
     factors = np.array(np.broadcast_arrays(a, b, c), dtype=complex).reshape(3, n_max + 1, -1)
     factors = np.concatenate([factors, np.zeros_like(factors[:, :1])], axis=1)  # none at degree n_max + 1
-    if factors.shape[-1] == 1:
-        # a constant weights the rows of its degree in the table, and all degrees make one product
+    per_point = factors.shape[-1] > 1
+    if not per_point:
+        # a constant weights the rows of its degree in the table
         table = table * factors[_COLUMN_FACTOR, degree[:, None] + _COLUMN_SHIFT, 0][:, None]
-        blocks, weights = [slice(None)], [1]
-    else:
-        # a factor that varies over the points weights each degree's product
-        blocks = [slice(n * (n + 1), (n + 1) * (n + 2)) for n in range(n_max + 1)]
-        weights = (factors[_COLUMN_FACTOR, n + _COLUMN_SHIFT] for n in range(n_max + 1))
-    table = np.concatenate([table.real, table.imag], axis=-1).reshape(len(rows), 18)
-    sums = 0
-    for block, weight in zip(blocks, weights):
-        part = table[block].T @ rows[block]
-        sums = sums + weight * (part[:9] + 1j * part[9:])
+    table = np.concatenate([table.real, table.imag], axis=-1).reshape(-1, 18)
+    # one product per group of degrees: each degree where the factors vary over the points (they
+    # weight its product), else groups of at most 16 (n_max + 1) rows, a single product up to
+    # n_max = 14 and stored rows linear in n_max beyond
+    e_phi = phi_hat[:, 1] - 1j * phi_hat[:, 0]  # phi-hat = (-sin phi, cos phi, 0)
+    z, z_pow = sin_t * e_phi, np.ones_like(e_phi)
+    z_parts = np.empty((n_max + 1, 2, len(z)))
+    rows = np.empty((min(len(table), (2 if per_point else 16) * (n_max + 1)), len(z)))
+    sums, start, used = 0, 0, 0
+    for n, q in enumerate(_legendre_rows(n_max, cos_t)):
+        z_parts[n, 0], z_parts[n, 1] = z_pow.real, z_pow.imag
+        z_pow = z_pow * z
+        np.multiply(q[:, None], z_parts[:n + 1], out=rows[used:used + 2 * n + 2].reshape(n + 1, 2, -1))
+        used += 2 * n + 2
+        if per_point or n == n_max or used + 2 * n + 4 > len(rows):
+            part = table[start:start + used].T @ rows[:used]
+            weight = factors[_COLUMN_FACTOR, n + _COLUMN_SHIFT] if per_point else 1
+            sums = sums + weight * (part[:9] + 1j * part[9:])
+            start, used = start + used, 0
     pairs = sums[[2, 3, 0, 1]] + sums[[4, 5, 6, 7]]  # theta-hat and phi-hat, left with e^{-i phi} and e^{i phi}
     theta, phi = pairs[0::2] * np.conj(e_phi) + pairs[1::2] * e_phi
     return theta[:, None] * theta_hat + phi[:, None] * phi_hat + sums[8][:, None] * np.reshape(xh, (-1, 3))
