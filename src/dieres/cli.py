@@ -218,15 +218,17 @@ def _cmd_mie(cfg):
 
 def _cmd_cross_sections(cfg):
     delta, tau = _sphere(cfg)
+    grid = _omega_grid(cfg)
+    # a bad sphere or wave fails the spectrum; a point rejected for its omega
+    # (zero, or too large for the truncation order) fails alone
+    mie._checked_sphere(delta, tau)
+    w = _incident(cfg, grid[0])
     rows = []
     meta = []
-    w = None
-    for om in _omega_grid(cfg):
-        config = mie.ScatterConfig(delta, tau, om)
-        w = w or _incident(cfg, om)
+    for om in grid:
         try:
-            rep = mie.cross_sections(mie.mie_coefficients(config, w))
-        except mie.ResonanceError as exc:
+            rep = mie.cross_sections(mie.mie_coefficients(mie.ScatterConfig(delta, tau, om), w))
+        except (mie.ResonanceError, ValueError) as exc:
             meta.append(f"failed omega={om}: {exc}")
             continue
         rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])

@@ -3,6 +3,7 @@ harmonic (Debye) fields, far-field patterns, the incident plane wave and its
 partial-wave expansion."""
 
 import cmath
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -58,21 +59,29 @@ class IncidentWave:
         object.__setattr__(self, "polarization", e0)
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
 
+    def _at(self, omega):
+        """This wave at the checked frequency omega, its vectors not checked again."""
+        wave = copy.copy(self)
+        object.__setattr__(wave, "omega", omega)
+        return wave
+
 
 @functools.lru_cache(maxsize=32)
 def _incidence(n_max, direction, polarization):
     """The plane-wave expansion of one incidence, d and e0 given as bytes:
-    P_k^TE = 4 pi i^n / sqrt(n(n+1)) conj(V_n^m(d)).e0 and P_k^TM (U for V)
-    as tuples over k = n(n+1) + m, 1 <= n <= n_max.  The plane wave is
-    -sum_k (P_k^TE TE_{n,m} + P_k^TM TM_{n,m}) in entire multipole fields.
-    Per entry np.dot, which the tests pin; stacked products round differently."""
+    one read-only stack of P_k^TE = 4 pi i^n / sqrt(n(n+1)) conj(V_n^m(d)).e0
+    and P_k^TM (U for V) at k = n(n+1) + m, 1 <= n <= n_max, entry 0 set to 0.
+    The plane wave is -sum_k (P_k^TE TE_{n,m} + P_k^TM TM_{n,m}) in entire
+    multipole fields.  Per entry np.dot, which the tests pin; stacked products
+    round differently."""
     d, e0 = (np.frombuffer(v, dtype=float) for v in (direction, polarization))
     table = harmonic_table(n_max, d[None])
     u, v = table.vectors(slice(1, None))
     prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
-    proj_te = tuple(complex(p * np.dot(np.conj(v_k[0]), e0)) for p, v_k in zip(prefs, v))
-    proj_tm = tuple(complex(p * np.dot(np.conj(u_k[0]), e0)) for p, u_k in zip(prefs, u))
-    return proj_te, proj_tm
+    proj = np.zeros((2, len(table.y)), dtype=complex)
+    proj[:, 1:] = [[p * np.dot(np.conj(f[0]), e0) for p, f in zip(prefs, part)] for part in (v, u)]
+    proj.flags.writeable = False
+    return proj
 
 
 def plane_wave(w: IncidentWave, x) -> np.ndarray:
@@ -269,5 +278,4 @@ def jacobi_anger_partial(w: IncidentWave, N: int, x) -> np.ndarray:
     multipole fields with the coefficients -P of _incidence."""
     if N < 1:
         raise ValueError("need at least one expansion order")
-    proj_te, proj_tm = _incidence(N, w.direction.tobytes(), w.polarization.tobytes())
-    return _multipole_sum("entire", -np.array((0j, *proj_te)), -np.array((0j, *proj_tm)), w.omega, x)
+    return _multipole_sum("entire", *-_incidence(N, w.direction.tobytes(), w.polarization.tobytes()), w.omega, x)

@@ -3,6 +3,7 @@ field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
 import cmath
+import functools
 import math
 import operator
 import warnings
@@ -36,17 +37,12 @@ class ScatterConfig:
     n_max: int = None
 
     def __post_init__(self):
-        if _finite("radius delta", self.delta) <= 0:
-            raise ValueError("radius delta must be positive")
-        tau = _finite("contrast tau", complex(self.tau))
-        if tau.real <= 0 or tau.imag < 0:
-            raise ValueError("contrast must satisfy Re tau > 0 and Im tau >= 0")
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tau", _checked_sphere(self.delta, self.tau))
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
         if self.omega == 0:
             raise ValueError(f"omega = {self.omega} must be nonzero")
         if self.n_max is None:
-            object.__setattr__(self, "n_max", default_n_max(self.delta, tau, self.omega))
+            object.__setattr__(self, "n_max", default_n_max(self.delta, self.tau, self.omega))
         elif operator.index(self.n_max) < 1:
             raise ValueError("n_max must be >= 1")
         if self.n_max > MAX_ORDER:
@@ -57,6 +53,17 @@ class ScatterConfig:
     def omega_tau(self) -> complex:
         """Interior wavenumber omega sqrt(1 + tau), principal branch."""
         return _arguments(1.0, self.tau, self.omega)[1]
+
+
+def _checked_sphere(delta, tau) -> complex:
+    """The contrast tau as a complex, after checking the sphere: delta finite
+    and positive, tau finite with Re tau > 0 and Im tau >= 0."""
+    if _finite("radius delta", delta) <= 0:
+        raise ValueError("radius delta must be positive")
+    tau = _finite("contrast tau", complex(tau))
+    if tau.real <= 0 or tau.imag < 0:
+        raise ValueError("contrast must satisfy Re tau > 0 and Im tau >= 0")
+    return tau
 
 
 def default_n_max(delta, tau, omega) -> int:
@@ -138,6 +145,14 @@ def _top(stack):
     return math.isqrt(len(stack) - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _degree(n_max):
+    """The order n of every entry k = n(n+1) + m of a stack up to n_max, read-only."""
+    n = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    n.flags.writeable = False
+    return n
+
+
 def _stacks(*tables):
     """Read-only stacks of (n, m) mappings or of stacks, all up to the
     highest order any of them holds, missing entries 0."""
@@ -200,25 +215,27 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     Raises ResonanceError when a denominator is degenerate relative to the
     size of its two products (omega numerically a scattering resonance).
     The angular part comes from the memo of the incidence; per omega only the
-    radial factors and one scalar product per entry are computed.
+    radial factors, their ratios and one product per entry, taken for all
+    entries at once, are computed.
     """
     if complex(w.omega) != cfg.omega:
-        w = IncidentWave(w.direction, w.polarization, cfg.omega)
+        w = w._at(cfg.omega)
     factors = _factor_table(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)
-    ratios_te, ratios_tm = [], []
+    ratios = [0j, 0j]  # TE, TM at n = 0, where the stacks hold one entry
     for n in range(1, cfg.n_max + 1):
         (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm) = factors[n]
         if abs(den_te) < 1e-14 * scale_te:
             raise ResonanceError(n, "TE")
         if abs(den_tm) < 1e-14 * scale_tm:
             raise ResonanceError(n, "TM")
-        ratios_te += [num_te / den_te] * (2 * n + 1)
-        ratios_tm += [num_tm / den_tm] * (2 * n + 1)
-    proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
-    # Python complex products, which round like the numpy scalar ones
-    te = np.array([0j] + [p * r for p, r in zip(proj_te, ratios_te)])
-    tm = np.array([0j] + [p * r for p, r in zip(proj_tm, ratios_tm)])
-    return MieTable(cfg, w, te, tm)
+        ratios += [num_te / den_te, num_tm / den_tm]
+    ratios = np.reshape(ratios, (-1, 2)).T[:, _degree(cfg.n_max)]
+    proj = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    # the products as Python complex rounds them, with no fused multiply-add
+    pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag
+    stacks = np.empty_like(proj)
+    stacks.real, stacks.imag = pr * rr - pi * ri, pr * ri + pi * rr
+    return MieTable(cfg, w, *stacks)
 
 
 def scattered_field(t: MieTable, x) -> np.ndarray:
@@ -258,7 +275,7 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     if omega.imag != 0:
         raise ValueError("cross sections are defined for real frequencies only")
     w = omega.real
-    n = np.sqrt(np.arange(len(t.te))).astype(int)
+    n = _degree(_top(t.te))
     weight = n * (n + 1)
     terms = weight * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
     qs = float(terms.sum()) / w ** 2
@@ -267,8 +284,8 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     converged = tail <= 1e-12 * max(qs, 1e-300)
     if not converged:
         warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
-    proj_te, proj_tm = _incidence(_top(t.te), t.incident.direction.tobytes(), t.incident.polarization.tobytes())
-    qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * np.conj(proj_te) + t.tm[1:] * np.conj(proj_tm))))) / w ** 2
+    proj = np.conj(_incidence(_top(t.te), t.incident.direction.tobytes(), t.incident.polarization.tobytes())[:, 1:])
+    qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * proj[0] + t.tm[1:] * proj[1])))) / w ** 2
     return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
 
 

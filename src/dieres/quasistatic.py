@@ -312,8 +312,8 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     # by the incident wave on |x| = r as sqrt(2) j_1(delta w r) P_{1,j}^TE
     j1 = np.asarray(sph_bessel_j(1, k0 * r)).real
     prof = -math.sqrt(2) * k0 * j1  # (n_r,)
-    proj_te, _ = _incidence(1, d.tobytes(), e0.tobytes())
-    overlaps = math.sqrt(2) * np.array(proj_te) * np.sum(wr * prof * sph_bessel_j(1, delta * omega * r))
+    proj_te = _incidence(1, d.tobytes(), e0.tobytes())[0, 1:]
+    overlaps = math.sqrt(2) * proj_te * np.sum(wr * prof * sph_bessel_j(1, delta * omega * r))
 
     c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
 

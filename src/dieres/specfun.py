@@ -7,7 +7,9 @@ per argument; radial_pair and the value and derivative functions index the
 rows of that pass.  The pass is chosen element by element from the top order
 N (at least 1):
 
-- j for |z| <= 1: the ascending power series of every order;
+- j for |z| <= 1: the ascending power series at the top two orders, then
+  downward recurrence with z^n/(2n+1)!! scaled out (stable for j, with no
+  division by z and no underflow but that of z^n/(2n+1)!! itself);
 - j for N <= 2 and |z| > 1, or for |Re z| >= N with |Im z| at most
   0.1 |Re z| and at most 2 + 0.1 (|Re z| - N), and y and h^(1) elsewhere:
   upward recurrence from the closed forms of f_0 and f_1 (one loop shared by
@@ -93,18 +95,29 @@ def _double_factorial(k):
     return float(math.prod(range(k, 0, -2)))
 
 
-def _jn_series(n, z):
-    # ascending series j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)...(2n+2k+1))
+def _series_sum(n, z):
+    # the sum of the ascending series j_n(z) = z^n/(2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)...(2n+2k+1))
     term = acc = 1
     z2 = -0.5 * z * z
     for k in range(1, _SERIES_TERMS + 1):
         term = term * z2 / (k * (2 * n + 2 * k + 1))
         acc = acc + term
-    return acc * z ** n / _double_factorial(2 * n + 1)
+    return acc
 
 
 def _series(top, z, kind):
-    return [_jn_series(k, z) for k in range(top + 1)]
+    # j_n = z^n/(2n+1)!! s_n, with the sums s_n of the series at the top two
+    # orders and below them j's downward recurrence, which with z^n/(2n+1)!!
+    # scaled out reads s_{n-1} = s_n - z^2 s_{n+1} / ((2n+1)(2n+3))
+    sums = [_series_sum(top, z), _series_sum(top - 1, z)]
+    zz = z * z
+    for n in range(top - 1, 0, -1):
+        sums.append(sums[-1] - zz * sums[-2] / ((2 * n + 1) * (2 * n + 3)))
+    rows, lead = [], 1
+    for n, s in enumerate(reversed(sums)):
+        rows.append(s * lead)
+        lead = lead * z / (2 * n + 3)
+    return rows
 
 
 def _riccati(k, z, rows, kind):

@@ -199,6 +199,30 @@ def test_cross_sections_records_a_failed_omega(capsys, monkeypatch):
     assert ref.meta == [] and "# failed" not in clean
 
 
+def test_cross_sections_records_a_rejected_omega(capsys):
+    # omega = 0 fails its ScatterConfig: one meta line, the other points keep their rows
+    code, out, _ = _run(capsys, "cross-sections", "--delta", "0.1", "--omega-min", "0", "--omega-max", "1",
+                        "--omega-count", "3")
+    assert code == 0
+    table = parse_csv(out)
+    assert table.meta == ["failed omega=0.0: omega = 0j must be nonzero"]
+    assert [row[0] for row in table.rows] == [0.5, 1.0]
+    cfg = mie.ScatterConfig(0.1, 100.0, 0.5)
+    rep = mie.cross_sections(mie.mie_coefficients(cfg, IncidentWave([0, 0, 1.0], [1.0, 0, 0], 0.5)))
+    assert table.rows[0] == [0.5, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, int(rep.converged)]
+
+
+@pytest.mark.parametrize("sphere, message", [
+    (["--delta", "-0.1"], "radius delta must be positive"),
+    (["--delta", "0.1", "--tau", "-1", "0"], "contrast must satisfy Re tau > 0 and Im tau >= 0"),
+])
+def test_cross_sections_bad_sphere_is_one_error_record(capsys, sphere, message):
+    code, out, err = _run(capsys, "cross-sections", *sphere, "--omega-min", "0", "--omega-max", "1",
+                          "--omega-count", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_negative_floats_in_exponent_form_are_values(tmp_path, capsys):
     flags = {"delta": 0.1, "tau": [50.0, 0.0], "omega": 2.0, "phi": -1e-03, "theta_count": 5,
              "direction": [-2.5e-05, 0.0, 1.0], "polarization": [1.0, 0.0, 2.5e-05]}
@@ -309,3 +333,43 @@ def test_zero_n_max_is_rejected_not_replaced_by_the_default(capsys):
     code, out, err = _run(capsys, "mie", "--delta", "0.1", "--omega", "3", "--n-max", "0")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": "n_max must be >= 1"}
+
+
+def _snapshot_tool():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    files = {
+        "same.stdout": ("x,1.5\n", "x,1.5\n"),
+        "rounding.stdout": ("# n=2\nomega,Qs\n1,0.25\n2,-3e-05\n", "# n=2\nomega,Qs\n1,0.25000000000000006\n2,-3.0000000000000004e-05\n"),
+        "noise.stdout": ("1,0\n", "1,2.7e-20\n"),
+        "text.stderr": ("omega must be nonzero\n", "tau must be finite\n"),
+        "gone.code": ("0\n", None),
+    }
+    for directory in (a, b):
+        directory.mkdir()
+    for name, texts in files.items():
+        for directory, text in zip((a, b), texts):
+            if text is not None:
+                (directory / name).write_text(text)
+    tool = _snapshot_tool()
+    assert tool.compare(str(a), str(b)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"gone.code: only in {a}",
+        "noise.stdout: largest relative cell change 1 (0 -> 2.7e-20)",
+        "rounding.stdout: largest relative cell change 2.22e-16 (0.25 -> 0.25000000000000006)",
+        "text.stderr: differs in more than its numbers",
+        "4 of 5 files differ",
+    ]
+    assert tool.compare(str(a), str(a)) == 0
+    assert capsys.readouterr().out == "0 of 5 files differ\n"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,14 +359,48 @@ def test_incidence_memo_and_stacks_are_read_only():
     cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=4)
     w = _wave(2.0, d=[0.3, -0.4, 0.87])
     t = mie_coefficients(cfg, w)
-    proj_te, proj_tm = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
-    assert isinstance(proj_te, tuple) and isinstance(proj_tm, tuple) and len(proj_te) == 24
-    for part in (t.te, t.tm):
+    proj = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
+    assert proj.shape == (2, 25) and proj.dtype == complex and not proj[:, 0].any()
+    for part in (proj, t.te, t.tm):
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0] = 1.0
     with pytest.raises(TypeError):
         t.gamma[(1, 0)] = 1.0
+
+
+@pytest.mark.parametrize("tau", [60.0, complex(40, 2.5)])
+@pytest.mark.parametrize("axial", [True, False])
+def test_stacks_are_the_python_complex_products(tau, axial):
+    # te and tm bit for bit against a loop of Python complex products of the
+    # projections and the ratios, and the cross sections against the formulas
+    # that read the projections as tuples
+    from dieres.mie import _incidence
+
+    rng = np.random.default_rng(int(axial) + 2 * isinstance(tau, complex))
+    for n_max in range(1, 21):
+        omega = rng.uniform(0.5, 4.0)
+        cfg = ScatterConfig(rng.uniform(0.05, 0.3), tau, omega, n_max=n_max)
+        w = _wave(omega) if axial else _random_incidence(omega, rng)
+        t = mie_coefficients(cfg, w)
+        proj = _incidence(n_max, w.direction.tobytes(), w.polarization.tobytes())
+        proj_te, proj_tm = (tuple(part[1:].tolist()) for part in proj)
+        ref_te, ref_tm = [0j], [0j]
+        for n, (te, tm) in enumerate(_factor_table(n_max, cfg.delta, cfg.tau, cfg.omega)[1:], 1):
+            for k in range(n * n - 1, (n + 1) ** 2 - 1):
+                ref_te.append(proj_te[k] * (te[0] / te[1]))
+                ref_tm.append(proj_tm[k] * (tm[0] / tm[1]))
+        assert t.te.tobytes() == np.array(ref_te).tobytes() and t.tm.tobytes() == np.array(ref_tm).tobytes()
+        n = np.sqrt(np.arange(len(t.te))).astype(int)
+        weight = n * (n + 1)
+        terms = weight * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
+        qs = float(terms.sum()) / omega ** 2
+        qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * np.conj(proj_te) + t.tm[1:] * np.conj(proj_tm)))))
+        qext /= omega ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small n_max leaves the partial-wave sum unconverged
+            rep = cross_sections(t)
+        assert (rep.Qs, rep.Qext, rep.Qabs) == (qs, qext, qext - qs)
 
 
 def test_dict_built_table_matches_computed_table():

@@ -88,6 +88,40 @@ def test_j_complex_plane_against_mpmath(n, z):
     assert_allclose(sph_bessel_j(n, z), mp_jn(n, z), rtol=1e-12)
 
 
+def _series_grid(seed, count):
+    """Seeded (top, z) with |z| <= 1 and 1 <= top <= MAX_ORDER, then points where
+    z^top / (2 top + 1)!! underflows (|z| <= 1e-7 at top >= 40), z = 0, and |z| = 1."""
+    rng = np.random.default_rng(seed)
+    points = [(int(rng.integers(1, specfun.MAX_ORDER + 1)),
+               math.sqrt(rng.random()) * complex(np.exp(2j * math.pi * rng.random()))) for _ in range(count)]
+    points += [(int(rng.integers(40, specfun.MAX_ORDER + 1)),
+                10 ** rng.uniform(-12, -7) * complex(np.exp(2j * math.pi * rng.random()))) for _ in range(count // 4)]
+    return points + [(64, 0j), (1, 0j), (64, 1 + 0j), (64, -1 + 0j), (30, 1j), (64, -0.6 - 0.8j)]
+
+
+def _mp_j_rows(top, z):
+    """j_0..j_top at z from mpmath; sqrt(pi/2) / sqrt(z) keeps the principal
+    branches of z^(-1/2) and z^(n+1/2) paired on the negative real axis."""
+    if z == 0:
+        return np.array([1.0] + [0.0] * top)
+    z = mpmath.mpc(z)
+    scale = mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(z)
+    return np.array([complex(scale * mpmath.besselj(n + mpmath.mpf(1) / 2, z)) for n in range(top + 1)])
+
+
+# the series pass (|z| <= 1) sums the series at the top two orders and runs the
+# downward recurrence below them; every row of the table is checked, in the
+# scalar pass and in an array whose other element takes the Miller pass
+@pytest.mark.parametrize("top, z", _series_grid(19, 24))
+def test_series_rows_against_mpmath(top, z):
+    ref = _mp_j_rows(top, z)
+    scalar = radial_table(top, z)[0]
+    array = radial_table(top, np.array([z, 2.5 + 0.5j]))[0][:, 0]
+    for rows in (scalar, array):
+        # rows below the double range (z^n underflows) within a few subnormal steps
+        assert np.all(np.abs(rows - ref) <= 1e-14 * np.abs(ref) + 1e-320)
+
+
 def _mp_radial(kind, n, z):
     # h = j + iy cancels by e^{2 Im z} in the upper half plane: carry the extra digits
     with mpmath.workdps(mpmath.mp.dps + int(abs(complex(z).imag))):

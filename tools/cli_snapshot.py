@@ -1,12 +1,16 @@
 """Run a fixed set of ``dieres`` commands in-process and record their output.
 
     python tools/cli_snapshot.py OUTDIR
+    python tools/cli_snapshot.py --compare OUTDIR_A OUTDIR_B
 
 Each command runs through ``dieres.cli.main``; its stdout, stderr and exit
 code go to OUTDIR/<name>.stdout, <name>.stderr and <name>.code.  The set
 covers every subcommand, CSV and JSON output, a config file, failing
 configurations and every ``--help``.  Snapshot two checkouts (with each one's
-``src`` on PYTHONPATH) and compare them with ``diff -r``.
+``src`` on PYTHONPATH) and compare them with ``diff -r``, or with
+``--compare``, which prints each changed file with its largest relative
+cell change |b - a| / max(|a|, |b|) and the two cells, and exits 1 when a
+file differs.
 
 Exits 1 when a command's exit code differs from the one expected of it, so a
 command meant to succeed that fails is caught.
@@ -15,11 +19,11 @@ command meant to succeed that fails is caught.
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
-
-import dieres.cli
 
 WAVE = ["--direction", "0.3", "-0.4", "0.866", "--polarization", "0.8", "0.6", "0"]
 
@@ -79,6 +83,8 @@ COMMANDS = [
 
 def run(argv):
     """(stdout, stderr, exit code) of one in-process ``dieres`` call."""
+    import dieres.cli  # here, so that --compare runs without the package
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -88,7 +94,54 @@ def run(argv):
     return out.getvalue(), err.getvalue(), code
 
 
+# a number cell of CSV or JSON output; the group makes re.split keep it
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b)", re.IGNORECASE)
+
+
+def largest_change(a, b):
+    """(relative change, cell of a, cell of b) of the number cells of the texts a
+    and b that change the most, or None when they differ in more than numbers."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    changes = [(0.0, "", "")]
+    for x, y in zip(parts_a[1::2], parts_b[1::2]):
+        u, v = float(x), float(y)
+        if not (u == v or math.isnan(u) and math.isnan(v)):
+            changes.append((abs(u - v) / max(abs(u), abs(v)) if math.isfinite(u - v) else math.inf, x, y))
+    return max(changes, key=lambda change: change[0])
+
+
+def _read(path):
+    """The text of the file at path, or None when there is none."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return fh.read()
+
+
+def compare(dir_a, dir_b) -> int:
+    """Print each file that differs between two snapshot directories; 1 if any does."""
+    names = sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b)))
+    changed = 0
+    for name in names:
+        texts = [_read(os.path.join(directory, name)) for directory in (dir_a, dir_b)]
+        if texts[0] == texts[1]:
+            continue
+        changed += 1
+        if None in texts:
+            print(f"{name}: only in {dir_a if texts[1] is None else dir_b}")
+        elif (change := largest_change(*texts)) is None:
+            print(f"{name}: differs in more than its numbers")
+        else:
+            print(f"{name}: largest relative cell change {change[0]:.3g} ({change[1]} -> {change[2]})")
+    print(f"{changed} of {len(names)} files differ")
+    return 1 if changed else 0
+
+
 def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        return compare(*sys.argv[2:])
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
