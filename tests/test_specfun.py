@@ -111,7 +111,8 @@ def _mp_j_rows(top, z):
 
 # the series pass (|z| <= 1) sums the series at the top two orders and runs the
 # downward recurrence below them; every row of the table is checked, in the
-# scalar pass and in an array whose other element takes the Miller pass
+# scalar pass and in an array whose other element takes another pass (Miller
+# from top 3 on)
 @pytest.mark.parametrize("top, z", _series_grid(19, 24))
 def test_series_rows_against_mpmath(top, z):
     ref = _mp_j_rows(top, z)
