@@ -99,10 +99,22 @@ def test_electric_moment_saddle_gradient(ball_quad):
 
 
 def test_moment_order_caps(ball_quad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^magnetic moments are only needed up to order 4$"):
         magnetic_moment(5, _bubble_field([1, 0, 0]), ball_quad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^electric moments are only needed up to order 2$"):
         electric_moment(3, _bubble_field([1, 0, 0]), ball_quad)
+    for moment in (magnetic_moment, electric_moment):
+        with pytest.raises(ValueError, match="^moment order must be >= 0$"):
+            moment(-1, _bubble_field([1, 0, 0]), ball_quad)
+
+
+def test_field_without_curl_sampler_has_zero_magnetic_moments(ball_quad_small):
+    f = DecomposedField(grad_potential_gradient=lambda pts: np.stack([pts[:, 1], pts[:, 0], 1 + pts[:, 2]], axis=-1))
+    for l in range(5):
+        m = magnetic_moment(l, f, ball_quad_small)
+        assert (m.kind, m.order_l, m.entries.shape) == ("magnetic", l, (3,) * l)
+        assert not m.entries.any()
+    assert electric_moment(0, f, ball_quad_small).entries.any()
 
 
 def test_quadrature_degree_warning():
@@ -153,6 +165,17 @@ def test_amplitude_tangential_and_zero(ball_quad, rng):
         MomentTensor("magnetic", 1, np.zeros(3)),
     ]
     assert np.max(np.abs(amplitude_from_moments(zeros, 0.1, 100.0, 2.0, np.array([0.0, 0, 1.0]), "dipole-pair"))) == 0
+
+
+def test_order_l_skips_a_magnetic_zero_moment(ball_quad, rng):
+    # the magnetic 0-moment is identically zero: orderL takes it and adds nothing
+    moments = _moment_set(ball_quad)
+    m0 = magnetic_moment(0, _bubble_field([1.0, 0, 0]), ball_quad)
+    xh = rng.normal(size=3)
+    xh /= np.linalg.norm(xh)
+    without = amplitude_from_moments(moments, 0.1, 100.0, 2.0, xh, "orderL")
+    assert np.array_equal(amplitude_from_moments([m0, *moments], 0.1, 100.0, 2.0, xh, "orderL"), without)
+    assert np.array_equal(amplitude_from_moments(moments, 0.1, 100.0, 2.0, xh, "order4"), without)
 
 
 def test_amplitude_missing_moment_error(ball_quad):
