@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (_check_n_max, _check_order, _direction_frame, _legendre_rows, _radius_split, harmonic_table,
-                      radial_table, solid_harmonic_gradient_deg1)
+from .specfun import (_check_n_max, _check_order, _direction_frame, _legendre_rows, _radius_split, _top,
+                      harmonic_table, radial_table, solid_harmonic_gradient_deg1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def _field_sum(te, tm, a, b, c, xh):
     where they are constant, and each degree's product where they vary over
     the points.
     """
-    n_max = math.isqrt(len(te) - 1)
+    n_max = _top(te)
     _check_n_max(n_max)
     cos_t, sin_t, _, theta_hat, phi_hat = _direction_frame(xh)
     degree, idx, factor = _row_sources(n_max)
@@ -233,7 +233,7 @@ def _multipole_sum(variant: str, te, tm, k: complex, x) -> np.ndarray:
     off = ~origin
     if np.any(off):
         ro = r[off]
-        f, big = radial_table(math.isqrt(len(te) - 1), k * ro, "j" if variant == "entire" else "h")
+        f, big = radial_table(_top(te), k * ro, "j" if variant == "entire" else "h")
         degree, ikr = np.arange(len(f))[:, None], 1j * k * ro
         tm_factors = (big / ikr, degree * (degree + 1) * f / ikr) if k else (0, 0)  # no TM term at k = 0
         out[off] = _field_sum(te, tm, f, *tm_factors, pts[off] / ro[:, None])
@@ -260,7 +260,7 @@ def harmonic_exterior(kind: str, n: int, m: int, x) -> np.ndarray:
 def _far_field_sum(te, tm, omega, xhat):
     """The far field lim r e^{-i w r} E(r xhat) of the radiating sum at the direction(s) xhat:
     h_n(w r) -> (-i)^{n+1} e^{i w r} / (w r) gives a_n = b_n = (-i)^{n+1} / w and c_n = 0."""
-    phase = (-1j) ** np.arange(1, math.isqrt(len(te)) + 1) * (1 / omega)
+    phase = (-1j) ** np.arange(1, _top(te) + 2) * (1 / omega)
     return _field_sum(te, tm, phase, phase, 0, xhat).reshape(np.shape(xhat)[:-1] + (3,))
 
 

@@ -3,7 +3,6 @@ field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
 import cmath
-import functools
 import math
 import operator
 import warnings
@@ -14,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _far_field_sum, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _one_pass, _riccati, _rows, radial_pair, riccati_H, riccati_J
+from .specfun import MAX_ORDER, _degree, _keys, _one_pass, _riccati, _rows, _top, radial_pair
 
 
 class ResonanceError(ArithmeticError):
@@ -134,23 +133,10 @@ class _Coefficients(Mapping):
         return self._stack[n * (n + 1) + m]
 
     def __iter__(self):
-        return ((n, m) for n in range(1, _top(self._stack) + 1) for m in range(-n, n + 1))
+        return _keys(_top(self._stack))
 
     def __len__(self):
         return len(self._stack) - 1
-
-
-def _top(stack):
-    """The highest order n of a stack at k = n(n+1) + m."""
-    return math.isqrt(len(stack) - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _degree(n_max):
-    """The order n of every entry k = n(n+1) + m of a stack up to n_max, read-only."""
-    n = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
-    n.flags.writeable = False
-    return n
 
 
 def _stacks(*tables):
@@ -196,17 +182,16 @@ class MieTable:
 
     def radial_te(self, n: int) -> complex:
         """m-independent TE radial factor num/den of order n."""
-        te, _ = self._factors(n)
-        return te[0] / te[1]
+        return self._ratio(n, 0)
 
     def radial_tm(self, n: int) -> complex:
-        _, tm = self._factors(n)
-        return tm[0] / tm[1]
+        return self._ratio(n, 1)
 
-    def _factors(self, n):
+    def _ratio(self, n, family):
         # row n of the table mie_coefficients reads, so the two agree bit for bit
         c = self.config
-        return _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n]
+        num, den, _ = _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n][family]
+        return num / den
 
 
 def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
@@ -275,16 +260,17 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     if omega.imag != 0:
         raise ValueError("cross sections are defined for real frequencies only")
     w = omega.real
-    n = _degree(_top(t.te))
+    top = _top(t.te)
+    n = _degree(top)
     weight = n * (n + 1)
     terms = weight * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
     qs = float(terms.sum()) / w ** 2
-    n_max = t.config.n_max
+    n_max = max(t.config.n_max, top)  # a table may hold orders past the configuration's truncation
     tail = float(terms[(n_max // 2 + 1) ** 2:(n_max + 1) ** 2].sum()) / w ** 2
     converged = tail <= 1e-12 * max(qs, 1e-300)
     if not converged:
         warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
-    proj = np.conj(_incidence(_top(t.te), t.incident.direction.tobytes(), t.incident.polarization.tobytes())[:, 1:])
+    proj = np.conj(_incidence(top, t.incident.direction.tobytes(), t.incident.polarization.tobytes())[:, 1:])
     qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * proj[0] + t.tm[1:] * proj[1])))) / w ** 2
     return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
 
@@ -308,7 +294,7 @@ def coefficient_asymptotics(n: int, cfg: ScatterConfig) -> CoefficientAsymptotic
     if abs(x) >= 1:
         raise ValueError("asymptotics need |delta omega| < 1")
     j_y, bigj_y = radial_pair(n, y)
-    predicted_tm = riccati_J(n, x) / riccati_H(n, x)
+    predicted_tm = radial_pair(n, x)[1] / radial_pair(n, x, "h")[1]
     if n == 1:
         predicted_te = (1j / 3) * x ** 3 * (bigj_y - 2 * j_y) / (bigj_y + j_y)
         return CoefficientAsymptotics(predicted_te, predicted_tm, False)

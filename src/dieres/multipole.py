@@ -146,19 +146,20 @@ class DecomposedField:
     poly_degree: Optional[int] = None
 
     def curl_part(self, pts):
-        if self.curl_potential is None:
-            return np.zeros((len(pts), 3), dtype=complex)
-        return np.asarray(self.curl_potential(pts), dtype=complex)
+        return _sample(self.curl_potential, pts)
 
     def grad_part(self, pts):
-        if self.grad_potential_gradient is None:
-            return np.zeros((len(pts), 3), dtype=complex)
-        return np.asarray(self.grad_potential_gradient(pts), dtype=complex)
+        return _sample(self.grad_potential_gradient, pts)
 
     def boundary_tangential_residual(self, sphere_quad: SphereQuadrature) -> float:
         """Max |nu x phi| over boundary sample points (membership check)."""
         vals = self.curl_part(sphere_quad.points)
         return float(np.max(np.abs(np.cross(sphere_quad.points, vals))))
+
+
+def _sample(sampler, pts):
+    """The sampler's complex (N, 3) values at pts, zeros where it is None."""
+    return np.zeros((len(pts), 3), dtype=complex) if sampler is None else np.asarray(sampler(pts), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,29 @@ class MomentTensor:
     entries: np.ndarray  # rank l (magnetic) or l+1 (electric)
 
 
-def _check_quadrature_degree(f: DecomposedField, l: int, quad: BallQuadrature):
-    if f.poly_degree is not None and f.poly_degree + l > quad.degree:
-        warnings.warn(
-            f"integrand degree {f.poly_degree + l} exceeds quadrature exactness {quad.degree}",
-            stacklevel=3,
-        )
+# one rule per kind: orders up to top; order l takes l - shift copies of y and,
+# with shift 1, the factor l, and order 0 of that kind is identically zero; part
+# names the DecomposedField sampler it integrates
+_MomentRule = NamedTuple("_MomentRule", [("kind", str), ("top", int), ("shift", int), ("part", str)])
+_RULES = (_MomentRule("electric", 2, 0, "grad_part"), _MomentRule("magnetic", 4, 1, "curl_part"))
+
+
+def _moment(magnetic: bool, l: int, f: DecomposedField, q: BallQuadrature) -> MomentTensor:
+    kind, top, shift, part = _RULES[magnetic]
+    if l < 0:
+        raise ValueError("moment order must be >= 0")
+    if shift and l == 0:
+        return MomentTensor(kind, 0, np.zeros(()))
+    if l > top:
+        raise ValueError(f"{kind} moments are only needed up to order {top}")
+    copies = l - shift
+    if f.poly_degree is not None and f.poly_degree + copies > q.degree:
+        warnings.warn(f"integrand degree {f.poly_degree + copies} exceeds quadrature exactness {q.degree}",
+                      stacklevel=3)
+    letters = "abcd"[:copies]
+    spec = "p,pi" + "".join(f",p{c}" for c in letters) + "->i" + letters
+    entries = np.einsum(spec, q.weights, getattr(f, part)(q.points), *[q.points] * copies)
+    return MomentTensor(kind, l, entries * l if shift else entries)
 
 
 def magnetic_moment(l: int, f: DecomposedField, q: BallQuadrature) -> MomentTensor:
@@ -182,35 +200,12 @@ def magnetic_moment(l: int, f: DecomposedField, q: BallQuadrature) -> MomentTens
     The result is independent of the gauge representative of phi once it is
     contracted into the radiation bracket; order 0 is identically zero.
     """
-    if l < 0:
-        raise ValueError("moment order must be >= 0")
-    if l == 0:
-        return MomentTensor("magnetic", 0, np.zeros(()))
-    if l > 4:
-        raise ValueError("magnetic moments are only needed up to order 4")
-    _check_quadrature_degree(f, l - 1, q)
-    vals = f.curl_part(q.points)
-    entries = _weighted_outer(q.weights, vals, q.points, l - 1) * l
-    return MomentTensor("magnetic", l, entries)
+    return _moment(True, l, f, q)
 
 
 def electric_moment(l: int, f: DecomposedField, q: BallQuadrature) -> MomentTensor:
     """Electric l-moment: \\int_B grad p(y) (x) y (x) ... (x) y dy (l copies)."""
-    if l < 0:
-        raise ValueError("moment order must be >= 0")
-    if l > 2:
-        raise ValueError("electric moments are only needed up to order 2")
-    _check_quadrature_degree(f, l, q)
-    vals = f.grad_part(q.points)
-    entries = _weighted_outer(q.weights, vals, q.points, l)
-    return MomentTensor("electric", l, entries)
-
-
-def _weighted_outer(w, vecs, pts, n_y):
-    letters = "abcd"[:n_y]
-    spec = "p,pi" + ("".join(f",p{c}" for c in letters)) + "->i" + letters
-    args = [w, vecs] + [pts] * n_y
-    return np.einsum(spec, *args)
+    return _moment(False, l, f, q)
 
 
 _TRUNCATIONS = {
@@ -232,31 +227,20 @@ def amplitude_from_moments(moments, delta: float, tau: complex, omega: complex,
     if truncation not in _TRUNCATIONS:
         raise ValueError(f"unknown truncation {truncation!r}")
     xhat = np.asarray(xhat, dtype=float)
-    table = {}
-    for mt in moments:
-        table[(mt.kind, mt.order_l)] = mt
-    wanted = _TRUNCATIONS[truncation]
-    if wanted is None:
-        wanted = sorted(table.keys(), key=lambda km: km[1])
+    table = {(mt.kind, mt.order_l): mt for mt in moments}
+    wanted = _TRUNCATIONS[truncation] or sorted(table, key=lambda km: km[1])
     total = np.zeros(3, dtype=complex)
     for kind, l in wanted:
         if (kind, l) not in table:
             raise KeyError(f"missing {kind} moment of order {l} for truncation {truncation!r}")
-        mt = table[(kind, l)]
-        magnetic = kind == "magnetic"
-        if magnetic and l == 0:
+        shift = _RULES[kind == "magnetic"].shift
+        if shift and l == 0:
             continue
-        order = l - 1 if magnetic else l
-        vec = _contract_trailing(mt.entries, xhat, order)
-        if magnetic:
+        vec = np.asarray(table[(kind, l)].entries, dtype=complex)
+        for _ in range(l - shift):
+            vec = vec @ xhat
+        if shift:
             vec = np.cross(vec, xhat)
         total = total + (-1j * delta * omega) ** l / math.factorial(l) * vec
     total = total - xhat * np.dot(xhat, total)
     return tau * omega ** 2 * delta ** 3 / (4 * math.pi) * total
-
-
-def _contract_trailing(tensor, xhat, count):
-    out = np.asarray(tensor, dtype=complex)
-    for _ in range(count):
-        out = out @ xhat
-    return out

@@ -453,6 +453,24 @@ def _direction_frame(x):
     return cos_t, sin_t, phi, theta_hat, phi_hat
 
 
+@functools.lru_cache(maxsize=None)
+def _degree(n_max):
+    """The degree n of every entry k = n(n+1) + m of a stack up to n_max, read-only."""
+    n = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    n.flags.writeable = False
+    return n
+
+
+def _top(stack):
+    """The highest degree n of a stack at k = n(n+1) + m."""
+    return math.isqrt(len(stack) - 1)
+
+
+def _keys(n_max):
+    """The keys (n, m), 1 <= n <= n_max, |m| <= n, in the order of the stack entries k = n(n+1) + m."""
+    return ((n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1))
+
+
 class HarmonicTable(NamedTuple):
     """Y_n^m and its surface gradient for 0 <= n <= n_max, |m| <= n, stacked
     along the first axis at k = n(n+1) + m, with the local frame.
@@ -469,8 +487,8 @@ class HarmonicTable(NamedTuple):
 
     @property
     def degree(self):
-        """The degree n of every entry k."""
-        return np.sqrt(np.arange(len(self.y))).astype(int)
+        """The degree n of every entry k, read-only."""
+        return _degree(_top(self.y))
 
     def vectors(self, k):
         """Cartesian U_n^m and V_n^m = x-hat cross U_n^m of the entries k >= 1
@@ -589,8 +607,7 @@ def vsh_table(n_max: int, x):
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     u, v = harmonic_table(n_max, x).vectors(slice(1, None))
-    keys = [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
-    return {nm: (u[k], v[k]) for k, nm in enumerate(keys)}
+    return {nm: (u[k], v[k]) for k, nm in enumerate(_keys(n_max))}
 
 
 def solid_harmonic_gradient_deg1(m: int):

@@ -329,6 +329,38 @@ def test_non_finite_parameter_gives_a_value_error_record(capsys, argv, message):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"command": "mie", "delta": 0.1, "omega": 3.0, "tau": [1, 2, 3]},
+     "complex values are encoded as [re, im], got [1, 2, 3]"),
+    ({"command": "amplitude", "delta": 0.1, "omega": 3.0, "direction": [0.0, 1.0]},
+     "vectors need exactly three components"),
+])
+def test_malformed_config_value_gives_a_value_error_record(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, cfg["command"], "--config", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_scatter_functions_grid_ending_at_the_pole_gives_nan(capsys):
+    # with c_tau = 1 the quasi-static pole is omega_0 = pi, the grid's last point
+    code, out, _ = _run(capsys, "scatter-functions", "--delta", "0.1", "--c-tau", "1", "0",
+                        "--omega-min", "3.0", "--omega-max", repr(math.pi), "--omega-count", "3")
+    assert code == 0
+    rows = parse_csv(out).rows
+    assert rows[-1][0] == math.pi and all(math.isnan(v) for v in rows[-1][3:])
+    assert all(math.isfinite(v) for row in rows for v in row[:3]) and all(math.isfinite(v) for v in rows[0])
+
+
+def test_bessel_zeros_json_writes_integer_order_and_index(capsys):
+    code, out, _ = _run(capsys, "bessel-zeros", "--order", "2", "--count", "3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row[:2] for row in rows] == [[2, 1], [2, 2], [2, 3]]
+    assert all(type(row[0]) is int and type(row[1]) is int and type(row[2]) is float for row in rows)
+
+
 def test_zero_n_max_is_rejected_not_replaced_by_the_default(capsys):
     code, out, err = _run(capsys, "mie", "--delta", "0.1", "--omega", "3", "--n-max", "0")
     assert code == 1 and out == ""

@@ -111,8 +111,13 @@ def test_resonance_error_at_complex_root():
     delta, tau = 0.15, 0.15 ** -2
     f = lambda w: mie_denominators(1, delta, tau, w)[0]
     root = _muller_oracle(f, math.pi)
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match="^scattering resonance hit at n=1, family=TE$"):
         mie_coefficients(ScatterConfig(delta, tau, root, n_max=3), _wave(root))
+    # the TM denominator near the first zero of j_1
+    root = _muller_oracle(lambda w: mie_denominators(1, delta, tau, w)[1], 4.49)
+    with pytest.raises(ResonanceError, match="^scattering resonance hit at n=1, family=TM$") as info:
+        mie_coefficients(ScatterConfig(delta, tau, root, n_max=3), _wave(root))
+    assert (info.value.n, info.value.family) == (1, "TM")
 
 
 def test_scattered_field_empty_table_and_linearity():
@@ -245,6 +250,16 @@ def test_all_zero_table_cross_sections():
     t = MieTable(cfg, _wave(2.0), {}, {})
     rep = cross_sections(t)
     assert rep.Qs == 0.0 and rep.Qext == 0.0
+
+
+def test_cross_sections_judge_the_orders_a_table_holds():
+    # all of Qs sits at order 6, past the configuration's n_max = 3: the tail and the
+    # reported truncation are those of the table
+    t = MieTable(ScatterConfig(0.1, 80.0, 1.8, n_max=3), _wave(1.8), {(6, 0): 0.5}, {})
+    with pytest.warns(UserWarning, match="^partial-wave sum not converged at n_max"):
+        rep = cross_sections(t)
+    assert (rep.n_max_used, rep.converged) == (6, False)
+    assert rep.Qs == 42 * 0.25 / 1.8 ** 2
 
 
 def test_qs_sweep_has_single_sharp_peak():
@@ -551,6 +566,17 @@ def test_scatter_config_rejects_zero_frequency(omega, n_max):
     # every observable of the configuration would divide by omega
     with pytest.raises(ValueError, match=r"^omega = .* must be nonzero$"):
         ScatterConfig(0.1, 40.0, omega, n_max)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coefficient_asymptotics(0, ScatterConfig(0.1, 100.0, 3.0)), "asymptotics start at n = 1"),
+    (lambda: coefficient_asymptotics(1, ScatterConfig(0.5, 100.0, 2.0)), r"asymptotics need \|delta omega\| < 1"),
+    (lambda: MieTable(ScatterConfig(0.1, 100.0, 3.0), _wave(3.0), np.zeros(5), {}),
+     r"a coefficient stack has length \(n_max \+ 1\)\^2"),
+])
+def test_out_of_domain_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_scatter_config_takes_an_integer_n_max():

@@ -80,6 +80,23 @@ def test_spectrum_count_is_an_integer():
         sphere_spectrum(2.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sphere_spectrum(0), "count must be >= 1"),
+    (lambda: mode_potential_integral(2), r"ground mode potentials carry m in \{-1, 0, 1\}"),
+    (lambda: np_eigenvalue(-1), "degree must be >= 0"),
+    (lambda: resonant_moments(_wave(3.2), 3.2, 0.1, UNIT, n_sh=0), "the harmonic extraction needs n_sh >= 1"),
+])
+def test_out_of_domain_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_resonant_moments_warn_when_the_harmonics_are_under_resolved():
+    # one degree cannot hold the trace of the incident wave
+    with pytest.warns(UserWarning, match="^spherical-harmonic truncation under-resolved; raise n_sh$"):
+        resonant_moments(_wave(3.2), 3.2, 0.1, UNIT, n_sh=1)
+
+
 def test_spectrum_matches_bessel_zero_table():
     for e in sphere_spectrum(12):
         assert_allclose(e.k, bessel_zero(e.family_n, e.zero_index_s), atol=1e-12, rtol=0)

@@ -314,6 +314,19 @@ def test_non_finite_parameters_are_named(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ContrastModel(-1.0), r"leading coefficient must satisfy Re c_tau > 0, Im c_tau >= 0"),
+    (lambda: UNIT_MODEL.evaluate(0.0), "contrast model is evaluated at delta > 0"),
+    (lambda: resonance_function("TE", 1, 0.1, 100.0, 0), "resonance function is evaluated away from omega = 0"),
+    (lambda: quasi_static_prediction("TE", 0, 1, UNIT_MODEL), "mode order n must be >= 1"),
+    (lambda: quasi_static_prediction("TM", 1, 1, UNIT_MODEL, 0.0, finite_tau=True),
+     "finite-tau prediction needs delta > 0"),
+])
+def test_out_of_domain_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: dipole_approximation(WAVE, 3.3, -0.1, UNIT_MODEL),
     lambda: averaged_cross_sections(3.3, 0.0, UNIT_MODEL),

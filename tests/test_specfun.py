@@ -31,16 +31,20 @@ from dieres.specfun import (
 
 mpmath.mp.dps = 40
 
+# sqrt(pi/2) / sqrt(z), not sqrt(pi/(2z)), in the oracles: it keeps the principal
+# branches of z^(-1/2) and z^(n+1/2) paired on the negative real axis
+NEGATIVE_AXIS = [(n, z) for n in (0, 1, 4) for z in (-0.3, -1.0, -2.5, -12.0)]
+
 
 def mp_jn(n, z):
     z = mpmath.mpc(z)
-    v = mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + mpmath.mpf(1) / 2, z)
+    v = mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(z) * mpmath.besselj(n + mpmath.mpf(1) / 2, z)
     return complex(v)
 
 
 def mp_yn(n, z):
     z = mpmath.mpc(z)
-    v = mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.bessely(n + mpmath.mpf(1) / 2, z)
+    v = mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(z) * mpmath.bessely(n + mpmath.mpf(1) / 2, z)
     return complex(v)
 
 
@@ -67,6 +71,15 @@ def test_j_against_mpmath(n, z):
 def test_y_and_h_against_mpmath(n, z):
     assert_allclose(sph_bessel_y(n, z), mp_yn(n, z), rtol=1e-11)
     assert_allclose(sph_hankel1(n, z), mp_jn(n, z) + 1j * mp_yn(n, z), rtol=1e-11)
+
+
+@pytest.mark.parametrize("n, z", NEGATIVE_AXIS)
+def test_j_y_and_h_on_the_negative_axis_against_mpmath(n, z):
+    # f_n(-x) = (-1)^n f_n(x) for j and y
+    assert_allclose(sph_bessel_j(n, z), mp_jn(n, z), rtol=1e-12)
+    assert_allclose(sph_bessel_y(n, z), mp_yn(n, z), rtol=1e-11)
+    assert_allclose(sph_hankel1(n, z), mp_jn(n, z) + 1j * mp_yn(n, z), rtol=1e-11)
+    assert_allclose(mp_jn(n, z), (-1) ** n * mp_jn(n, -z), rtol=1e-15)
 
 
 def _complex_grid(seed, count):
@@ -130,7 +143,7 @@ def _mp_radial(kind, n, z):
         nu = n + mpmath.mpf(1) / 2
         j = mpmath.besselj(nu, z)
         y = mpmath.bessely(nu, z)
-        return +(mpmath.sqrt(mpmath.pi / (2 * z)) * {"j": j, "y": y, "h": j + 1j * y}[kind])
+        return +(mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(z) * {"j": j, "y": y, "h": j + 1j * y}[kind])
 
 
 @pytest.mark.parametrize("kind, n, z", [
@@ -138,7 +151,7 @@ def _mp_radial(kind, n, z):
     for kind in ("j", "y", "h")
     for n in (0, 1, 4, 30)
     for z in (0.6, 3.0 - 0.2j, 12 + 9j, 12 - 9j, 45.0)
-])
+] + [(kind, n, z) for kind in ("j", "y", "h") for n, z in NEGATIVE_AXIS])
 def test_radial_pair_against_mpmath(kind, n, z):
     f, big = radial_pair(n, z, kind)
     riccati = z * _mp_radial(kind, n - 1, z) - n * _mp_radial(kind, n, z)
@@ -323,6 +336,20 @@ def test_scalar_and_array_errors(n, z, kind, error):
         for call in (radial_pair, radial_table):
             with pytest.raises(error, match=match):
                 call(n, arg, kind)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: small_arg_leading(1, 0.1, "q"), "unknown kind 'q'"),
+    (lambda: bessel_zero(-1, 1), "need n >= 0 and s >= 1"),
+    (lambda: bessel_zero(0, 0), "need n >= 0 and s >= 1"),
+    (lambda: vsh_UV(0, 0, [0.0, 0.0, 1.0]), "vector harmonics need n >= 1"),
+    (lambda: vsh_table(0, [0.0, 0.0, 1.0]), "need n_max >= 1"),
+    (lambda: solid_harmonic_gradient_deg1(2), r"degree-1 gradient needs m in \{-1, 0, 1\}"),
+    (lambda: sph_harmonic(1, 0, np.ones((4, 2))), "directions must have a trailing axis of length 3"),
+])
+def test_out_of_domain_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("kind", ["y", "h"])
