@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _far_field_sum, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _degree, _keys, _one_pass, _riccati, _rows, _top, radial_pair
+from .specfun import MAX_ORDER, _degree, _keys, _one_pass, _riccati, _rows, _top, radial_pair, riccati_H, riccati_J
 
 
 class ResonanceError(ArithmeticError):
@@ -128,7 +128,7 @@ class _Coefficients(Mapping):
 
     def __getitem__(self, key):
         n, m = key
-        if not (1 <= n and abs(m) <= n and n * (n + 2) < len(self._stack)):
+        if not (1 <= n <= _top(self._stack) and abs(m) <= n):
             raise KeyError(key)
         return self._stack[n * (n + 1) + m]
 
@@ -294,7 +294,7 @@ def coefficient_asymptotics(n: int, cfg: ScatterConfig) -> CoefficientAsymptotic
     if abs(x) >= 1:
         raise ValueError("asymptotics need |delta omega| < 1")
     j_y, bigj_y = radial_pair(n, y)
-    predicted_tm = radial_pair(n, x)[1] / radial_pair(n, x, "h")[1]
+    predicted_tm = riccati_J(n, x) / riccati_H(n, x)
     if n == 1:
         predicted_te = (1j / 3) * x ** 3 * (bigj_y - 2 * j_y) / (bigj_y + j_y)
         return CoefficientAsymptotics(predicted_te, predicted_tm, False)
