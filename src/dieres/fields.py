@@ -2,7 +2,6 @@
 harmonic (Debye) fields, far-field patterns, the incident plane wave and its
 partial-wave expansion."""
 
-import cmath
 import copy
 import functools
 import math
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (_check_n_max, _check_order, _direction_frame, _legendre_rows, _radius_split, _top,
+from .specfun import (_check_n_max, _check_order, _direction_frame, _finite, _legendre_rows, _radius_split, _top,
                       harmonic_table, radial_table, solid_harmonic_gradient_deg1)
 
 
@@ -28,13 +27,6 @@ class FieldSample:
             raise ValueError("field samples must be finite")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "value", value)
-
-
-def _finite(name, value):
-    """A real or complex scalar value, checked to be finite; name names it in the error."""
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} = {value} is not finite")
-    return value
 
 
 @dataclass(frozen=True)

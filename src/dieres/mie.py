@@ -75,11 +75,25 @@ def _arguments(delta, tau, omega):
     return delta * omega, delta * omega * cmath.sqrt(1 + tau)
 
 
-def _matching(fx, bigfx, jy, bigjy, tau):
-    """TE and TM matching products f_n(x) J_n(y) - j_n(y) F_n(x), the first
-    term divided by 1 + tau for TM.  With f = h^(1) they are the Mie
-    denominators, with f = j the numerators of the radial factors."""
-    return fx * bigjy - jy * bigfx, fx * bigjy / (1 + tau) - jy * bigfx
+def _matching(orders, x, y, tau, hx, jy, jx=None):
+    """Matching products f_k(x) J_k(y) - j_k(y) F_k(x), the first over 1 + tau
+    for TM, of the orders k from the rows of the passes h(x), j(y) and j(x),
+    F_0 from the closed forms: per order the Mie denominators (D_TE, D_TM),
+    f = h^(1), or with jx also the numerators, f = j, as ((N, D, S)_TE,
+    (N, D, S)_TM), S the size of the two products that cancel in D."""
+    t1, out = 1 + tau, []
+    for k in orders:
+        bighx = x * hx[k - 1] - k * hx[k] if k else _riccati(0, x, hx, "h")
+        bigjy = y * jy[k - 1] - k * jy[k] if k else _riccati(0, y, jy, "j")
+        p, q = hx[k] * bigjy, jy[k] * bighx
+        pt = p / t1
+        if jx is None:
+            out.append((p - q, pt - q))
+            continue
+        bigjx = x * jx[k - 1] - k * jx[k] if k else _riccati(0, x, jx, "j")
+        pn, qn, size_q = jx[k] * bigjy, jy[k] * bigjx, abs(q)
+        out.append(((pn - qn, p - q, abs(p) + size_q), (pn / t1 - qn, pt - q, abs(pt) + size_q)))
+    return out
 
 
 def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
@@ -92,31 +106,14 @@ def mie_denominators(n: int, delta: float, tau: complex, omega: complex):
     """
     x, y = _arguments(delta, tau, omega)
     (x, hx), (y, jy) = _one_pass(n, x, "h"), _one_pass(n, y, "j")
-    return _matching(hx[n], _riccati(n, x, hx, "h"), jy[n], _riccati(n, y, jy, "j"), tau)
-
-
-def _factor_row(hx, bighx, jx, bigjx, jy, bigjy, tau):
-    """TE and TM (num, den, scale) of one order: the numerator and denominator
-    of the radial factor and the size of the two products that cancel in the
-    denominator."""
-    den_te, den_tm = _matching(hx, bighx, jy, bigjy, tau)
-    num_te, num_tm = _matching(jx, bigjx, jy, bigjy, tau)
-    scale_te = abs(hx * bigjy) + abs(jy * bighx)
-    scale_tm = abs(hx * bigjy / (1 + tau)) + abs(jy * bighx)
-    return (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm)
+    return _matching((n,), x, y, tau, hx, jy)[0]
 
 
 def _factor_table(n_max, delta, tau, omega):
-    """_factor_row of every order 0..n_max from the rows f and F of one 0-d
-    pass per function: h(dw), j(dw) and j(dw_t).  mie_denominators reads the
-    same Python complex rows, so that row n of the table of size n and the
-    denominators of order n agree bit for bit."""
+    """_matching of the orders 0..n_max from one 0-d pass each of h(dw), j(dw) and j(dw_t): the rows and
+    products mie_denominators reads, so that the table of size n and the denominators of order n agree."""
     x, y = map(complex, _arguments(delta, tau, omega))
-    tables = []
-    for z, kind in ((x, "h"), (x, "j"), (y, "j")):
-        rows = _rows(n_max, z, kind)
-        tables += [rows[:n_max + 1], [_riccati(k, z, rows, kind) for k in range(n_max + 1)]]
-    return [_factor_row(*row, tau) for row in zip(*tables)]
+    return _matching(range(n_max + 1), x, y, tau, _rows(n_max, x, "h"), _rows(n_max, y, "j"), _rows(n_max, x, "j"))
 
 
 class _Coefficients(Mapping):
@@ -162,10 +159,10 @@ def _stacks(*tables):
 class MieTable:
     """Scattering coefficients gamma (TE) and eta (TM) for one configuration.
 
-    gamma and eta are given as (n, m) mappings or as stacks at
-    k = n(n+1) + m (entry 0 unused).  The table keeps them stacked in te and
-    tm, up to the highest order either holds and with missing entries 0;
-    gamma and eta become read-only (n, m) views of those stacks.
+    gamma and eta are given as (n, m) mappings or as stacks at k = n(n+1) + m
+    (entry 0 unused).  The table keeps them stacked in te and tm, up to the
+    highest order either holds, missing entries 0, and read-only complex stacks
+    of one length with no copy; gamma and eta are read-only (n, m) views of them.
     """
 
     config: ScatterConfig
@@ -176,7 +173,10 @@ class MieTable:
     tm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        te, tm = _stacks(self.gamma, self.eta)
+        te, tm = self.gamma, self.eta
+        if not all(type(c) is np.ndarray and c.shape == (len(te),) == ((_top(te) + 1) ** 2,) and c.dtype == complex
+                   and not c.flags.writeable for c in (te, tm)):
+            te, tm = _stacks(te, tm)
         for name, value in (("te", te), ("tm", tm), ("gamma", _Coefficients(te)), ("eta", _Coefficients(tm))):
             object.__setattr__(self, name, value)
 
@@ -214,12 +214,13 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
         if abs(den_tm) < 1e-14 * scale_tm:
             raise ResonanceError(n, "TM")
         ratios += [num_te / den_te, num_tm / den_tm]
-    ratios = np.reshape(ratios, (-1, 2)).T[:, _degree(cfg.n_max)]
+    ratios = np.array(ratios).reshape(-1, 2).T[:, _degree(cfg.n_max)]
     proj = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
     # the products as Python complex rounds them, with no fused multiply-add
     pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag
     stacks = np.empty_like(proj)
     stacks.real, stacks.imag = pr * rr - pi * ri, pr * ri + pi * rr
+    stacks.flags.writeable = False
     return MieTable(cfg, w, *stacks)
 
 

@@ -5,6 +5,7 @@ for the scattering amplitude."""
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -159,7 +160,12 @@ class DecomposedField:
 
 def _sample(sampler, pts):
     """The sampler's complex (N, 3) values at pts, zeros where it is None."""
-    return np.zeros((len(pts), 3), dtype=complex) if sampler is None else np.asarray(sampler(pts), dtype=complex)
+    if sampler is None:
+        return np.zeros((len(pts), 3), dtype=complex)
+    values = np.asarray(sampler(pts), dtype=complex)
+    if values.shape != (len(pts), 3):
+        raise ValueError(f"a sampler returned shape {values.shape} at {len(pts)} points, not ({len(pts)}, 3)")
+    return values
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,16 @@ class MomentTensor:
     kind: str      # "magnetic" or "electric"
     order_l: int
     entries: np.ndarray  # rank l (magnetic) or l+1 (electric)
+
+    def __post_init__(self):
+        if self.kind not in ("magnetic", "electric"):
+            raise ValueError(f"moment kind {self.kind!r} is neither 'magnetic' nor 'electric'")
+        if operator.index(self.order_l) < 0:
+            raise ValueError("moment order must be >= 0")
+        shape = (3,) * (self.order_l + (self.kind == "electric"))
+        if np.shape(self.entries) != shape:
+            raise ValueError(f"{self.kind} moment of order {self.order_l} has entries of shape {shape}, "
+                             f"not {np.shape(self.entries)}")
 
 
 # one rule per kind: orders up to top; order l takes l - shift copies of y and,

@@ -24,7 +24,7 @@ class PoleError(ArithmeticError):
 
 
 def _guard_pole(value, pole, what):
-    if abs(_finite("omega", value) - pole) <= 1e-12 * max(abs(pole), 1.0):
+    if abs(_finite("omega", value) - _finite("omega0", pole)) <= 1e-12 * max(abs(pole), 1.0):
         raise PoleError(f"{what} has a pole at {pole}")
 
 
@@ -185,7 +185,8 @@ def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_tau: com
     _guard_pole(omega, omega0, "blow-up coefficient")
     eps = omega - omega0
     # delta = 0 leaves the simple pole alone
-    return -omega0 / (2 * eps) + _finite("delta", delta) * omega0 ** 2 * c_m1 * omega ** 2 * lambda0 / (4 * eps ** 2)
+    return (-omega0 / (2 * eps)
+            + _finite("delta", delta) * omega0 ** 2 * c_m1 * omega ** 2 * _finite("lambda0", lambda0) / (4 * eps ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ functions, quasi-static predictors with first-order corrections, and radius
 sweeps with seed chaining."""
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +74,10 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
     a degenerate parabola falls back to a secant step.  Returns the best
     iterate as (root, residual, iterations).
     """
+    if _finite("tol", tol) <= 0:
+        raise ValueError("tol must be positive")
+    if operator.index(max_iter) < 1:
+        raise ValueError("max_iter must be >= 1")
     x0, x1, x2 = complex(z0), complex(z1), complex(z2)
     if len({x0, x1, x2}) < 3:
         raise ValueError("Muller needs three distinct starting points")

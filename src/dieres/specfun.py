@@ -61,13 +61,20 @@ def _select(flags, a, b):
     return np.where(flags, a, b)
 
 
+def _finite(name, value):
+    """A real or complex scalar value, checked to be finite; name names it in the error."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
+
+
 def _check(n, z, kind):
     """The argument checks of a pass of order n on the Python complex z."""
     if n < 0:
         raise ValueError("order n must be >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order n={n} exceeds supported maximum {MAX_ORDER}")
-    if not cmath.isfinite(z):
+    if not cmath.isfinite(z):  # written out: a scalar pass runs this on every call
         raise ValueError(f"argument z = {z} is not finite")
     if abs(z.imag) > _IM_OVERFLOW:
         raise OverflowError("spherical Bessel argument overflows double range")
@@ -78,21 +85,14 @@ def _check(n, z, kind):
 
 
 def _probe(z):
-    """The element of the array z that _check reads for all of them: the
-    first to fail the earliest check that any element fails, else 1j."""
+    """The element of the array z that _check (or _finite) reads for all of
+    them: the first to fail the earliest check that any element fails, else 1j."""
     fails = [f for f in (~np.isfinite(z), np.abs(z.imag) > _IM_OVERFLOW, z == 0) if f.any()]
     return complex(z[fails[0]][0]) if fails else 1j
 
 
 def _overflow(kind, n):
     return OverflowError(f"{'y' if kind == 'y' else 'h^(1)'}_{max(n, 1)}(z) overflows the double range")
-
-
-@functools.lru_cache(maxsize=None)
-def _double_factorial(k):
-    if k <= 0:
-        return 1.0
-    return float(math.prod(range(k, 0, -2)))
 
 
 def _series_sum(n, z):
@@ -163,7 +163,7 @@ def _miller(top, z, kind):
     # the larger of the two iterates by less than 2k + 2, and this regime has
     # |Re z| < N + 10 |Im z| <= 7064, so k < 7200: eight steps from below
     # 1e250 stay below 1e284 and the rescaling test runs every eighth step.
-    start = top + 30 + int(np.max(np.abs(z), initial=0))
+    start = top + 30 + int(np.abs(z) if isinstance(z, complex) else np.max(np.abs(z), initial=0))
     f_hi, f_lo = 0 * z, 1e-280 + 0 * z
     kept = []  # f_top down to f_0
     for k in range(start, 0, -1):
@@ -351,10 +351,11 @@ def small_arg_leading(n: int, t, kind: str) -> complex:
         raise ValueError(f"unknown kind {kind!r}")
     a, b = coefficients[kind]
     t = np.asarray(t, dtype=complex)
+    _finite("t", _probe(t))
     if kind in ("j", "J"):
-        res = t ** n / _double_factorial(2 * n + 1) * (a - b * t * t / (2 * (2 * n + 3)))
+        res = t ** n / float(math.prod(range(2 * n + 1, 0, -2))) * (a - b * t * t / (2 * (2 * n + 3)))
     else:
-        res = -1j * _double_factorial(2 * n - 1) / t ** (n + 1) * (a + b * t * t / (2 * (2 * n - 1)))
+        res = -1j * float(math.prod(range(2 * n - 1, 0, -2))) / t ** (n + 1) * (a + b * t * t / (2 * (2 * n - 1)))
     return complex(res) if res.ndim == 0 else res
 
 
@@ -411,12 +412,10 @@ def bessel_zero(n: int, s: int) -> float:
 
 def angles_to_unit(theta, phi):
     """Unit vector (sin t cos p, sin t sin p, cos t) for polar/azimuthal angles."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-        axis=-1,
-    )
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    for name, angle in (("theta", theta), ("phi", phi)):
+        _finite(name, _probe(angle))
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def _radius_split(x, noun="point"):

@@ -367,12 +367,12 @@ def test_zero_n_max_is_rejected_not_replaced_by_the_default(capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "n_max must be >= 1"}
 
 
-def _snapshot_tool():
+def _tool(name):
     import importlib.util
     import pathlib
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -393,7 +393,7 @@ def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
         for directory, text in zip((a, b), texts):
             if text is not None:
                 (directory / name).write_text(text)
-    tool = _snapshot_tool()
+    tool = _tool("cli_snapshot")
     assert tool.compare(str(a), str(b)) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
@@ -405,3 +405,13 @@ def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
     ]
     assert tool.compare(str(a), str(a)) == 0
     assert capsys.readouterr().out == "0 of 5 files differ\n"
+
+
+def test_layer_pairs_child_times_every_layer(capsys):
+    tool = _tool("layer_pairs")
+    tool._child(1)
+    times = json.loads(capsys.readouterr().out)
+    assert len(times) == 5 and all(t > 0 for t in times.values())
+    with pytest.raises(SystemExit):
+        tool.main(["--base", "HEAD", "--rounds", "0"])
+    assert "--rounds and --repeat must be >= 1" in capsys.readouterr().err

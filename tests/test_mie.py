@@ -17,10 +17,11 @@ from dieres.mie import (
     far_field,
     mie_coefficients,
     mie_denominators,
+    _arguments,
     _factor_table,
     scattered_field,
 )
-from dieres.specfun import MAX_ORDER, riccati_J, sph_bessel_j, vsh_table
+from dieres.specfun import MAX_ORDER, _series_j, _upward_j, radial_table, riccati_J, sph_bessel_j, vsh_table
 
 
 def _wave(omega, d=None, e0=None):
@@ -97,6 +98,47 @@ def test_radial_factors_shared_by_table_and_denominators():
             assert full.eta[(n, m)] == pref * np.dot(np.conj(u), w.polarization) * bare.radial_tm(n)
         (_, den_te, _), (_, den_tm, _) = _factor_table(n, cfg.delta, cfg.tau, cfg.omega)[n]
         assert mie_denominators(n, cfg.delta, cfg.tau, cfg.omega) == (den_te, den_tm)
+
+
+@pytest.mark.parametrize("tau", [80.0, complex(40, 2.5)])
+def test_factor_table_rows_are_the_python_complex_products(tau):
+    # every row, n = 0 included, against the products and scales recomputed
+    # in Python complex from the rows of radial_table; the grid takes j(dw)
+    # and j(dw_t) through the series, upward and Miller passes
+    passes = set()
+    for n_max, delta, omega in ((1, 0.1, 3.0), (2, 0.1, 3.0), (12, 0.1, 3.0), (12, 1.0, 14.0), (64, 1.0, 30.0)):
+        x, y = map(complex, _arguments(delta, tau, omega))
+        passes |= {"series" if _series_j(z) else "upward" if _upward_j(n_max, z) else "Miller" for z in (x, y)}
+        (hx, bighx), (jx, bigjx), (jy, bigjy) = (
+            [rows.tolist() for rows in radial_table(n_max, z, kind)] for z, kind in ((x, "h"), (x, "j"), (y, "j")))
+        reference = []
+        for n in range(n_max + 1):
+            p, q, pn, qn = hx[n] * bigjy[n], jy[n] * bighx[n], jx[n] * bigjy[n], jy[n] * bigjx[n]
+            reference.append(((pn - qn, p - q, abs(p) + abs(q)),
+                              (pn / (1 + tau) - qn, p / (1 + tau) - q, abs(p / (1 + tau)) + abs(q))))
+        assert np.array(_factor_table(n_max, delta, tau, omega)).tobytes() == np.array(reference).tobytes()
+    assert passes == {"series", "upward", "Miller"}
+
+
+def test_table_keeps_read_only_stacks_and_copies_the_others(monkeypatch):
+    import dieres.mie
+
+    cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=2)
+    w = _wave(2.0, d=[0.3, -0.4, 0.87])
+    with monkeypatch.context() as patch:
+        patch.setattr(dieres.mie, "_stacks", None)  # a copy would call it
+        t = mie_coefficients(cfg, w)
+        kept = MieTable(cfg, w, t.te, t.tm)
+    assert not (t.te.flags.writeable or t.tm.flags.writeable)
+    assert kept.te is t.te and kept.tm is t.tm and kept == t
+    te, tm = t.te.copy(), t.tm.copy()
+    copied = MieTable(cfg, w, te, tm)
+    te[:], tm[:] = 1.0, 2.0
+    assert np.array_equal(copied.te, t.te) and np.array_equal(copied.tm, t.tm) and copied == t
+    # read-only stacks of two lengths are still brought to one
+    short = t.tm[:4]
+    padded = MieTable(cfg, w, t.te, short)
+    assert len(padded.tm) == 9 and np.array_equal(padded.tm[:4], short) and not padded.tm[4:].any()
 
 
 def test_near_resonant_magnetic_dipole_dominance():

@@ -108,6 +108,25 @@ def test_moment_order_caps(ball_quad):
             moment(-1, _bubble_field([1, 0, 0]), ball_quad)
 
 
+@pytest.mark.parametrize("kind, l, entries, message", [
+    ("Magnetic", 1, np.zeros(3), "moment kind 'Magnetic' is neither 'magnetic' nor 'electric'"),
+    ("magnetic", -1, np.zeros(()), "moment order must be >= 0"),
+    ("magnetic", 1, np.zeros((3, 3)), r"magnetic moment of order 1 has entries of shape \(3,\), not \(3, 3\)"),
+    ("electric", 1, np.zeros(3), r"electric moment of order 1 has entries of shape \(3, 3\), not \(3,\)"),
+    ("electric", 0, np.zeros(2), r"electric moment of order 0 has entries of shape \(3,\), not \(2,\)"),
+])
+def test_moment_tensor_checks_its_kind_and_shape(kind, l, entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MomentTensor(kind, l, entries)
+
+
+def test_sampler_of_the_wrong_shape_is_rejected(ball_quad_small):
+    f = DecomposedField(curl_potential=lambda pts: pts[:, :2])
+    n = len(ball_quad_small.points)
+    with pytest.raises(ValueError, match=rf"^a sampler returned shape \({n}, 2\) at {n} points, not \({n}, 3\)$"):
+        magnetic_moment(1, f, ball_quad_small)
+
+
 def test_field_without_curl_sampler_has_zero_magnetic_moments(ball_quad_small):
     f = DecomposedField(grad_potential_gradient=lambda pts: np.stack([pts[:, 1], pts[:, 0], 1 + pts[:, 2]], axis=-1))
     for l in range(5):

@@ -308,6 +308,12 @@ def test_cluster_resonances_single_family():
     (lambda: averaged_cross_sections(3.3, math.nan, UNIT_MODEL), "delta"),
     (lambda: averaged_cross_sections(3.3, math.inf, UNIT_MODEL), "delta"),
     (lambda: blowup_coefficient(3.3, math.nan, math.pi, 1.0, 0.0, 0.1), "delta"),
+    pytest.param(lambda: scatter_fn_general(3.3, math.nan, 1.0), "omega0", id="scatter_fn_general-omega0"),
+    pytest.param(lambda: blowup_coefficient(3.3, 0.1, complex(math.pi, math.nan), 1.0, 0.0, 0.1), "omega0",
+                 id="blowup_coefficient-omega0"),
+    (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, 0.3, math.nan), "lambda0"),
+    (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=math.nan), "tol"),
+    (lambda: muller_root(lambda z: z - 1, 0.5, 1.5, 1j, tol=math.inf), "tol"),
 ])
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
@@ -321,6 +327,11 @@ def test_non_finite_parameters_are_named(call, name):
     (lambda: quasi_static_prediction("TE", 0, 1, UNIT_MODEL), "mode order n must be >= 1"),
     (lambda: quasi_static_prediction("TM", 1, 1, UNIT_MODEL, 0.0, finite_tau=True),
      "finite-tau prediction needs delta > 0"),
+    (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=-1.0), "tol must be positive"),
+    (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=0.0), "tol must be positive"),
+    (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, max_iter=0), "max_iter must be >= 1"),
+    (lambda: sweep_resonance("TE", 1, 1, [0.05, 0.1], UNIT_MODEL, tol=-1e-12), "tol must be positive"),
+    (lambda: muller_root(lambda z: z - 1, 0.5, 1.5, 1j, max_iter=-3), "max_iter must be >= 1"),
 ])
 def test_out_of_domain_calls_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

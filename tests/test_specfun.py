@@ -340,6 +340,10 @@ def test_scalar_and_array_errors(n, z, kind, error):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: small_arg_leading(1, 0.1, "q"), "unknown kind 'q'"),
+    (lambda: small_arg_leading(1, math.nan, "j"), r"t = \(nan\+0j\) is not finite"),
+    (lambda: small_arg_leading(2, np.array([0.1, complex(0.2, math.inf)]), "H"), r"t = \(0\.2\+infj\) is not finite"),
+    (lambda: angles_to_unit(math.nan, 0.3), r"theta = \(nan\+0j\) is not finite"),
+    (lambda: angles_to_unit([0.1, 0.2], [0.3, -math.inf]), r"phi = \(-inf\+0j\) is not finite"),
     (lambda: bessel_zero(-1, 1), "need n >= 0 and s >= 1"),
     (lambda: bessel_zero(0, 0), "need n >= 0 and s >= 1"),
     (lambda: vsh_UV(0, 0, [0.0, 0.0, 1.0]), "vector harmonics need n >= 1"),
