@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mie, quasistatic, resonance
-from .fields import IncidentWave, _finite
-from .specfun import bessel_zero
+from .fields import IncidentWave
+from .specfun import _finite, bessel_zero
 
 
 @dataclass

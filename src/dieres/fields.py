@@ -2,7 +2,6 @@
 harmonic (Debye) fields, far-field patterns, the incident plane wave and its
 partial-wave expansion."""
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -50,12 +49,6 @@ class IncidentWave:
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "polarization", e0)
         object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
-
-    def _at(self, omega):
-        """This wave at the checked frequency omega, its vectors not checked again."""
-        wave = copy.copy(self)
-        object.__setattr__(wave, "omega", omega)
-        return wave
 
 
 @functools.lru_cache(maxsize=32)

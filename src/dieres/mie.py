@@ -3,6 +3,7 @@ field, far-field amplitude, cross sections and the high-contrast coefficient
 asymptotics."""
 
 import cmath
+import itertools
 import math
 import operator
 import warnings
@@ -12,8 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import IncidentWave, _far_field_sum, _finite, _incidence, _multipole_sum, _radius_split
-from .specfun import MAX_ORDER, _degree, _keys, _one_pass, _riccati, _rows, _top, radial_pair, riccati_H, riccati_J
+from .fields import IncidentWave, _far_field_sum, _incidence, _multipole_sum
+from .specfun import (MAX_ORDER, _degree, _finite, _keys, _one_pass, _radius_split, _riccati, _rows, _top, radial_pair,
+                      riccati_H, riccati_J)
 
 
 class ResonanceError(ArithmeticError):
@@ -116,6 +118,17 @@ def _factor_table(n_max, delta, tau, omega):
     return _matching(range(n_max + 1), x, y, tau, _rows(n_max, x, "h"), _rows(n_max, y, "j"), _rows(n_max, x, "j"))
 
 
+def _ratios(n_max, delta, tau, omega):
+    """The radial factors num/den of _factor_table at k = 2n + (0 for TE, 1 for TM), 0 at n = 0; ResonanceError
+    where a denominator is degenerate relative to the size of its two products (a scattering resonance)."""
+    ratios = [0j, 0j]
+    for num, den, scale in itertools.chain.from_iterable(_factor_table(n_max, delta, tau, omega)[1:]):
+        if abs(den) < 1e-14 * scale:
+            raise ResonanceError(len(ratios) // 2, ("TE", "TM")[len(ratios) % 2])
+        ratios.append(num / den)
+    return ratios
+
+
 class _Coefficients(Mapping):
     """Read-only (n, m) -> coefficient view of a stack at k = n(n+1) + m,
     1 <= n <= N, |m| <= n."""
@@ -188,10 +201,11 @@ class MieTable:
         return self._ratio(n, 1)
 
     def _ratio(self, n, family):
-        # row n of the table mie_coefficients reads, so the two agree bit for bit
+        # the ratios mie_coefficients reads, so the two agree bit for bit and fail at the same resonances
+        if n < 1:
+            raise ValueError("radial factors start at n = 1")
         c = self.config
-        num, den, _ = _factor_table(max(n, c.n_max), c.delta, c.tau, c.omega)[n][family]
-        return num / den
+        return _ratios(max(n, c.n_max), c.delta, c.tau, c.omega)[2 * n + family]
 
 
 def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
@@ -199,22 +213,12 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
 
     Raises ResonanceError when a denominator is degenerate relative to the
     size of its two products (omega numerically a scattering resonance).
-    The angular part comes from the memo of the incidence; per omega only the
-    radial factors, their ratios and one product per entry, taken for all
-    entries at once, are computed.
+    The frequency is cfg.omega; the table keeps w as given, which supplies
+    only the direction and polarization.  The angular part comes from the
+    memo of the incidence; per omega only the radial factors, their ratios
+    and one product per entry, taken for all entries at once, are computed.
     """
-    if complex(w.omega) != cfg.omega:
-        w = w._at(cfg.omega)
-    factors = _factor_table(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)
-    ratios = [0j, 0j]  # TE, TM at n = 0, where the stacks hold one entry
-    for n in range(1, cfg.n_max + 1):
-        (num_te, den_te, scale_te), (num_tm, den_tm, scale_tm) = factors[n]
-        if abs(den_te) < 1e-14 * scale_te:
-            raise ResonanceError(n, "TE")
-        if abs(den_tm) < 1e-14 * scale_tm:
-            raise ResonanceError(n, "TM")
-        ratios += [num_te / den_te, num_tm / den_tm]
-    ratios = np.array(ratios).reshape(-1, 2).T[:, _degree(cfg.n_max)]
+    ratios = np.array(_ratios(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)).reshape(-1, 2).T[:, _degree(cfg.n_max)]
     proj = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
     # the products as Python complex rounds them, with no fused multiply-add
     pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag

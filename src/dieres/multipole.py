@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .specfun import HarmonicTable, harmonic_table
+from .specfun import HarmonicTable, _finite, _radius_split, harmonic_table
 
 
 @dataclass(frozen=True)
@@ -243,6 +243,10 @@ def amplitude_from_moments(moments, delta: float, tau: complex, omega: complex,
     if truncation not in _TRUNCATIONS:
         raise ValueError(f"unknown truncation {truncation!r}")
     xhat = np.asarray(xhat, dtype=float)
+    if xhat.shape != (3,) or abs(_radius_split(xhat, "direction xhat")[1][0] - 1) > 1e-12:
+        raise ValueError("direction xhat must be one unit 3-vector")
+    for name, value in (("delta", delta), ("tau", tau), ("omega", omega)):
+        _finite(name, value)
     table = {(mt.kind, mt.order_l): mt for mt in moments}
     wanted = _TRUNCATIONS[truncation] or sorted(table, key=lambda km: km[1])
     total = np.zeros(3, dtype=complex)

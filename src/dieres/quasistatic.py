@@ -4,6 +4,7 @@ the two scattering functions, blow-up coefficient, resonant dipole pair,
 resonant approximate moments and orientation-averaged cross sections."""
 
 import functools
+import heapq
 import math
 import operator
 import warnings
@@ -12,11 +13,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import IncidentWave, _finite, _incidence, _radius_split, multipole_field
+from .fields import IncidentWave, _incidence, multipole_field
 from .mie import _arguments
 from .multipole import _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel, _radius, quasi_static_prediction
-from .specfun import bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic
+from .specfun import (_finite, _radius_split, bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1,
+                      sph_bessel_j, sph_harmonic)
 
 
 class PoleError(ArithmeticError):
@@ -64,23 +66,15 @@ def sphere_spectrum(count: int):
     ball, sorted descending, with multiplicities and mode labels."""
     if operator.index(count) < 1:
         raise ValueError("count must be >= 1")
-    # scan rows of zeros, tightening the cutoff to the count-th smallest seen
-    bound = count * math.pi  # row 0 alone provides `count` zeros below this
-    zeros = []
-    n = 0
-    while bessel_zero(n, 1) <= bound:
-        s = 1
-        while (k := bessel_zero(n, s)) <= bound:
-            zeros.append((k, n, s))
-            s += 1
-        zeros.sort()
-        if len(zeros) >= count:
-            bound = zeros[count - 1][0]
-        n += 1
-    out = []
-    for k, fam, s in zeros[:count]:
-        mult = 3 if fam == 0 else 4 * fam + 4
-        out.append(SphereEigenvalue(k, 1.0 / k ** 2, fam, s, mult, _labels_for(fam, k)))
+    # merge the rows k_{n,1} < k_{n,2} < ...: they start in order in n, so row n + 1 joins when row n does
+    heap, out = [(bessel_zero(0, 1), 0, 1)], []
+    while len(out) < count:
+        k, n, s = heapq.heappop(heap)
+        heapq.heappush(heap, (bessel_zero(n, s + 1), n, s + 1))
+        if s == 1:
+            heapq.heappush(heap, (bessel_zero(n + 1, 1), n + 1, 1))
+        labels = _labels_for(n, k)
+        out.append(SphereEigenvalue(k, 1.0 / k ** 2, n, s, len(labels), labels))
     return out
 
 

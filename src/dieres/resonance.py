@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import _family_index, _finite
+from .fields import _family_index
 from .mie import mie_denominators
-from .specfun import bessel_zero
+from .specfun import _finite, bessel_zero
 
 
 class MullerNoConvergence(RuntimeError):

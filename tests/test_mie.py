@@ -150,16 +150,28 @@ def test_near_resonant_magnetic_dipole_dominance():
 
 
 def test_resonance_error_at_complex_root():
+    # the TE root near pi and the TM denominator near the first zero of j_1: the table and the radial
+    # factors of a hand-built table (which hold no coefficients) fail at the same check
     delta, tau = 0.15, 0.15 ** -2
-    f = lambda w: mie_denominators(1, delta, tau, w)[0]
-    root = _muller_oracle(f, math.pi)
-    with pytest.raises(ResonanceError, match="^scattering resonance hit at n=1, family=TE$"):
-        mie_coefficients(ScatterConfig(delta, tau, root, n_max=3), _wave(root))
-    # the TM denominator near the first zero of j_1
-    root = _muller_oracle(lambda w: mie_denominators(1, delta, tau, w)[1], 4.49)
-    with pytest.raises(ResonanceError, match="^scattering resonance hit at n=1, family=TM$") as info:
-        mie_coefficients(ScatterConfig(delta, tau, root, n_max=3), _wave(root))
-    assert (info.value.n, info.value.family) == (1, "TM")
+    for family, guess in (("TE", math.pi), ("TM", 4.49)):
+        root = _muller_oracle(lambda w: mie_denominators(1, delta, tau, w)[family == "TM"], guess)
+        cfg = ScatterConfig(delta, tau, root, n_max=3)
+        hand_built = MieTable(cfg, _wave(root), {}, {})
+        for call in (lambda: mie_coefficients(cfg, _wave(root)), lambda: hand_built.radial_te(1),
+                     lambda: hand_built.radial_tm(1)):
+            with pytest.raises(ResonanceError, match=f"^scattering resonance hit at n=1, family={family}$") as info:
+                call()
+            assert (info.value.n, info.value.family) == (1, family)
+
+
+def test_table_keeps_the_wave_it_is_given():
+    # the table's frequency is the configuration's; the wave supplies only direction and polarization
+    cfg = ScatterConfig(0.15, complex(60, 2), 3.1)
+    other, same = _wave(1.7, d=[0.3, -0.4, 0.87]), _wave(3.1, d=[0.3, -0.4, 0.87])
+    t, ref = mie_coefficients(cfg, other), mie_coefficients(cfg, same)
+    assert t.incident is other
+    assert t.te.tobytes() == ref.te.tobytes() and t.tm.tobytes() == ref.tm.tobytes()
+    assert cross_sections(t) == cross_sections(ref)
 
 
 def test_scattered_field_empty_table_and_linearity():
@@ -615,6 +627,7 @@ def test_scatter_config_rejects_zero_frequency(omega, n_max):
     (lambda: coefficient_asymptotics(1, ScatterConfig(0.5, 100.0, 2.0)), r"asymptotics need \|delta omega\| < 1"),
     (lambda: MieTable(ScatterConfig(0.1, 100.0, 3.0), _wave(3.0), np.zeros(5), {}),
      r"a coefficient stack has length \(n_max \+ 1\)\^2"),
+    (lambda: MieTable(ScatterConfig(0.1, 100.0, 3.0), _wave(3.0)).radial_te(0), "radial factors start at n = 1"),
 ])
 def test_out_of_domain_calls_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -205,6 +205,21 @@ def test_amplitude_missing_moment_error(ball_quad):
         amplitude_from_moments(moments, 0.1, 100.0, 2.0, np.array([0.0, 0, 1.0]), "order9")
 
 
+@pytest.mark.parametrize("xhat, delta, tau, omega, message", [
+    ([0.0, 0.0, 2.0], 0.1, 100.0, 2.0, "direction xhat must be one unit 3-vector"),
+    ([[0.0, 0.0, 1.0]], 0.1, 100.0, 2.0, "direction xhat must be one unit 3-vector"),
+    ([0.0, 1.0], 0.1, 100.0, 2.0, "direction xhat must be one unit 3-vector"),
+    ([math.nan, 0.0, 1.0], 0.1, 100.0, 2.0, r"direction xhat \[nan +0\. +1\.\] is not finite"),
+    ([0.0, 0.0, 1.0], math.nan, 100.0, 2.0, "delta = nan is not finite"),
+    ([0.0, 0.0, 1.0], 0.1, complex(math.inf, 0), 2.0, r"tau = \(inf\+0j\) is not finite"),
+    ([0.0, 0.0, 1.0], 0.1, 100.0, complex(2.0, math.nan), r"omega = \(2\+nanj\) is not finite"),
+])
+def test_amplitude_rejects_inputs_outside_its_domain(xhat, delta, tau, omega, message):
+    moments = [MomentTensor("electric", 0, np.ones(3)), MomentTensor("magnetic", 1, np.ones(3))]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        amplitude_from_moments(moments, delta, tau, omega, xhat, "dipole-pair")
+
+
 def test_dipole_pair_truncation_reproduces_dipole_amplitude(rng):
     # cross-module consistency: converting the resonant dipole pair into
     # moment tensors and assembling the dipole-pair bracket must reproduce

@@ -103,6 +103,20 @@ def test_spectrum_matches_bessel_zero_table():
         assert_allclose(e.lam, 1 / e.k ** 2, rtol=1e-14)
 
 
+def test_spectrum_is_the_sorted_bessel_zeros():
+    # brute force over rows 0..24 and zeros 1..10, complete below the smallest zero it leaves out
+    zeros = sorted((bessel_zero(n, s), n, s) for n in range(25) for s in range(1, 11))
+    assert zeros[59][0] < min(bessel_zero(25, 1), *(bessel_zero(n, 11) for n in range(25)))
+    for count in range(1, 61):
+        eigs = sphere_spectrum(count)
+        assert [(e.k, e.family_n, e.zero_index_s) for e in eigs] == zeros[:count]
+        for e in eigs:
+            assert e.lam == 1 / e.k ** 2
+            assert e.multiplicity == len(e.labels) == (3 if e.family_n == 0 else 4 * e.family_n + 4)
+            assert {(l.kind, l.n, l.k) for l in e.labels} == (
+                {("TE", 1, e.k)} if e.family_n == 0 else {("TE", e.family_n + 1, e.k), ("TM", e.family_n, e.k)})
+
+
 # --- eigenmodes ------------------------------------------------------------------
 
 def test_ground_mode_lommel_norm(ball_quad):

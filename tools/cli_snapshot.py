@@ -6,11 +6,11 @@
 Each command runs through ``dieres.cli.main``; its stdout, stderr and exit
 code go to OUTDIR/<name>.stdout, <name>.stderr and <name>.code.  The set
 covers every subcommand, CSV and JSON output, a config file, failing
-configurations and every ``--help``.  Snapshot two checkouts (with each one's
-``src`` on PYTHONPATH) and compare them with ``diff -r``, or with
-``--compare``, which prints each changed file with its largest relative
-cell change |b - a| / max(|a|, |b|) and the two cells, and exits 1 when a
-file differs.
+configurations, the per-point failure records of the grids and every
+``--help``.  Snapshot two checkouts (with each one's ``src`` on PYTHONPATH)
+and compare them with ``diff -r``, or with ``--compare``, which prints each
+changed file with its largest relative cell change |b - a| / max(|a|, |b|)
+and the two cells, and exits 1 when a file differs.
 
 Exits 1 when a command's exit code differs from the one expected of it, so a
 command meant to succeed that fails is caught.
@@ -32,11 +32,13 @@ COMMANDS = [
     ("bessel-zeros", ["bessel-zeros"], 0),
     ("bessel-zeros-json", ["bessel-zeros", "--order", "2", "--count", "4", "--format", "json"], 0),
     ("spectrum", ["spectrum", "--count", "6"], 0),
+    ("spectrum-rows", ["spectrum", "--count", "40"], 0),
     ("resonance", ["resonance", "--delta", "0.1"], 0),
     ("resonance-json", ["resonance", "--family", "TM", "--n", "2", "--delta", "0.08", "--tol", "1e-11",
                         "--c-tau", "1.5", "0.1", "--laurent", "0.3", "--format", "json"], 0),
     ("resonance-sweep", ["resonance-sweep", "--delta-min", "0.05", "--delta-max", "0.2",
                          "--delta-count", "4"], 0),
+    ("resonance-sweep-failed", ["resonance-sweep", "--deltas", "0.1", "2.0"], 0),
     ("resonance-sweep-deltas", ["resonance-sweep", "--deltas", "0.05", "0.1", "0.15", "--family", "TM",
                                 "--s", "2", "--laurent", "-0.2", "0.1"], 0),
     ("mie", ["mie", "--delta", "0.15", "--omega", "3.3", "--n-max", "3"], 0),
@@ -44,6 +46,8 @@ COMMANDS = [
                   *WAVE, "--format", "json"], 0),
     ("cross-sections", ["cross-sections", "--delta", "0.1", "--tau", "80", "0", "--omega-min", "1.0",
                         "--omega-max", "2.0", "--omega-count", "7"], 0),
+    ("cross-sections-zero-omega", ["cross-sections", "--delta", "0.1", "--omega-min", "0", "--omega-max", "2",
+                                   "--omega-count", "5"], 0),
     ("cross-sections-json", ["cross-sections", "--delta", "0.15", "--tau", "44", "0.5", "--omega-min", "2.9",
                              "--omega-max", "3.4", "--omega-count", "5", *WAVE, "--format", "json"], 0),
     ("scatter-functions", ["scatter-functions", "--delta", "0.15", "--omega-min", "2.9",
