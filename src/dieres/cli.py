@@ -57,28 +57,14 @@ def _json_cell(v):
 
 def parse_csv(text: str) -> CsvTable:
     """Re-parse an emitted CSV document (inverse of render_csv)."""
-    meta = []
-    header = None
-    rows = []
-    units = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("schema:"):
-                continue
-            if body.startswith("units:"):
-                units = body[len("units:"):].strip().split(",")
-                continue
+    meta, units, lines = [], [], [line for line in text.splitlines() if line.strip()]
+    for body in (line[1:].strip() for line in lines if line.startswith("#")):
+        if body.startswith("units:"):
+            units = body[len("units:"):].strip().split(",")
+        elif not body.startswith("schema:"):
             meta.append(body)
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-        else:
-            rows.append([_parse_cell(c) for c in cells])
-    return CsvTable(header or [], units, rows, meta)
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    return CsvTable(table[0] if table else [], units, [[_parse_cell(c) for c in cells] for cells in table[1:]], meta)
 
 
 def _parse_cell(cell):
@@ -222,17 +208,9 @@ def _cmd_cross_sections(cfg):
     # a bad sphere or wave fails the spectrum; a point rejected for its omega
     # (zero, or too large for the truncation order) fails alone
     mie._checked_sphere(delta, tau)
-    w = _incident(cfg, grid[0])
-    rows = []
-    meta = []
-    for om in grid:
-        try:
-            rep = mie.cross_sections(mie.mie_coefficients(mie.ScatterConfig(delta, tau, om), w))
-        except (mie.ResonanceError, ValueError) as exc:
-            meta.append(f"failed omega={om}: {exc}")
-            continue
-        rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
-    return rows, meta
+    points = list(zip(grid, mie._spectrum(delta, tau, grid, _incident(cfg, grid[0]))))
+    return ([[om, r.Qs, r.Qext, r.Qabs, r.n_max_used, r.converged] for om, r in points if not isinstance(r, Exception)],
+            [f"failed omega={om}: {r}" for om, r in points if isinstance(r, Exception)])
 
 
 def _off_pole(fn, *args):
@@ -303,6 +281,8 @@ _FLAGS = {
     "family": dict(choices=("TE", "TM")),
 }
 
+# the help of a subcommand's flag, where it has one
+_HELP = {("spectrum", "count"): f"number of eigenvalues, 1 to {quasistatic._MAX_COUNT} (default 8)"}
 _MODE_FLAGS = ("family", "n", "s", "c_tau", "laurent")
 _WAVE_FLAGS = ("direction", "polarization")
 _GRID_FLAGS = ("omega_min", "omega_max", "omega_count")
@@ -371,7 +351,7 @@ def build_parser():
                            description=f"column schema: {schema}",
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         for key in flags:
-            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            p.add_argument("--" + key.replace("_", "-"), help=_HELP.get((name, key)), **_FLAGS[key])
     return parser
 
 

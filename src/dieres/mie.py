@@ -218,14 +218,19 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
     memo of the incidence; per omega only the radial factors, their ratios
     and one product per entry, taken for all entries at once, are computed.
     """
-    ratios = np.array(_ratios(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)).reshape(-1, 2).T[:, _degree(cfg.n_max)]
-    proj = _incidence(cfg.n_max, w.direction.tobytes(), w.polarization.tobytes())
-    # the products as Python complex rounds them, with no fused multiply-add
+    return MieTable(cfg, w, *_products([_ratios(cfg.n_max, cfg.delta, cfg.tau, cfg.omega)], cfg.n_max, w)[0])
+
+
+def _products(ratios, n_max, w):
+    """Read-only (G, 2, K) stacks of the plane-wave expansion of w up to n_max times the radial factors of
+    the G lists of _ratios; the products as Python complex rounds them, with no fused multiply-add."""
+    proj = _incidence(n_max, w.direction.tobytes(), w.polarization.tobytes())
+    ratios = np.array(ratios).reshape(len(ratios), -1, 2).swapaxes(1, 2)[..., _degree(n_max)]
     pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag
-    stacks = np.empty_like(proj)
+    stacks = np.empty(ratios.shape, dtype=complex)  # in C order, so that _reports sums along contiguous rows
     stacks.real, stacks.imag = pr * rr - pi * ri, pr * ri + pi * rr
     stacks.flags.writeable = False
-    return MieTable(cfg, w, *stacks)
+    return stacks
 
 
 def scattered_field(t: MieTable, x) -> np.ndarray:
@@ -261,23 +266,47 @@ def cross_sections(t: MieTable) -> CrossSectionReport:
     Absorption and Scattering of Light by Small Particles (1983), sec. 4.4).
     Only defined for real omega, where the incident flux is unit.
     """
-    omega = t.config.omega
-    if omega.imag != 0:
-        raise ValueError("cross sections are defined for real frequencies only")
-    w = omega.real
-    top = _top(t.te)
-    n = _degree(top)
-    weight = n * (n + 1)
-    terms = weight * (np.abs(t.te) ** 2 + np.abs(t.tm) ** 2)
-    qs = float(terms.sum()) / w ** 2
-    n_max = max(t.config.n_max, top)  # a table may hold orders past the configuration's truncation
-    tail = float(terms[(n_max // 2 + 1) ** 2:(n_max + 1) ** 2].sum()) / w ** 2
-    converged = tail <= 1e-12 * max(qs, 1e-300)
-    if not converged:
-        warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
-    proj = np.conj(_incidence(top, t.incident.direction.tobytes(), t.incident.polarization.tobytes())[:, 1:])
-    qext = float(np.real(np.sum(weight[1:] * (t.te[1:] * proj[0] + t.tm[1:] * proj[1])))) / w ** 2
-    return CrossSectionReport(qs, qext, qext - qs, n_max, converged)
+    # a table may hold orders past the configuration's truncation
+    return next(_reports(t.te[None], t.tm[None], t.incident, max(t.config.n_max, _top(t.te)), [t.config.omega]))
+
+
+def _reports(te, tm, w, n_max, omegas):
+    """The cross_sections of the rows of the (G, K) stacks te and tm, lit by w, at the frequencies omegas,
+    truncated at n_max; every sum runs along a contiguous row, as on one stack, with the same bits."""
+    top = _top(te[0])
+    weight = _degree(top) * (_degree(top) + 1)
+    terms = weight * (np.abs(te) ** 2 + np.abs(tm) ** 2)
+    proj = np.conj(_incidence(top, w.direction.tobytes(), w.polarization.tobytes())[:, 1:])
+    qexts = np.real(np.sum(weight[1:] * (te[:, 1:] * proj[0] + tm[:, 1:] * proj[1]), axis=-1))
+    tails = terms[:, (n_max // 2 + 1) ** 2:(n_max + 1) ** 2].sum(axis=-1)
+    for omega, *sums in zip(omegas, terms.sum(axis=-1).tolist(), tails.tolist(), qexts.tolist()):
+        if omega.imag != 0:
+            raise ValueError("cross sections are defined for real frequencies only")
+        qs, tail, qext = (part / omega.real ** 2 for part in sums)
+        converged = tail <= 1e-12 * max(qs, 1e-300)
+        if not converged:
+            warnings.warn("partial-wave sum not converged at n_max; raise the truncation order")
+        yield CrossSectionReport(qs, qext, qext - qs, n_max, converged)
+
+
+def _spectrum(delta, tau, omegas, w):
+    """The cross sections of the sphere lit by w at each real frequency of omegas, in grid order: a
+    CrossSectionReport, or the ResonanceError or ValueError of the point.  ScatterConfig and _ratios run
+    per omega, the products and sums once per block of points of equal n_max."""
+    out, points = [None] * len(omegas), []
+    for i, omega in enumerate(map(float, omegas)):
+        try:
+            cfg = ScatterConfig(delta, tau, omega)
+            points.append((cfg.n_max, i, _ratios(cfg.n_max, delta, cfg.tau, cfg.omega), omega))
+        except (ResonanceError, ValueError) as exc:
+            out[i] = exc
+    # blocks of at most 64 KiB of coefficients: freeing a larger array raises glibc's mmap threshold for good
+    for (n_max, _), run in itertools.groupby(points, lambda p: (p[0], p[1] // max(1, 2048 // (p[0] + 1) ** 2))):
+        _, index, ratios, run_omegas = zip(*run)
+        stacks = _products(ratios, n_max, w)
+        for i, report in zip(index, _reports(stacks[:, 0], stacks[:, 1], w, n_max, run_omegas)):
+            out[i] = report
+    return out
 
 
 class CoefficientAsymptotics(NamedTuple):

@@ -20,6 +20,8 @@ from .resonance import ContrastModel, _radius, quasi_static_prediction
 from .specfun import (_finite, _radius_split, bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1,
                       sph_bessel_j, sph_harmonic)
 
+_MAX_COUNT = 634  # the largest count of sphere_spectrum
+
 
 class PoleError(ArithmeticError):
     """Evaluation requested at (or numerically on top of) a pole."""
@@ -63,9 +65,13 @@ def _labels_for(family_n, k):
 
 def sphere_spectrum(count: int):
     """The `count` largest quasi-static eigenvalues 1/k_{n,s}^2 of the unit
-    ball, sorted descending, with multiplicities and mode labels."""
+    ball, sorted descending, with multiplicities and mode labels; count runs
+    from 1 to 634, the eigenvalues above 1/k_{64,1}^2, whose merge needs Bessel
+    orders up to specfun.MAX_ORDER = 64 only."""
     if operator.index(count) < 1:
         raise ValueError("count must be >= 1")
+    if count > _MAX_COUNT:
+        raise ValueError(f"count = {count} exceeds the supported maximum {_MAX_COUNT}")
     # merge the rows k_{n,1} < k_{n,2} < ...: they start in order in n, so row n + 1 joins when row n does
     heap, out = [(bessel_zero(0, 1), 0, 1)], []
     while len(out) < count:

@@ -157,6 +157,17 @@ def test_json_format(capsys):
     assert abs(payload["rows"][0][2] - 0.785398) < 1e-6
 
 
+def test_spectrum_count_past_its_limit_is_one_error_record(capsys):
+    code, out, err = _run(capsys, "spectrum", "--count", "635")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "count = 635 exceeds the supported maximum 634"}
+    code, out, _ = _run(capsys, "spectrum", "--count", "634")
+    assert code == 0 and len(parse_csv(out).rows) == 634
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--help"])
+    assert "number of eigenvalues, 1 to 634" in " ".join(capsys.readouterr().out.split())
+
+
 def test_error_record_on_bad_input(capsys):
     code, out, err = _run(capsys, "resonance", "--delta", "-0.5")
     assert code == 1
@@ -182,14 +193,14 @@ def test_cross_sections_records_a_failed_omega(capsys, monkeypatch):
     args = ["cross-sections", "--delta", "0.1", "--tau", "50", "0",
             "--omega-min", "1.0", "--omega-max", "1.5", "--omega-count", "6"]
     _, clean, _ = _run(capsys, *args)
-    real = mie.mie_coefficients
+    real = mie._ratios
 
-    def singular_at_1_2(cfg, w):
-        if cfg.omega == 1.2:
+    def singular_at_1_2(n_max, delta, tau, omega):
+        if omega == 1.2:
             raise mie.ResonanceError(2, "TE")
-        return real(cfg, w)
+        return real(n_max, delta, tau, omega)
 
-    monkeypatch.setattr(mie, "mie_coefficients", singular_at_1_2)
+    monkeypatch.setattr(mie, "_ratios", singular_at_1_2)
     code, out, _ = _run(capsys, *args)
     assert code == 0
     table, ref = parse_csv(out), parse_csv(clean)
@@ -210,6 +221,56 @@ def test_cross_sections_records_a_rejected_omega(capsys):
     cfg = mie.ScatterConfig(0.1, 100.0, 0.5)
     rep = mie.cross_sections(mie.mie_coefficients(cfg, IncidentWave([0, 0, 1.0], [1.0, 0, 0], 0.5)))
     assert table.rows[0] == [0.5, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, int(rep.converged)]
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _cross_section_grids():
+    """(delta, tau, omega_min, omega_max, count, direction, polarization) of seeded grids: lossless and
+    lossy spheres, axial and random incidences, a grid whose n_max takes >= 3 values, omega = 0 inside."""
+    axial = ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    grids = [pytest.param(0.1, complex(80, 0), 1.0, 2.0, 7, *axial, id="lossless-axial"),
+             pytest.param(0.15, complex(60, 2), 0.8, 6.0, 9, [0.3, -0.4, 0.87], [0.8, 0.6, 0.0], id="n_max-runs"),
+             pytest.param(0.1, complex(50, 0.5), -1.5, 1.5, 7, *axial, id="zero-omega"),
+             # 60 points at n_max = 10, more than one block of the spectrum's products and sums
+             pytest.param(0.1, complex(80, 1), 1.2, 1.6, 60, [0.3, -0.4, 0.87], [0.8, 0.6, 0.0], id="blocks")]
+    rng = np.random.default_rng(23)
+    for i, lossy in enumerate((False, True) * 4):
+        delta = rng.uniform(0.05, 0.3)
+        tau = complex(rng.uniform(20, 120), rng.uniform(0.1, 5) if lossy else 0)
+        scale = delta * abs(1 + tau) ** 0.5
+        lo = rng.uniform(0.3, 4) / scale
+        d = _unit(rng.normal(size=3))
+        grids.append(pytest.param(delta, tau, lo, lo + rng.uniform(0.1, 3) / scale, int(rng.integers(2, 30)),
+                                  d, _unit(np.cross(d, rng.normal(size=3))), id=f"seeded-{i}"))
+    return grids
+
+
+@pytest.mark.parametrize("delta, tau, lo, hi, count, d, e0", _cross_section_grids())
+def test_cross_sections_rows_are_the_per_point_chain(delta, tau, lo, hi, count, d, e0):
+    # the spectrum's rows, bit for bit, against ScatterConfig, mie_coefficients and
+    # cross_sections per grid point, the failed points as their meta lines
+    cfg = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": lo,
+           "omega_max": hi, "omega_count": count, "direction": list(d), "polarization": list(e0)}
+    grid = np.linspace(lo, hi, count).tolist()
+    wave = IncidentWave(_unit(d), _unit(e0), grid[0])
+    rows, meta = [], []
+    for om in grid:
+        try:
+            rep = mie.cross_sections(mie.mie_coefficients(mie.ScatterConfig(delta, tau, om), wave))
+        except (mie.ResonanceError, ValueError) as exc:
+            meta.append(f"failed omega={om}: {exc}")
+            continue
+        rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
+    table = run_config(cfg)
+    assert repr(table.rows) == repr(rows) and table.meta == meta and len(rows) >= 2
+    if 0.0 in grid:
+        assert meta == ["failed omega=0.0: omega = 0j must be nonzero"]
+    if delta == 0.15:  # the grid of test_mie.py::test_coefficients_bit_identical_cold_and_warm
+        assert len({row[4] for row in rows}) >= 3
 
 
 @pytest.mark.parametrize("sphere, message", [
@@ -411,7 +472,7 @@ def test_layer_pairs_child_times_every_layer(capsys):
     tool = _tool("layer_pairs")
     tool._child(1)
     times = json.loads(capsys.readouterr().out)
-    assert len(times) == 5 and all(t > 0 for t in times.values())
+    assert len(times) == 6 and all(t > 0 for t in times.values())
     with pytest.raises(SystemExit):
         tool.main(["--base", "HEAD", "--rounds", "0"])
     assert "--rounds and --repeat must be >= 1" in capsys.readouterr().err

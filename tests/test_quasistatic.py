@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from dieres.quasistatic import (
 )
 from dieres.resonance import ContrastModel
 from dieres.specfun import (
+    MAX_ORDER,
     bessel_zero,
     harmonic_table,
     radial_pair,
@@ -78,6 +80,16 @@ def test_spectrum_count_is_an_integer():
     assert sphere_spectrum(np.int64(3)) == sphere_spectrum(3)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         sphere_spectrum(2.5)
+
+
+def test_spectrum_count_stops_where_the_bessel_orders_do():
+    # 634 zeros lie below k_{64,1}; the 635th is that zero, whose successor in
+    # the merge would be k_{65,1}, past the orders specfun supports
+    k_top = bessel_zero(MAX_ORDER, 1)
+    below = sum(next(s for s in itertools.count(1) if bessel_zero(n, s) > k_top) - 1 for n in range(MAX_ORDER))
+    assert below == 634 and sphere_spectrum(634)[-1].k < k_top
+    with pytest.raises(ValueError, match="^count = 635 exceeds the supported maximum 634$"):
+        sphere_spectrum(635)
 
 
 @pytest.mark.parametrize("call, message", [

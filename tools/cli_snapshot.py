@@ -50,6 +50,8 @@ COMMANDS = [
                                    "--omega-count", "5"], 0),
     ("cross-sections-json", ["cross-sections", "--delta", "0.15", "--tau", "44", "0.5", "--omega-min", "2.9",
                              "--omega-max", "3.4", "--omega-count", "5", *WAVE, "--format", "json"], 0),
+    ("cross-sections-nmax-runs", ["cross-sections", "--delta", "0.15", "--tau", "60", "2", "--omega-min", "0.8",
+                                  "--omega-max", "6", "--omega-count", "9", *WAVE], 0),
     ("scatter-functions", ["scatter-functions", "--delta", "0.15", "--omega-min", "2.9",
                            "--omega-max", "3.4", "--omega-count", "11"], 0),
     ("scatter-functions-json", ["scatter-functions", "--delta", "0.1", "--c-tau", "2", "0", "--laurent", "0.4",

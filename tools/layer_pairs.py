@@ -13,9 +13,11 @@ those bests over the R rounds for each side and the ratio head / base (below
 Layers: scalar ``mie_denominators`` at n = 1 next to the first TE resonance,
 ``mie._factor_table`` at n_max = 12, ``mie_coefficients`` at n_max = 12 (the
 incidence memo warm), ``cross_sections`` of that table, and the per-omega
-cost of one 126-point cross-section chain (``ScatterConfig``,
-``mie_coefficients``, ``cross_sections`` per point) around the interior size
-pi, as the ``cross-sections`` grids of the xs-sweep workload.
+cost of one 126-point cross-section spectrum around the interior size pi, as
+the ``cross-sections`` grids of the xs-sweep workload, taken two ways: as the
+library chain (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per
+point) and as the path the CLI takes (``cli.run_config`` of the
+``cross-sections`` command on the same grid and incidence).
 """
 
 import argparse
@@ -33,7 +35,7 @@ def _child(repeat):
     import numpy as np
 
     import dieres
-    from dieres import mie
+    from dieres import cli, mie
 
     delta, tau = 0.15, complex(80.0, 0.4)
     scale = abs(delta * (1 + tau) ** 0.5)
@@ -48,18 +50,26 @@ def _child(repeat):
         for om in grid:
             mie.cross_sections(mie.mie_coefficients(mie.ScatterConfig(delta, tau, om), wave))
 
+    request = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": grid[0],
+               "omega_max": grid[-1], "omega_count": len(grid), "direction": direction.tolist(),
+               "polarization": [0.8, 0.6, 0.0]}
+
+    def spectrum():
+        cli.run_config(request)
+
     calls = {
         "mie_denominators": (lambda: mie.mie_denominators(1, 0.1, complex(150.0, 10.0), 2.56 - 0.09j), 2000),
         "_factor_table(12)": (lambda: mie._factor_table(12, delta, tau, omega), 200),
         "mie_coefficients(12)": (lambda: mie.mie_coefficients(cfg, wave), 200),
         "cross_sections": (lambda: mie.cross_sections(table), 500),
         "126-point chain per omega": (chain, 1),
+        "126-point CLI per omega": (spectrum, 1),
     }
     chain()  # fills the incidence memo and the caches of the first calls
     best = {}
     for name, (call, number) in calls.items():
         per_call = min(timeit.repeat(call, number=number, repeat=repeat)) / number
-        best[name] = per_call / (len(grid) if call is chain else 1)
+        best[name] = per_call / (len(grid) if call in (chain, spectrum) else 1)
     print(json.dumps(best))
 
 
