@@ -197,8 +197,8 @@ def _cmd_mie(cfg):
     n_max = cfg.get("n_max")
     config = mie.ScatterConfig(delta, tau, omega, None if n_max is None else int(n_max))
     table = mie.mie_coefficients(config, _incident(cfg, omega))
-    rows = [[n, m, g.real, g.imag, table.eta[(n, m)].real, table.eta[(n, m)].imag]
-            for (n, m), g in table.gamma.items()]
+    rows = [[n, m, g.real, g.imag, e.real, e.imag]
+            for (n, m), g, e in zip(table.gamma, table.te[1:].tolist(), table.tm[1:].tolist())]
     return rows, [f"delta: {_format_cell(delta)}, n_max: {config.n_max}"]
 
 

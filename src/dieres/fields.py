@@ -30,15 +30,14 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Unit plane wave E0 exp(i w d.x) with transverse real polarization."""
+    """Unit plane wave E0 exp(i w d.x) with transverse real polarization, d and E0 kept as read-only copies."""
 
     direction: np.ndarray
     polarization: np.ndarray
     omega: complex
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        e0 = np.asarray(self.polarization, dtype=float)
+        d, e0 = (np.array(v, dtype=float) for v in (self.direction, self.polarization))
         if d.shape != (3,) or e0.shape != (3,):
             raise ValueError(f"direction and polarization must be 3-vectors, not of shapes {d.shape} and {e0.shape}")
         size_d, size_e0 = _finite("|direction|", np.linalg.norm(d)), _finite("|polarization|", np.linalg.norm(e0))
@@ -46,9 +45,9 @@ class IncidentWave:
             raise ValueError("incident direction and polarization must be unit vectors")
         if abs(np.dot(d, e0)) > 1e-12:
             raise ValueError("polarization must be orthogonal to the propagation direction")
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "polarization", e0)
-        object.__setattr__(self, "omega", _finite("omega", complex(self.omega)))
+        d.flags.writeable = e0.flags.writeable = False
+        for name, value in (("direction", d), ("polarization", e0), ("omega", _finite("omega", complex(self.omega)))):
+            object.__setattr__(self, name, value)
 
 
 @functools.lru_cache(maxsize=32)

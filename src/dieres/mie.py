@@ -173,9 +173,9 @@ class MieTable:
     """Scattering coefficients gamma (TE) and eta (TM) for one configuration.
 
     gamma and eta are given as (n, m) mappings or as stacks at k = n(n+1) + m
-    (entry 0 unused).  The table keeps them stacked in te and tm, up to the
-    highest order either holds, missing entries 0, and read-only complex stacks
-    of one length with no copy; gamma and eta are read-only (n, m) views of them.
+    (entry 0 unused).  The table copies them into read-only stacks te and tm,
+    up to the highest order either holds, missing entries 0; gamma and eta are
+    read-only (n, m) views of them.
     """
 
     config: ScatterConfig
@@ -186,10 +186,7 @@ class MieTable:
     tm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        te, tm = self.gamma, self.eta
-        if not all(type(c) is np.ndarray and c.shape == (len(te),) == ((_top(te) + 1) ** 2,) and c.dtype == complex
-                   and not c.flags.writeable for c in (te, tm)):
-            te, tm = _stacks(te, tm)
+        te, tm = _stacks(self.gamma, self.eta)
         for name, value in (("te", te), ("tm", tm), ("gamma", _Coefficients(te)), ("eta", _Coefficients(tm))):
             object.__setattr__(self, name, value)
 
@@ -222,14 +219,13 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
 
 
 def _products(ratios, n_max, w):
-    """Read-only (G, 2, K) stacks of the plane-wave expansion of w up to n_max times the radial factors of
+    """The (G, 2, K) stacks of the plane-wave expansion of w up to n_max times the radial factors of
     the G lists of _ratios; the products as Python complex rounds them, with no fused multiply-add."""
     proj = _incidence(n_max, w.direction.tobytes(), w.polarization.tobytes())
     ratios = np.array(ratios).reshape(len(ratios), -1, 2).swapaxes(1, 2)[..., _degree(n_max)]
     pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag
     stacks = np.empty(ratios.shape, dtype=complex)  # in C order, so that _reports sums along contiguous rows
     stacks.real, stacks.imag = pr * rr - pi * ri, pr * ri + pi * rr
-    stacks.flags.writeable = False
     return stacks
 
 

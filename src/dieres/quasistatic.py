@@ -38,6 +38,8 @@ def _guard_pole(value, pole, what):
 
 @dataclass(frozen=True)
 class EigenModeLabel:
+    """Entire multipole field (kind, n, m) at any wavenumber k, an eigenmode where k is a zero of its family."""
+
     kind: str  # "TE" or "TM"
     n: int
     m: int

@@ -404,6 +404,30 @@ def test_malformed_config_value_gives_a_value_error_record(tmp_path, capsys, cfg
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("cfg, key, value", [
+    ({"command": "mie", "delta": 0.2, "omega": 2.2, "n_max": 3}, "tau", 40),
+    ({"command": "scatter-functions", "delta": 0.1, "omega_min": 2.0, "omega_max": 2.5, "omega_count": 4},
+     "c_tau", 1.5),
+])
+def test_numeric_complex_config_value_is_its_real_pair(tmp_path, capsys, cfg, key, value):
+    outs = []
+    for raw in (value, [value, 0]):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, key: raw}))
+        code, out, err = _run(capsys, cfg["command"], "--config", str(path))
+        assert code == 0 and err == "" and parse_csv(out).rows
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("grid", [["--omega-max", "2", "--omega-count", "1"], ["--omega-max", "1"]])
+def test_short_or_empty_omega_grid_is_one_error_record(capsys, grid):
+    code, out, err = _run(capsys, "cross-sections", "--delta", "0.1", "--omega-min", "1", *grid)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "need omega_max > omega_min and at least two grid points"}
+
+
 def test_scatter_functions_grid_ending_at_the_pole_gives_nan(capsys):
     # with c_tau = 1 the quasi-static pole is omega_0 = pi, the grid's last point
     code, out, _ = _run(capsys, "scatter-functions", "--delta", "0.1", "--c-tau", "1", "0",

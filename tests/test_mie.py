@@ -120,25 +120,43 @@ def test_factor_table_rows_are_the_python_complex_products(tau):
     assert passes == {"series", "upward", "Miller"}
 
 
-def test_table_keeps_read_only_stacks_and_copies_the_others(monkeypatch):
-    import dieres.mie
-
+def test_table_keeps_read_only_stacks_and_copies_the_others():
     cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=2)
     w = _wave(2.0, d=[0.3, -0.4, 0.87])
-    with monkeypatch.context() as patch:
-        patch.setattr(dieres.mie, "_stacks", None)  # a copy would call it
-        t = mie_coefficients(cfg, w)
-        kept = MieTable(cfg, w, t.te, t.tm)
+    t = mie_coefficients(cfg, w)
     assert not (t.te.flags.writeable or t.tm.flags.writeable)
-    assert kept.te is t.te and kept.tm is t.tm and kept == t
     te, tm = t.te.copy(), t.tm.copy()
     copied = MieTable(cfg, w, te, tm)
     te[:], tm[:] = 1.0, 2.0
     assert np.array_equal(copied.te, t.te) and np.array_equal(copied.tm, t.tm) and copied == t
+    # read-only views of a writable buffer are copied too: overwriting the buffer leaves the table as it was
+    buffer = np.stack([t.te, t.tm])
+    views = buffer.view()
+    views.flags.writeable = False
+    viewed = MieTable(cfg, w, *views)
+    buffer[:] = 0.0
+    assert np.array_equal(viewed.te, t.te) and np.array_equal(viewed.tm, t.tm) and viewed == t
+    assert np.array_equal(far_field(viewed, w.direction), far_field(t, w.direction))
     # read-only stacks of two lengths are still brought to one
     short = t.tm[:4]
     padded = MieTable(cfg, w, t.te, short)
     assert len(padded.tm) == 9 and np.array_equal(padded.tm[:4], short) and not padded.tm[4:].any()
+
+
+def test_wave_keeps_copies_of_its_vectors():
+    # a table's wave is its own: rewriting the caller's vectors, to another incidence or to one the wave
+    # would reject (the direction along the polarization), moves neither the wave nor the table's observables
+    cfg = ScatterConfig(0.2, 40.0, 2.0)
+    for rewrite in ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                    [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]):
+        d, e0 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        w = IncidentWave(d, e0, 2.0)
+        t = mie_coefficients(cfg, w)
+        before, pattern = cross_sections(t), far_field(t, [0.0, 0.6, 0.8])
+        d[:], e0[:] = rewrite
+        assert w.direction.tolist() == [0.0, 0.0, 1.0] and w.polarization.tolist() == [1.0, 0.0, 0.0]
+        assert not (w.direction.flags.writeable or w.polarization.flags.writeable)
+        assert cross_sections(t) == before and np.array_equal(far_field(t, [0.0, 0.6, 0.8]), pattern)
 
 
 def test_near_resonant_magnetic_dipole_dominance():

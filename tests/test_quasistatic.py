@@ -152,6 +152,19 @@ def test_tm_norm_matches_radial_quadrature(n):
         assert_allclose(eigenmode_norm(EigenModeLabel("TM", n, 0, k)) ** 2, quadrature, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_te_norm_matches_radial_quadrature(n):
+    # the closed form n(n+1) L against 48-node Gauss quadrature of the TE
+    # radial profile, at a zero of j_{n-1} (an eigenmode) and off the zeros:
+    # a label takes any k
+    x, w = np.polynomial.legendre.leggauss(48)
+    r, w = 0.5 * (x + 1), 0.5 * w
+    for k in (bessel_zero(n - 1, 1), bessel_zero(n - 1, 1) + 1.3, 2.0):
+        j = radial_pair(n, k * r)[0].real
+        quadrature = n * (n + 1) * np.sum(w * j ** 2 * r ** 2)
+        assert_allclose(eigenmode_norm(EigenModeLabel("TE", n, 0, k)) ** 2, quadrature, rtol=1e-13)
+
+
 def test_normalized_mode_unit_norm(ball_quad):
     for label in [EigenModeLabel("TE", 2, 1, bessel_zero(1, 1)),
                   EigenModeLabel("TM", 1, 0, bessel_zero(1, 1))]:

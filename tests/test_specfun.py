@@ -196,6 +196,41 @@ def test_far_off_axis_against_mpmath(kind):
         assert_allclose([radial_pair(n, z, kind)[0], table[n, i]], [expect, expect], rtol=1e-14, atol=1e-300)
 
 
+def _off_axis_bands(seed, count):
+    """Seeded (n, z), n <= 64, in the two bands that join the regions above:
+    80 <= |Re z| <= 1e4 with |Im z| <= 100 (far along the axis), and |z| <= 80
+    with 60 < |Im z| < 100 (off the axis inside the disc), the corners of each
+    band included."""
+    rng = np.random.default_rng(seed)
+    along = [(int(rng.integers(0, 65)), complex(rng.choice([-1, 1]) * 10 ** rng.uniform(math.log10(80), 4),
+                                                  rng.uniform(-100, 100))) for _ in range(count)]
+    inside = []
+    for _ in range(count):
+        im = rng.choice([-1, 1]) * rng.uniform(60.01, 80)
+        inside.append((int(rng.integers(0, 65)), complex(rng.uniform(-1, 1) * math.sqrt(80 ** 2 - im ** 2), im)))
+    along += [(64, 80 + 100j), (0, -80 - 100j), (64, 1e4 + 100j), (64, -1e4 - 100j), (0, 1e4 + 0j)]
+    inside += [(64, 60.01j), (64, -60.01j), (0, 79.99j), (64, 48 - 63.99j)]
+    return {"along": along, "inside": inside}
+
+
+# each band in the scalar pass and as elements of one array that also holds
+# points of the other passes, so the masks split
+@pytest.mark.parametrize("band", ["along", "inside"])
+@pytest.mark.parametrize("kind", ["j", "y", "h"])
+def test_off_axis_bands_against_mpmath(kind, band):
+    points = _off_axis_bands(23, 10)[band]
+    zs = np.array([z for _, z in points] + [0.4 + 0.3j, 90 + 0.5j, 6 - 2j])
+    if kind == "j":
+        assert {"series" if specfun._series_j(z) else "upward" if specfun._upward_j(64, z) else "Miller"
+                for z in zs} == {"series", "upward", "Miller"}
+    else:
+        assert {bool(specfun._off_axis(z, kind)) for z in zs} == {True, False}
+    table = radial_table(64, zs, kind)[0]
+    for i, (n, z) in enumerate(points):
+        expect = complex(_mp_radial(kind, n, z))
+        assert_allclose([radial_pair(n, z, kind)[0], table[n, i]], [expect, expect], rtol=1e-14)
+
+
 def test_miller_rescale_keeps_the_rows(monkeypatch):
     # from 1e-280 the Miller iterates grow past the 1e250 at which they are
     # scaled down in a pass to a higher order than the API accepts, and in an
@@ -675,6 +710,24 @@ def test_harmonic_table_bits_are_pinned(n_max, digest):
     for part in (table.y, table.d_theta, table.d_phi):
         sha.update(np.ascontiguousarray(part).tobytes())
     assert sha.hexdigest() == digest
+
+
+_ORACLE_RANDOM = np.random.default_rng(20261020).normal(size=(12, 3))
+_ORACLE_DIRS = np.vstack([_ORACLE_RANDOM / np.linalg.norm(_ORACLE_RANDOM, axis=1)[:, None],
+                          [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-6, 0.0, math.sqrt(1 - 1e-12)],
+                           [0.0, -1e-6, -math.sqrt(1 - 1e-12)]]])
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_harmonic_table_to_order_64_against_mpmath(n):
+    # 12 seeded directions, both poles and sin(theta) = 1e-6 next to each, to
+    # 1e-12 of sup |Y_n^m| = sqrt((2n + 1) / 4 pi)
+    table = harmonic_table(64, _ORACLE_DIRS)
+    bound = 1e-12 * math.sqrt((2 * n + 1) / (4 * math.pi))
+    for m in (0, 1, -1, n // 2, -n // 2, n, -n):
+        for x, value in zip(_ORACLE_DIRS, table.y[n * (n + 1) + m]):
+            theta, phi = mpmath.atan2(mpmath.hypot(x[0], x[1]), x[2]), mpmath.atan2(x[1], x[0])
+            assert abs(value - complex(mpmath.spherharm(n, m, theta, phi))) <= bound
 
 
 # --- vector spherical harmonics ----------------------------------------------

@@ -5,7 +5,7 @@
 
 Each command runs through ``dieres.cli.main``; its stdout, stderr and exit
 code go to OUTDIR/<name>.stdout, <name>.stderr and <name>.code.  The set
-covers every subcommand, CSV and JSON output, a config file, failing
+covers every subcommand, CSV and JSON output, config files, failing
 configurations, the per-point failure records of the grids and every
 ``--help``.  Snapshot two checkouts (with each one's ``src`` on PYTHONPATH)
 and compare them with ``diff -r``, or with ``--compare``, which prints each
@@ -68,6 +68,7 @@ COMMANDS = [
     ("units-json", ["units", "--radius-nm", "120", "--wavelength-nm", "900", "--epsilon-r", "12.5", "0.3",
                     "--format", "json"], 0),
     ("config", ["bessel-zeros", "--config", "{config}", "--order", "2"], 0),
+    ("mie-config", ["mie", "--config", "{mie_config}", *WAVE], 0),
     ("error-negative-delta", ["resonance", "--delta", "-0.5"], 1),
     ("error-missing-omega", ["mie", "--delta", "0.1"], 1),
     ("error-short-grid", ["cross-sections", "--delta", "0.1", "--omega-min", "1", "--omega-max", "2",
@@ -85,6 +86,13 @@ COMMANDS = [
         "bessel-zeros", "spectrum", "resonance", "resonance-sweep", "mie", "cross-sections",
         "scatter-functions", "amplitude", "moments", "units")),
 ]
+
+# the config files that commands name as {<key>}; the mie config gives tau as
+# one JSON number, where the --tau flag always gives an [re, im] pair
+CONFIGS = {
+    "config": {"command": "bessel-zeros", "order": 1, "count": 3},
+    "mie_config": {"command": "mie", "delta": 0.2, "tau": 40, "omega": 2.2, "n_max": 4},
+}
 
 
 def run(argv):
@@ -157,11 +165,12 @@ def main() -> int:
     os.environ["COLUMNS"] = "80"
     unexpected = []
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w") as fh:
-            json.dump({"command": "bessel-zeros", "order": 1, "count": 3}, fh)
+        paths = {key: os.path.join(tmp, f"{key}.json") for key in CONFIGS}
+        for key, path in paths.items():
+            with open(path, "w") as fh:
+                json.dump(CONFIGS[key], fh)
         for name, command, expected in COMMANDS:
-            stdout, stderr, code = run([a.replace("{config}", config) for a in command])
+            stdout, stderr, code = run([a.format_map(paths) for a in command])
             for suffix, text in (("stdout", stdout), ("stderr", stderr), ("code", f"{code}\n")):
                 with open(os.path.join(outdir, f"{name}.{suffix}"), "w") as fh:
                     fh.write(text)
