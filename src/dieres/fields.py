@@ -4,7 +4,7 @@ partial-wave expansion."""
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,13 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Unit plane wave E0 exp(i w d.x) with transverse real polarization, d and E0 kept as read-only copies."""
+    """Unit plane wave E0 exp(i w d.x) with transverse real polarization, d and E0 kept as read-only copies.
+    Waves compare and hash by value: by omega and d and E0 as tuples, never as arrays."""
 
-    direction: np.ndarray
-    polarization: np.ndarray
+    direction: np.ndarray = field(compare=False)
+    polarization: np.ndarray = field(compare=False)
     omega: complex
+    _vectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         d, e0 = (np.array(v, dtype=float) for v in (self.direction, self.polarization))
@@ -46,7 +48,8 @@ class IncidentWave:
         if abs(np.dot(d, e0)) > 1e-12:
             raise ValueError("polarization must be orthogonal to the propagation direction")
         d.flags.writeable = e0.flags.writeable = False
-        for name, value in (("direction", d), ("polarization", e0), ("omega", _finite("omega", complex(self.omega)))):
+        for name, value in (("direction", d), ("polarization", e0), ("omega", _finite("omega", complex(self.omega))),
+                            ("_vectors", (tuple(d.tolist()), tuple(e0.tolist())))):
             object.__setattr__(self, name, value)
 
 

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import IncidentWave, _incidence, multipole_field
+from .fields import IncidentWave, _incidence, _single_field, multipole_field
 from .mie import _arguments
 from .multipole import _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel, _radius, quasi_static_prediction
@@ -95,6 +95,9 @@ def eigenmode_norm(label: EigenModeLabel) -> float:
     by parts with psi = t j_n(t), psi' = F_n (Watson, Bessel Functions (1944), sec. 5.11).
     """
     n, k = label.n, label.k
+    _single_field(label.kind, n, label.m, "multipole fields")  # the label checks of eigenmode
+    if label.kind == "TM" and k == 0:
+        raise ValueError("TM fields need a nonzero wavenumber")
     rows, riccati = radial_table(n + 1, k)
     j_below, j, j_above = rows[n - 1:].tolist()
     lommel = 0.5 * (j ** 2 - j_above * j_below).real
@@ -108,9 +111,9 @@ def eigenmode(label: EigenModeLabel, x, normalized: bool = False):
     if np.any(_radius_split(x)[1] > 1 + 1e-12):
         raise ValueError("eigenmodes are defined on the unit ball")
     val = multipole_field("entire", label.kind, label.n, label.m, label.k, x)
-    if normalized:
-        val = val / eigenmode_norm(label)
-    return val
+    if normalized and eigenmode_norm(label) == 0:
+        raise ValueError(f"{label} has norm 0 and cannot be normalized")
+    return val / eigenmode_norm(label) if normalized else val
 
 
 # ---------------------------------------------------------------------------

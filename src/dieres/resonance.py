@@ -15,7 +15,7 @@ from .specfun import _finite, bessel_zero
 
 
 class MullerNoConvergence(RuntimeError):
-    """Muller iteration exhausted max_iter; carries the best iterate found."""
+    """Muller iteration stopped without converging; carries the best iterate found and the iterations run."""
 
     def __init__(self, root, residual, iterations):
         super().__init__(f"no convergence after {iterations} iterations (best |f| = {residual:.3e})")
@@ -72,7 +72,8 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
 
     Stops when |f(z)| <= tol or the step shrinks below tol relative to |z|;
     a degenerate parabola falls back to a secant step.  Returns the best
-    iterate as (root, residual, iterations).
+    iterate as (root, residual, iterations), else raises MullerNoConvergence
+    with it and the iterations run (fewer than max_iter when no step is left).
     """
     if _finite("tol", tol) <= 0:
         raise ValueError("tol must be positive")
@@ -108,7 +109,7 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
             best, best_abs = x2, r
         if r <= tol or abs(step) <= tol * max(abs(x2), 1e-300):
             return best, best_abs, it
-    raise MullerNoConvergence(best, best_abs, max_iter)
+    raise MullerNoConvergence(best, best_abs, it)
 
 
 def _denominator(family, n, delta, tau):

@@ -145,36 +145,26 @@ def _upward(top, z, kind):
     return rows
 
 
-def _rescale(f_lo, f_hi):
-    """Factor taking Miller iterates above 1e250 down by 1e-250 (1 for the
-    others), or None when no iterate is that large."""
-    if isinstance(f_lo, complex):
-        return 1e-250 if max(abs(f_lo), abs(f_hi)) > 1e250 else None
-    big = np.maximum(np.abs(f_lo), np.abs(f_hi)) > 1e250
-    return np.where(big, 1e-250, 1.0) if big.any() else None
-
-
 def _miller(top, z, kind):
-    # downward recurrence from a padded start order, normalized against the
-    # larger of j_0/j_1 to dodge zeros of the reference.  An array pass starts
-    # every element at the order its largest |z| needs, so the iterates of a
-    # small element grow for thousands of steps and pass 1e250 (j_10 at 1.5
-    # next to 5000 + 600j): they are scaled down.  With |z| > 1 a step grows
-    # the larger of the two iterates by less than 2k + 2, and this regime has
-    # |Re z| < N + 10 |Im z| <= 7064, so k < 7200: eight steps from below
-    # 1e250 stay below 1e284 and the rescaling test runs every eighth step.
-    start = top + 30 + int(np.abs(z) if isinstance(z, complex) else np.max(np.abs(z), initial=0))
-    f_hi, f_lo = 0 * z, 1e-280 + 0 * z
+    # downward recurrence, normalized against the larger of j_0/j_1 to dodge zeros of the
+    # reference.  Each element enters at its own order top + 30 + |z| with f = 1e-280, its
+    # iterates 0 before, so an array element gets the rows of its one-element pass.  Public
+    # entries pass only n <= MAX_ORDER and |Im z| <= 700, and _upward_j leaves only
+    # |Re z| < N + 10 |Im z| <= 7064 here, where the iterates stay below 1e-24: no rescaling.
+    start = top + 30 + (int(abs(z)) if isinstance(z, complex) else np.abs(z).astype(int))
+    starts = [0] + ([start] if isinstance(z, complex) else np.unique(start).tolist())  # ascending, 0 never reached
+    f_hi = f_lo = zero = 0 * z
+    seed = 1e-280 + zero
     kept = []  # f_top down to f_0
-    for k in range(start, 0, -1):
+    entry = starts.pop()
+    for k in range(entry, 0, -1):
+        if k == entry:
+            enter = start == entry
+            f_hi, f_lo = _select(enter, zero, f_hi), _select(enter, seed, f_lo)
+            entry = starts.pop()
         f_hi, f_lo = f_lo, (2 * k + 1) / z * f_lo - f_hi
         if k <= top + 1:
             kept.append(f_lo)
-        if k % 8 == 0:
-            factor = _rescale(f_lo, f_hi)
-            if factor is not None:
-                f_lo, f_hi = f_lo * factor, f_hi * factor
-                kept = [f * factor for f in kept]
     j0, j1 = _upward(1, z, "j")
     use0 = abs(j0) >= abs(j1)
     j_ref, f_ref = _select(use0, j0, j1), _select(use0, kept[-1], kept[-2])

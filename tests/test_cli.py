@@ -496,7 +496,8 @@ def test_layer_pairs_child_times_every_layer(capsys):
     tool = _tool("layer_pairs")
     tool._child(1)
     times = json.loads(capsys.readouterr().out)
-    assert len(times) == 6 and all(t > 0 for t in times.values())
+    assert len(times) == 8 and all(t > 0 for t in times.values())
+    assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(times)
     with pytest.raises(SystemExit):
         tool.main(["--base", "HEAD", "--rounds", "0"])
     assert "--rounds and --repeat must be >= 1" in capsys.readouterr().err

@@ -159,6 +159,18 @@ def test_wave_keeps_copies_of_its_vectors():
         assert cross_sections(t) == before and np.array_equal(far_field(t, [0.0, 0.6, 0.8]), pattern)
 
 
+def test_waves_and_their_tables_compare_by_value():
+    # two waves made apart from equal vectors, and the tables built from them, are equal
+    cfg = ScatterConfig(0.2, 40.0, 2.0, n_max=2)
+    first, second = (_wave(2.0, d=[0.3, -0.4, 0.87]) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    table = mie_coefficients(cfg, first)
+    assert table == mie_coefficients(cfg, second)
+    other = _wave(2.5, d=[0.3, -0.4, 0.87])
+    assert first != other and table != MieTable(cfg, other, table.te, table.tm)
+    assert first != (first.direction, first.polarization, first.omega)
+
+
 def test_near_resonant_magnetic_dipole_dominance():
     cfg = ScatterConfig(0.15, 0.15 ** -2, 3.3)
     t = mie_coefficients(cfg, _wave(3.3))

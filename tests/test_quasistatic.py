@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,10 +98,32 @@ def test_spectrum_count_stops_where_the_bessel_orders_do():
     (lambda: mode_potential_integral(2), r"ground mode potentials carry m in \{-1, 0, 1\}"),
     (lambda: np_eigenvalue(-1), "degree must be >= 0"),
     (lambda: resonant_moments(_wave(3.2), 3.2, 0.1, UNIT, n_sh=0), "the harmonic extraction needs n_sh >= 1"),
+    (lambda: eigenmode_norm(EigenModeLabel("Tm", 1, 0, 3.0)), "unknown family 'Tm'"),
+    (lambda: eigenmode_norm(EigenModeLabel("TE", 1, 2, 3.0)), r"\|m\| = 2 exceeds degree n = 1"),
+    (lambda: eigenmode_norm(EigenModeLabel("TE", 0, 0, 3.0)), "multipole fields start at n = 1"),
+    (lambda: eigenmode_norm(EigenModeLabel("TM", 1, 0, 0.0)), "TM fields need a nonzero wavenumber"),
+    (lambda: eigenmode(EigenModeLabel("TE", 1, 0, 0.0), [0.1, 0.2, 0.3], normalized=True),
+     r"EigenModeLabel\(kind='TE', n=1, m=0, k=0\.0\) has norm 0 and cannot be normalized"),
 ])
 def test_out_of_domain_calls_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("label", [EigenModeLabel("Tm", 1, 0, 3.0), EigenModeLabel("TE", 1, -2, 3.0),
+                                   EigenModeLabel("TM", 0, 0, 3.0), EigenModeLabel("TM", 2, 1, 0.0)])
+def test_eigenmode_norm_rejects_the_labels_eigenmode_rejects(label):
+    with pytest.raises(ValueError) as field:
+        eigenmode(label, [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(field.value))}$"):
+        eigenmode_norm(label)
+
+
+def test_te_norm_at_zero_wavenumber_is_zero():
+    # the entire TE field vanishes at k = 0: its norm is 0, and only its normalization fails
+    label = EigenModeLabel("TE", 2, 1, 0.0)
+    assert eigenmode_norm(label) == 0.0
+    assert not eigenmode(label, [0.1, 0.2, 0.3]).any()
 
 
 def test_resonant_moments_warn_when_the_harmonics_are_under_resolved():

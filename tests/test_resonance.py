@@ -56,6 +56,8 @@ def test_muller_stops_on_a_constant_function():
     with pytest.raises(MullerNoConvergence) as info:
         muller_root(lambda z: 1.0 + 0j, 0.0, 1.0, 2.0)
     assert (info.value.root, info.value.residual) == (0.0, 1.0)
+    # the flat secant stops the first iteration, and the error reports that one, not max_iter
+    assert info.value.iterations == 1 and str(info.value).startswith("no convergence after 1 iterations")
 
 
 def test_muller_no_convergence_carries_iterate():

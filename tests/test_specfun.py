@@ -231,27 +231,60 @@ def test_off_axis_bands_against_mpmath(kind, band):
         assert_allclose([radial_pair(n, z, kind)[0], table[n, i]], [expect, expect], rtol=1e-14)
 
 
-def test_miller_rescale_keeps_the_rows(monkeypatch):
-    # from 1e-280 the Miller iterates grow past the 1e250 at which they are
-    # scaled down in a pass to a higher order than the API accepts, and in an
-    # accepted array pass: it starts every element at top + 30 + max|z|, so
-    # a small element takes thousands of growing steps
-    scaled = []
-    rescale = specfun._rescale
-    monkeypatch.setattr(specfun, "_rescale", lambda lo, hi: scaled.append(rescale(lo, hi)) or scaled[-1])
-    z = 3 + 100j
-    rows = specfun._miller(600, z, "j")
-    columns = specfun._miller(600, np.array([z, z.conjugate()]), "j")
-    assert sum(factor is not None for factor in scaled) >= 2
-    for n in (0, 1, 30, 64):
-        expect = complex(_mp_radial("j", n, z))
-        assert_allclose([rows[n], columns[n][0], columns[n][1].conjugate()], [expect] * 3, rtol=1e-14)
-    scaled.clear()
+def test_miller_mixed_array_against_mpmath():
+    # j_10 at 1.5 next to 5000 + 600i: a Miller pass started at the larger
+    # element's order would grow the small element's iterates for thousands of
+    # steps; each element starts at its own order
     mixed = np.array([1.5, 5000 + 600j])
     got = sph_bessel_j(10, mixed)
-    assert sum(factor is not None for factor in scaled) >= 2
     expect = [complex(_mp_radial("j", 10, v)) for v in mixed]
     assert_allclose([*got, *(sph_bessel_j(10, v) for v in mixed)], expect * 2, rtol=1e-14)
+
+
+def _mixed_passes(seed, n, count):
+    """Seeded arguments, count per pass of j at top n: |z| <= 1 (series), near
+    the real axis past the order (upward) and over the rest of the accepted
+    region up to |Re z| = 7000 and |Im z| = 700 (mostly Miller), then points
+    on the axes, where rows have parts that are zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        re = rng.choice([-1, 1]) * (n + 1 + 50 * rng.random())
+        points += [
+            (0.05 + 0.95 * rng.random()) * complex(np.exp(2j * math.pi * rng.random())),
+            complex(re, rng.uniform(-1, 1) * min(0.1 * abs(re), 2)),
+            complex(rng.uniform(-1, 1) * 7000 * rng.random() ** 3, rng.uniform(-1, 1) * 700 * rng.random() ** 2),
+        ]
+    return np.array(points + [4.2, -3.7, complex(2.5, -0.0), 2.5j, -9.5j, complex(-0.0, 40), -30.0])
+
+
+# each element of an array that mixes the passes has the rows of its own
+# one-element pass, bit for bit (signs of zeros too): no element's pass
+# depends on its neighbours
+@pytest.mark.parametrize("n", [5, 12, 64])
+@pytest.mark.parametrize("kind", ["j", "y", "h"])
+def test_array_elements_are_their_one_element_passes(kind, n):
+    zs = _mixed_passes(29 + n, n, 20)
+    assert {"series" if specfun._series_j(z) else "upward" if specfun._upward_j(n, z) else "Miller"
+            for z in zs} == {"series", "upward", "Miller"}
+    table, riccati_table = radial_table(n, zs, kind)
+    for i in range(len(zs)):
+        rows, riccati = radial_table(n, zs[i:i + 1], kind)
+        assert table[:, i:i + 1].tobytes() == rows.tobytes()
+        assert riccati_table[:, i:i + 1].tobytes() == riccati.tobytes()
+
+
+# the corners of the accepted region that j's Miller pass borders: |Re z| up
+# to N + 10 |Im z| at |Im z| = 700, the imaginary axis and |z| just past 1,
+# each alone and as an element of one array
+@pytest.mark.parametrize("top", [1, 12, 64])
+def test_miller_region_corners_against_mpmath(top):
+    zs = np.array([7064 + 700j, 7064 - 700j, -7064 + 700j, 7043 + 700j, 700j, 1.001, 1.001j])
+    table = radial_table(top, zs)[0]
+    for n in (top - 1, top):
+        for i, z in enumerate(zs):
+            expect = complex(_mp_radial("j", n, z))
+            assert_allclose([radial_table(top, complex(z))[0][n], table[n, i]], [expect, expect], rtol=1e-14)
 
 
 def test_radial_pair_views_and_shapes():

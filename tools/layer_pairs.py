@@ -1,4 +1,4 @@
-"""Time the Mie layers of this checkout against those of another commit.
+"""Time the Mie and Bessel layers of this checkout against those of another commit.
 
     python tools/layer_pairs.py --base REF [--rounds R] [--repeat N]
 
@@ -10,7 +10,10 @@ below as the best of N repeats; the report gives, per layer, the median of
 those bests over the R rounds for each side and the ratio head / base (below
 1: this checkout is faster).
 
-Layers: scalar ``mie_denominators`` at n = 1 next to the first TE resonance,
+Layers: the scalar Miller pass of j at n = 12 and z = 2.88, an interior
+argument near pi (``specfun._rows``), the array pass ``radial_table`` of j at
+n_max = 8 on 128 seeded points with 1 < |z| < 20 (upward and Miller elements),
+scalar ``mie_denominators`` at n = 1 next to the first TE resonance,
 ``mie._factor_table`` at n_max = 12, ``mie_coefficients`` at n_max = 12 (the
 incidence memo warm), ``cross_sections`` of that table, and the per-omega
 cost of one 126-point cross-section spectrum around the interior size pi, as
@@ -35,7 +38,7 @@ def _child(repeat):
     import numpy as np
 
     import dieres
-    from dieres import cli, mie
+    from dieres import cli, mie, specfun
 
     delta, tau = 0.15, complex(80.0, 0.4)
     scale = abs(delta * (1 + tau) ** 0.5)
@@ -57,7 +60,12 @@ def _child(repeat):
     def spectrum():
         cli.run_config(request)
 
+    rng = np.random.default_rng(8)
+    points = (1 + 19 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
+
     calls = {
+        "_rows(12, 2.88) Miller": (lambda: specfun._rows(12, 2.88 + 0j, "j"), 2000),
+        "radial_table(8, 128 points)": (lambda: specfun.radial_table(8, points), 200),
         "mie_denominators": (lambda: mie.mie_denominators(1, 0.1, complex(150.0, 10.0), 2.56 - 0.09j), 2000),
         "_factor_table(12)": (lambda: mie._factor_table(12, delta, tau, omega), 200),
         "mie_coefficients(12)": (lambda: mie.mie_coefficients(cfg, wave), 200),
