@@ -12,7 +12,7 @@ from .specfun import (_check_n_max, _check_order, _direction_frame, _finite, _le
                       harmonic_table, radial_table, solid_harmonic_gradient_deg1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSample:
     """One evaluated field value at a point."""
 
@@ -74,6 +74,7 @@ def _incidence(n_max, direction, polarization):
 def plane_wave(w: IncidentWave, x) -> np.ndarray:
     """Incident field E0 exp(i w d.x) at point(s) x."""
     x = np.asarray(x, dtype=float)
+    _radius_split(x)
     phase = np.exp(1j * w.omega * (x @ w.direction))
     return np.asarray(phase)[..., None] * w.polarization
 
@@ -255,7 +256,7 @@ def farfield_pattern(family: str, n: int, m: int, omega: complex, xhat) -> np.nd
     """Far-field pattern of the radiating multipole:
     -sqrt(n(n+1)) w^-1 (-i)^{n+1} V_n^m (TE) or U_n^m (TM)."""
     coeffs = _single_field(family, n, m, "far-field patterns")
-    if omega == 0:
+    if _finite("omega", omega) == 0:
         raise ValueError("far-field pattern needs a nonzero frequency")
     return _far_field_sum(*coeffs, omega, xhat)
 

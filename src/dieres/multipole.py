@@ -15,7 +15,7 @@ import numpy as np
 from .specfun import HarmonicTable, _finite, _radius_split, harmonic_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Product Gauss(cos theta) x trapezoid(phi) rule on the unit sphere.
 
@@ -31,7 +31,7 @@ class SphereQuadrature:
     n_phi: int = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallQuadrature:
     """Tensor rule on the unit ball: Gauss-Legendre radii (r^2 folded into the
     weights) times a product sphere rule."""
@@ -45,6 +45,9 @@ class BallQuadrature:
 
 
 def sphere_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
+    for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if operator.index(size) < 1:
+            raise ValueError(f"{name} must be >= 1")
     u, wu = np.polynomial.legendre.leggauss(n_theta)
     phi = 2 * math.pi * np.arange(n_phi) / n_phi
     wphi = 2 * math.pi / n_phi
@@ -168,7 +171,7 @@ def _sample(sampler, pts):
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTensor:
     kind: str      # "magnetic" or "electric"
     order_l: int

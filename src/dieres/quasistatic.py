@@ -86,7 +86,6 @@ def sphere_spectrum(count: int):
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def eigenmode_norm(label: EigenModeLabel) -> float:
     """L2(B(0,1)) norm of the labeled entire multipole field.
 
@@ -111,9 +110,10 @@ def eigenmode(label: EigenModeLabel, x, normalized: bool = False):
     if np.any(_radius_split(x)[1] > 1 + 1e-12):
         raise ValueError("eigenmodes are defined on the unit ball")
     val = multipole_field("entire", label.kind, label.n, label.m, label.k, x)
-    if normalized and eigenmode_norm(label) == 0:
+    norm = eigenmode_norm(label) if normalized else None
+    if norm == 0:
         raise ValueError(f"{label} has norm 0 and cannot be normalized")
-    return val / eigenmode_norm(label) if normalized else val
+    return val if norm is None else val / norm
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def gradient_outer_sum() -> np.ndarray:
 def scatter_fn_explicit(omega: complex, delta: float, tau: complex) -> complex:
     """Mie-derived scattering function (8 pi^2/3)(2 j_1 - J_1)/(J_1 + j_1)
     evaluated at the interior argument delta omega sqrt(1 + tau)."""
-    small, big = radial_pair(1, _arguments(delta, tau, omega)[1])
+    small, big = radial_pair(1, _arguments(_radius(delta), tau, omega)[1])
     den = big + small
     if abs(den) < 1e-12 * (abs(big) + abs(small)):
         raise PoleError("scattering function pole: J_1 + j_1 vanishes at this frequency")
@@ -190,8 +190,8 @@ def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_tau: com
     _guard_pole(omega, omega0, "blow-up coefficient")
     eps = omega - omega0
     # delta = 0 leaves the simple pole alone
-    return (-omega0 / (2 * eps)
-            + _finite("delta", delta) * omega0 ** 2 * c_m1 * omega ** 2 * _finite("lambda0", lambda0) / (4 * eps ** 2))
+    return (-omega0 / (2 * eps) + _finite("delta", delta) * omega0 ** 2 * _finite("c_m1", c_m1) * omega ** 2
+            * _finite("lambda0", lambda0) / (4 * eps ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def half_plus_np_inverse_factor(n: int) -> float:
 # resonant dipole pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipolePair:
     p: np.ndarray
     m: np.ndarray
@@ -261,7 +261,7 @@ def dipole_far_field(pair: DipolePair, omega: float, xhat) -> np.ndarray:
 # resonant approximate moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonantMoments:
     q0_hat: np.ndarray   # (3,)
     m1_hat: np.ndarray   # (3,)

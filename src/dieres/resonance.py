@@ -147,7 +147,8 @@ def quasi_static_prediction(family: str, n: int, s: int, model: ContrastModel,
 def first_order_correction(omega_i: complex, model: ContrastModel, delta: float) -> complex:
     """First-order radius correction w_i (1 - delta c_{-1} / (2 c_tau));
     the residual error is quadratic in delta."""
-    return omega_i - delta * omega_i * model.c_minus1 / (2 * model.c_tau)
+    _finite("omega_i", omega_i)
+    return omega_i - _finite("delta", delta) * omega_i * model.c_minus1 / (2 * model.c_tau)
 
 
 def _corrected_prediction(family, n, s, model, delta):

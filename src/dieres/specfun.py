@@ -339,6 +339,8 @@ def small_arg_leading(n: int, t, kind: str) -> complex:
     coefficients = {"j": (1, 1), "J": (n + 1, n + 3), "h": (1, 1), "H": (-n, 2 - n)}
     if kind not in coefficients:
         raise ValueError(f"unknown kind {kind!r}")
+    if operator.index(n) < 0:
+        raise ValueError("order n must be >= 0")
     a, b = coefficients[kind]
     t = np.asarray(t, dtype=complex)
     _finite("t", _probe(t))

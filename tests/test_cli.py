@@ -492,12 +492,21 @@ def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 5 files differ\n"
 
 
-def test_layer_pairs_child_times_every_layer(capsys):
+def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
+    import pathlib
+    import sys
+    from unittest import mock
+
     tool = _tool("layer_pairs")
-    tool._child(1)
-    times = json.loads(capsys.readouterr().out)
-    assert len(times) == 8 and all(t > 0 for t in times.values())
-    assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(times)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    with mock.patch.dict(sys.modules):
+        package, cli = tool._load(str(src), "_layer_pairs_test")
+        assert package.mie is not mie and package.mie is sys.modules["_layer_pairs_test.mie"]
+        assert cli.__name__ == "_layer_pairs_test.cli" and cli.mie is package.mie
+        timers = tool._layers(package, cli, 1)
+        assert len(timers) == 8 and all(timer() > 0 for timer in timers.values())
+    assert "_layer_pairs_test" not in sys.modules
+    assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(timers)
     with pytest.raises(SystemExit):
         tool.main(["--base", "HEAD", "--rounds", "0"])
     assert "--rounds and --repeat must be >= 1" in capsys.readouterr().err

@@ -408,6 +408,8 @@ _X = np.array([0.3, -0.4, 0.5])
     (lambda: farfield_pattern("TE", 0, 0, 1.0, _X), "far-field patterns start at n = 1"),
     (lambda: farfield_pattern("TM", 1, -2, 1.0, _X), "|m| = 2 exceeds degree n = 1"),
     (lambda: farfield_pattern("TE", 1, 0, 0.0, _X), "far-field pattern needs a nonzero frequency"),
+    (lambda: farfield_pattern("TE", 1, 0, math.nan, _X), "omega = nan is not finite"),
+    (lambda: plane_wave(_wave(), [[math.nan, 0.0, 0.0]]), "point [nan  0.  0.] is not finite"),
     (lambda: jacobi_anger_partial(_wave(), 0, _X), "need at least one expansion order"),
 ])
 def test_field_evaluators_name_a_bad_argument(call, message):

@@ -15,9 +15,10 @@ from dieres.multipole import (
     magnetic_moment,
     sphere_quadrature,
 )
-from dieres.quasistatic import dipole_approximation, dipole_far_field, mode_potential_curl_part
+from dieres.quasistatic import (DipolePair, ResonantMoments, dipole_approximation, dipole_far_field,
+                                mode_potential_curl_part)
 from dieres.resonance import ContrastModel
-from dieres.fields import IncidentWave
+from dieres.fields import FieldSample, IncidentWave
 from dieres.specfun import harmonic_table
 
 
@@ -118,6 +119,32 @@ def test_moment_order_caps(ball_quad):
 def test_moment_tensor_checks_its_kind_and_shape(kind, l, entries, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         MomentTensor(kind, l, entries)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sphere_quadrature(4, 0), "n_phi must be >= 1"),
+    (lambda: sphere_quadrature(0, 8), "n_theta must be >= 1"),
+])
+def test_out_of_domain_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    e = np.array([1.0, 0.0, 0.0])
+    makers = [
+        lambda: FieldSample(e, e),
+        lambda: MomentTensor("electric", 0, e),
+        lambda: sphere_quadrature(4, 8),
+        lambda: ball_quadrature(2, 4, 8),
+        lambda: DipolePair(e, e),
+        lambda: ResonantMoments(e, e, np.eye(3)),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not a == b and len({a, b}) == 2
+    # an incident wave (and a Mie table through it) keeps comparing by value
+    assert IncidentWave(e[[1, 2, 0]], e, 2.0) == IncidentWave(e[[1, 2, 0]], e, 2.0)
 
 
 def test_sampler_of_the_wrong_shape_is_rejected(ball_quad_small):

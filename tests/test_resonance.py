@@ -10,6 +10,7 @@ from dieres.quasistatic import (
     blowup_coefficient,
     dipole_approximation,
     resonant_moments,
+    scatter_fn_explicit,
     scatter_fn_general,
 )
 from dieres.resonance import (
@@ -159,6 +160,16 @@ def test_prediction_finite_tau_variant():
     assert_allclose(
         quasi_static_prediction("TE", 1, 1, model, delta, finite_tau=True), expect, rtol=1e-13
     )
+    # with no Laurent terms tau(delta) = c_tau delta^-2, and the two predictors agree
+    assert quasi_static_prediction("TE", 1, 1, UNIT_MODEL, 0.1, finite_tau=True) == math.pi
+    assert quasi_static_prediction("TE", 1, 1, UNIT_MODEL, 0.1) == math.pi
+    # with c_{-1} = 0.3 both carry the first-order shift, so their gap is second order in delta
+    model = ContrastModel(1.0, (0.3,))
+    deltas = (0.02, 0.01, 0.005)
+    gaps = [abs(quasi_static_prediction("TE", 1, 1, model, d, finite_tau=True)
+                - first_order_correction(quasi_static_prediction("TE", 1, 1, model, d), model, d)) for d in deltas]
+    for (d0, g0), (d1, g1) in zip(zip(deltas, gaps), zip(deltas[1:], gaps[1:])):
+        assert abs(math.log(g0 / g1) / math.log(d0 / d1) - 2) < 0.1
 
 
 def test_first_order_correction_values():
@@ -316,6 +327,9 @@ def test_cluster_resonances_single_family():
     (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, 0.3, math.nan), "lambda0"),
     (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=math.nan), "tol"),
     (lambda: muller_root(lambda z: z - 1, 0.5, 1.5, 1j, tol=math.inf), "tol"),
+    (lambda: first_order_correction(math.nan, UNIT_MODEL, 0.1), "omega_i"),
+    pytest.param(lambda: first_order_correction(3.0, UNIT_MODEL, math.inf), "delta", id="first_order_correction-delta"),
+    (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, math.nan, 0.1), "c_m1"),
 ])
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
@@ -329,6 +343,8 @@ def test_non_finite_parameters_are_named(call, name):
     (lambda: quasi_static_prediction("TE", 0, 1, UNIT_MODEL), "mode order n must be >= 1"),
     (lambda: quasi_static_prediction("TM", 1, 1, UNIT_MODEL, 0.0, finite_tau=True),
      "finite-tau prediction needs delta > 0"),
+    pytest.param(lambda: quasi_static_prediction("TE", 1, 1, UNIT_MODEL, -0.1, finite_tau=True),
+                 "finite-tau prediction needs delta > 0", id="finite-tau-negative-delta"),
     (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=-1.0), "tol must be positive"),
     (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=0.0), "tol must be positive"),
     (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, max_iter=0), "max_iter must be >= 1"),
@@ -344,6 +360,7 @@ def test_out_of_domain_calls_raise(call, message):
     lambda: dipole_approximation(WAVE, 3.3, -0.1, UNIT_MODEL),
     lambda: averaged_cross_sections(3.3, 0.0, UNIT_MODEL),
     lambda: find_resonance("TE", 1, 1, 0.0, UNIT_MODEL),
+    lambda: scatter_fn_explicit(3.0, -1.0, 80.0),
 ])
 def test_non_positive_radius_is_rejected(call):
     with pytest.raises(ValueError, match="^delta must be positive$"):

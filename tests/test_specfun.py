@@ -408,6 +408,7 @@ def test_scalar_and_array_errors(n, z, kind, error):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: small_arg_leading(1, 0.1, "q"), "unknown kind 'q'"),
+    (lambda: small_arg_leading(-1, 0.1, "j"), "order n must be >= 0"),
     (lambda: small_arg_leading(1, math.nan, "j"), r"t = \(nan\+0j\) is not finite"),
     (lambda: small_arg_leading(2, np.array([0.1, complex(0.2, math.inf)]), "H"), r"t = \(0\.2\+infj\) is not finite"),
     (lambda: angles_to_unit(math.nan, 0.3), r"theta = \(nan\+0j\) is not finite"),

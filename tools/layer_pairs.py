@@ -3,28 +3,28 @@
     python tools/layer_pairs.py --base REF [--rounds R] [--repeat N]
 
 REF is checked out with ``git worktree add --detach`` (local, no network) in a
-temporary directory, which is removed at the end.  Each round runs one child
-interpreter per side, ``PYTHONPATH=<side>/src`` and one BLAS thread, the side
-that runs first alternating from round to round.  A child times every layer
-below as the best of N repeats; the report gives, per layer, the median of
-those bests over the R rounds for each side and the ratio head / base (below
-1: this checkout is faster).
+temporary directory. Its ``src/dieres`` and this checkout's are imported into
+this one interpreter under private package names, and the checkout is removed
+before any timing starts. BLAS runs on one thread. Each round times every
+layer below on both sides back to back, as the best of N repeats, the side
+that runs first alternating from round to round. Per layer, the report gives
+each side's median over the R rounds and the median and quartiles of the
+per-round ratios head / base (below 1: this checkout is faster).
 
 Layers: the scalar Miller pass of j at n = 12 and z = 2.88, an interior
-argument near pi (``specfun._rows``), the array pass ``radial_table`` of j at
-n_max = 8 on 128 seeded points with 1 < |z| < 20 (upward and Miller elements),
-scalar ``mie_denominators`` at n = 1 next to the first TE resonance,
-``mie._factor_table`` at n_max = 12, ``mie_coefficients`` at n_max = 12 (the
-incidence memo warm), ``cross_sections`` of that table, and the per-omega
-cost of one 126-point cross-section spectrum around the interior size pi, as
-the ``cross-sections`` grids of the xs-sweep workload, taken two ways: as the
-library chain (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per
-point) and as the path the CLI takes (``cli.run_config`` of the
-``cross-sections`` command on the same grid and incidence).
+argument near pi (``specfun._rows``); the array pass ``radial_table`` of j at
+n_max = 8 on 128 seeded points with 1 < |z| < 20 (upward and Miller elements);
+scalar ``mie_denominators`` at n = 1 next to the first TE resonance;
+``mie._factor_table`` and ``mie_coefficients`` (incidence memo warm) at
+n_max = 12, and ``cross_sections`` of that table; and the per-omega cost of one
+126-point cross-section spectrum around the interior size pi, as the xs-sweep
+workload's ``cross-sections`` grids, taken as the library chain
+(``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per point) and as
+the CLI path (``cli.run_config`` of that command on the same grid and incidence).
 """
 
 import argparse
-import json
+import importlib.util
 import os
 import statistics
 import subprocess
@@ -33,13 +33,20 @@ import tempfile
 import timeit
 
 
-def _child(repeat):
-    """Print {layer: best seconds per call} of the dieres on sys.path as JSON."""
+def _load(src, name):
+    """Import ``<src>/dieres`` as the package ``name``; return it and its ``cli`` module."""
+    pkg = os.path.join(src, "dieres")
+    spec = importlib.util.spec_from_file_location(name, f"{pkg}/__init__.py", submodule_search_locations=[pkg])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package, importlib.import_module(name + ".cli")
+
+
+def _layers(dieres, cli, repeat):
+    """{layer: timer} for one loaded tree; a timer returns the best of ``repeat`` in seconds per call."""
     import numpy as np
 
-    import dieres
-    from dieres import cli, mie, specfun
-
+    mie, specfun = dieres.mie, dieres.specfun
     delta, tau = 0.15, complex(80.0, 0.4)
     scale = abs(delta * (1 + tau) ** 0.5)
     omega = 3.3 / scale
@@ -56,64 +63,57 @@ def _child(repeat):
     request = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": grid[0],
                "omega_max": grid[-1], "omega_count": len(grid), "direction": direction.tolist(),
                "polarization": [0.8, 0.6, 0.0]}
-
-    def spectrum():
-        cli.run_config(request)
-
     rng = np.random.default_rng(8)
     points = (1 + 19 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
 
     calls = {
-        "_rows(12, 2.88) Miller": (lambda: specfun._rows(12, 2.88 + 0j, "j"), 2000),
-        "radial_table(8, 128 points)": (lambda: specfun.radial_table(8, points), 200),
-        "mie_denominators": (lambda: mie.mie_denominators(1, 0.1, complex(150.0, 10.0), 2.56 - 0.09j), 2000),
-        "_factor_table(12)": (lambda: mie._factor_table(12, delta, tau, omega), 200),
-        "mie_coefficients(12)": (lambda: mie.mie_coefficients(cfg, wave), 200),
-        "cross_sections": (lambda: mie.cross_sections(table), 500),
-        "126-point chain per omega": (chain, 1),
-        "126-point CLI per omega": (spectrum, 1),
+        "_rows(12, 2.88) Miller": (lambda: specfun._rows(12, 2.88 + 0j, "j"), 2000, 1),
+        "radial_table(8, 128 points)": (lambda: specfun.radial_table(8, points), 200, 1),
+        "mie_denominators": (lambda: mie.mie_denominators(1, 0.1, complex(150.0, 10.0), 2.56 - 0.09j), 2000, 1),
+        "_factor_table(12)": (lambda: mie._factor_table(12, delta, tau, omega), 200, 1),
+        "mie_coefficients(12)": (lambda: mie.mie_coefficients(cfg, wave), 200, 1),
+        "cross_sections": (lambda: mie.cross_sections(table), 500, 1),
+        "126-point chain per omega": (chain, 1, len(grid)),
+        "126-point CLI per omega": (lambda: cli.run_config(request), 1, len(grid)),
     }
     chain()  # fills the incidence memo and the caches of the first calls
-    best = {}
-    for name, (call, number) in calls.items():
-        per_call = min(timeit.repeat(call, number=number, repeat=repeat)) / number
-        best[name] = per_call / (len(grid) if call in (chain, spectrum) else 1)
-    print(json.dumps(best))
 
-
-def _run_side(src, repeat):
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); " \
-           f"import layer_pairs; layer_pairs._child({repeat})"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(out.stdout)
+    def timer(call, number, per):
+        return lambda: min(timeit.repeat(call, number=number, repeat=repeat)) / number / per
+    return {name: timer(*call) for name, call in calls.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
-    parser.add_argument("--rounds", type=int, default=7, help="rounds of one child per side (default 7)")
-    parser.add_argument("--repeat", type=int, default=7, help="repeats per layer in a child (default 7)")
+    parser.add_argument("--rounds", type=int, default=7, help="rounds of every layer on both sides (default 7)")
+    parser.add_argument("--repeat", type=int, default=7, help="repeats per layer, side and round (default 7)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.repeat < 1:
         parser.error("--rounds and --repeat must be >= 1")
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")  # before numpy loads
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    times = {"base": [], "head": []}
     with tempfile.TemporaryDirectory() as tmp:
         checkout = os.path.join(tmp, "base")
         subprocess.run(["git", "worktree", "add", "--quiet", "--detach", checkout, args.base], cwd=root, check=True)
         try:
-            sides = {"base": os.path.join(checkout, "src"), "head": os.path.join(root, "src")}
-            for r in range(args.rounds):
-                for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
-                    times[side].append(_run_side(sides[side], args.repeat))
+            base = _load(os.path.join(checkout, "src"), "_layer_pairs_base")
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", checkout], cwd=root, check=True)
-    print(f"base {args.base}, {args.rounds} rounds, best of {args.repeat}; median per side, in microseconds")
-    print(f"{'layer':<28}{'base':>10}{'head':>10}{'head/base':>11}")
-    for name in times["base"][0]:
-        base, new = (statistics.median(t[name] for t in times[side]) * 1e6 for side in ("base", "head"))
-        print(f"{name:<28}{base:>10.2f}{new:>10.2f}{new / base:>11.3f}")
+    sides = {"base": _layers(*base, args.repeat),
+             "head": _layers(*_load(os.path.join(root, "src"), "_layer_pairs_head"), args.repeat)}
+    times = {side: {name: [] for name in sides["head"]} for side in sides}
+    for r in range(args.rounds):
+        for name in sides["head"]:
+            for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
+                times[side][name].append(sides[side][name]())
+    print(f"base {args.base}, {args.rounds} rounds, best of {args.repeat}; medians in microseconds, ratio quartiles")
+    print(f"{'layer':<28}{'base':>10}{'head':>10}{'head/base':>11}{'q1':>8}{'q3':>8}")
+    for name, base_times in times["base"].items():
+        ratios = [h / b for h, b in zip(times["head"][name], base_times)]
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+        base_us, head_us = (statistics.median(times[side][name]) * 1e6 for side in ("base", "head"))
+        print(f"{name:<28}{base_us:>10.2f}{head_us:>10.2f}{statistics.median(ratios):>11.3f}{q1:>8.3f}{q3:>8.3f}")
     return 0
 
 
