@@ -8,6 +8,7 @@ printed with 17 significant digits so re-parsing is bit-exact.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -29,13 +30,14 @@ class CsvTable:
     meta: list = field(default_factory=list)
 
     def render_csv(self) -> str:
+        """The CSV document; every row has the cell types of the first, so one
+        row format, repeated once per row, prints the body in one % operation."""
         lines = [f"# schema: {','.join(self.columns)}"]
         lines.append(f"# units: {','.join(self.units)}")
         lines.extend(f"# {m}" for m in self.meta)
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        row = ",".join(map(_conversion, self.rows[0])) + "\n" if self.rows else ""
+        return "\n".join(lines) + "\n" + row * len(self.rows) % tuple(itertools.chain.from_iterable(self.rows))
 
     def render_json(self) -> str:
         payload = {"columns": self.columns, "units": self.units, "meta": self.meta,
@@ -43,10 +45,13 @@ class CsvTable:
         return json.dumps(payload, indent=2) + "\n"
 
 
+def _conversion(v):
+    """The % conversion of a cell: %d for int, bool and numpy integers, %.17g for any other."""
+    return "%d" if isinstance(v, (int, np.integer)) else "%.17g"
+
+
 def _format_cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    return _conversion(v) % v
 
 
 def _json_cell(v):

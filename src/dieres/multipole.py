@@ -129,6 +129,8 @@ def _grid_of(nodes, polar_weights, n_phi, n_max):
 
 
 def ball_quadrature(n_r: int = 32, n_theta: int = 64, n_phi: int = 128) -> BallQuadrature:
+    if operator.index(n_r) < 1:
+        raise ValueError("n_r must be >= 1")
     x, wx = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (x + 1)
     wr = 0.5 * wx * r ** 2

@@ -180,14 +180,16 @@ def scatter_fn_explicit(omega: complex, delta: float, tau: complex) -> complex:
 def scatter_fn_general(omega: complex, omega0: complex, c_tau: complex) -> complex:
     """Pole-pencil scattering function -(8/pi^2) w^2 w0 c_tau / (w - w0)."""
     _guard_pole(omega, omega0, "general scattering function")
-    return -8 / math.pi ** 2 * omega ** 2 * omega0 * c_tau / (omega - omega0)
+    return -8 / math.pi ** 2 * omega ** 2 * omega0 * _finite("c_tau", c_tau) / (omega - omega0)
 
 
 def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_tau: complex,
                        c_m1: float, lambda0: float) -> complex:
     """Two-term pole expansion coefficient
-    -w0/(2(w-w0)) + delta w0^2 c_{-1} w^2 lambda0 / (4 (w-w0)^2)."""
+    -w0/(2(w-w0)) + delta w0^2 c_{-1} w^2 lambda0 / (4 (w-w0)^2);
+    c_tau enters only through omega0, and is checked to be finite."""
     _guard_pole(omega, omega0, "blow-up coefficient")
+    _finite("c_tau", c_tau)
     eps = omega - omega0
     # delta = 0 leaves the simple pole alone
     return (-omega0 / (2 * eps) + _finite("delta", delta) * omega0 ** 2 * _finite("c_m1", c_m1) * omega ** 2

@@ -10,6 +10,7 @@ from dieres.cli import (
     _COMMANDS,
     _FLAGS,
     CsvTable,
+    _format_cell,
     _merge_config,
     build_parser,
     main,
@@ -492,6 +493,40 @@ def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 5 files differ\n"
 
 
+def _per_cell_csv(table):
+    """The reference render_csv is held to: every row joined from one _format_cell call per cell."""
+    lines = [f"# schema: {','.join(table.columns)}", f"# units: {','.join(table.units)}",
+             *(f"# {m}" for m in table.meta), ",".join(table.columns)]
+    lines.extend(",".join(_format_cell(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_render_as_the_per_cell_join(tmp_path):
+    tool = _tool("cli_snapshot")
+    paths = {key: tmp_path / f"{key}.json" for key in tool.CONFIGS}
+    for key, path in paths.items():
+        path.write_text(json.dumps(tool.CONFIGS[key]))
+    parser = build_parser()
+    succeeding = [argv for _, argv, code in tool.COMMANDS if code == 0 and "--help" not in argv]
+    for argv in succeeding:
+        table = run_config(_merge_config(parser.parse_args([a.format_map(paths) for a in argv])))
+        assert table.render_csv() == _per_cell_csv(table), argv
+    big = 2 ** 53 + 1
+    rows = [[math.nan, True, np.int64(-7), np.float64(0.1), big],
+            [math.inf, False, np.int64(2 ** 62), np.float64(5e-324), -big],
+            [-math.inf, True, np.int64(0), np.float64(-1e300), 2 ** 64 + 3],
+            [-0.0, False, np.int64(1), np.float64(-0.0), 0]]
+    edges = CsvTable(["x", "flag", "i64", "f64", "big"], ["-"] * 5, rows, ["edge cells"])
+    assert edges.render_csv() == _per_cell_csv(edges)
+    assert edges.render_csv().splitlines()[-4:] == [
+        "nan,1,-7,0.10000000000000001,9007199254740993",
+        "inf,0,4611686018427387904,4.9406564584124654e-324,-9007199254740993",
+        "-inf,1,0,-1.0000000000000001e+300,18446744073709551619",
+        "-0,0,1,-0,0"]
+    empty = CsvTable(["x"], ["-"], [], ["no rows"])
+    assert empty.render_csv() == _per_cell_csv(empty) == "# schema: x\n# units: -\n# no rows\nx\n"
+
+
 def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
     import pathlib
     import sys
@@ -504,7 +539,7 @@ def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
         assert package.mie is not mie and package.mie is sys.modules["_layer_pairs_test.mie"]
         assert cli.__name__ == "_layer_pairs_test.cli" and cli.mie is package.mie
         timers = tool._layers(package, cli, 1)
-        assert len(timers) == 8 and all(timer() > 0 for timer in timers.values())
+        assert len(timers) == 9 and all(timer() > 0 for timer in timers.values())
     assert "_layer_pairs_test" not in sys.modules
     assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(timers)
     with pytest.raises(SystemExit):

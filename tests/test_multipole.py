@@ -124,6 +124,7 @@ def test_moment_tensor_checks_its_kind_and_shape(kind, l, entries, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: sphere_quadrature(4, 0), "n_phi must be >= 1"),
     (lambda: sphere_quadrature(0, 8), "n_theta must be >= 1"),
+    (lambda: ball_quadrature(0, 4, 8), "n_r must be >= 1"),
 ])
 def test_out_of_domain_calls_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

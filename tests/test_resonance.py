@@ -330,6 +330,9 @@ def test_cluster_resonances_single_family():
     (lambda: first_order_correction(math.nan, UNIT_MODEL, 0.1), "omega_i"),
     pytest.param(lambda: first_order_correction(3.0, UNIT_MODEL, math.inf), "delta", id="first_order_correction-delta"),
     (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, math.nan, 0.1), "c_m1"),
+    pytest.param(lambda: scatter_fn_general(3.3, math.pi, math.nan), "c_tau", id="scatter_fn_general-c_tau"),
+    pytest.param(lambda: blowup_coefficient(3.3, 0.1, math.pi, complex(1.0, math.inf), 0.3, 0.1), "c_tau",
+                 id="blowup_coefficient-c_tau"),
 ])
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):

@@ -1,4 +1,4 @@
-"""Time the Mie and Bessel layers of this checkout against those of another commit.
+"""Time the Bessel, Mie and CLI layers of this checkout against those of another commit.
 
     python tools/layer_pairs.py --base REF [--rounds R] [--repeat N]
 
@@ -20,7 +20,9 @@ n_max = 12, and ``cross_sections`` of that table; and the per-omega cost of one
 126-point cross-section spectrum around the interior size pi, as the xs-sweep
 workload's ``cross-sections`` grids, taken as the library chain
 (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per point) and as
-the CLI path (``cli.run_config`` of that command on the same grid and incidence).
+the CLI path (``cli.run_config`` of that command on the same grid and incidence);
+and ``render_csv`` of an 800-row ``scatter-functions`` table, built once with
+``cli.run_config``, per row.
 """
 
 import argparse
@@ -63,6 +65,8 @@ def _layers(dieres, cli, repeat):
     request = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": grid[0],
                "omega_max": grid[-1], "omega_count": len(grid), "direction": direction.tolist(),
                "polarization": [0.8, 0.6, 0.0]}
+    scatter = cli.run_config({"command": "scatter-functions", "delta": 0.15, "c_tau": [1.5, 0.0],
+                              "omega_min": 2.3, "omega_max": 2.8, "omega_count": 800})
     rng = np.random.default_rng(8)
     points = (1 + 19 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
 
@@ -75,6 +79,7 @@ def _layers(dieres, cli, repeat):
         "cross_sections": (lambda: mie.cross_sections(table), 500, 1),
         "126-point chain per omega": (chain, 1, len(grid)),
         "126-point CLI per omega": (lambda: cli.run_config(request), 1, len(grid)),
+        "800-row CSV per row": (scatter.render_csv, 5, len(scatter.rows)),
     }
     chain()  # fills the incidence memo and the caches of the first calls
 
