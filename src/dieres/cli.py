@@ -30,14 +30,19 @@ class CsvTable:
     meta: list = field(default_factory=list)
 
     def render_csv(self) -> str:
-        """The CSV document; every row has the cell types of the first, so one
-        row format, repeated once per row, prints the body in one % operation."""
+        """The CSV document. When every row has the cell types of the first, one
+        row format, repeated once per row, prints the body in one % operation;
+        any other table (a re-parsed one, say) is printed cell by cell."""
         lines = [f"# schema: {','.join(self.columns)}"]
         lines.append(f"# units: {','.join(self.units)}")
         lines.extend(f"# {m}" for m in self.meta)
         lines.append(",".join(self.columns))
-        row = ",".join(map(_conversion, self.rows[0])) + "\n" if self.rows else ""
-        return "\n".join(lines) + "\n" + row * len(self.rows) % tuple(itertools.chain.from_iterable(self.rows))
+        if len({tuple(map(type, row)) for row in self.rows}) == 1:
+            row = ",".join(map(_conversion, self.rows[0])) + "\n"
+            body = row * len(self.rows) % tuple(itertools.chain.from_iterable(self.rows))
+        else:
+            body = "".join(",".join(map(_format_cell, row)) + "\n" for row in self.rows)
+        return "\n".join(lines) + "\n" + body
 
     def render_json(self) -> str:
         payload = {"columns": self.columns, "units": self.units, "meta": self.meta,
@@ -73,6 +78,8 @@ def parse_csv(text: str) -> CsvTable:
 
 
 def _parse_cell(cell):
+    if cell == "-0":  # how %.17g prints -0.0; no int prints so
+        return -0.0
     try:
         return int(cell)
     except ValueError:

@@ -508,9 +508,15 @@ def test_csv_rows_render_as_the_per_cell_join(tmp_path):
         path.write_text(json.dumps(tool.CONFIGS[key]))
     parser = build_parser()
     succeeding = [argv for _, argv, code in tool.COMMANDS if code == 0 and "--help" not in argv]
+    mixed = 0
     for argv in succeeding:
         table = run_config(_merge_config(parser.parse_args([a.format_map(paths) for a in argv])))
-        assert table.render_csv() == _per_cell_csv(table), argv
+        text = table.render_csv()
+        parsed = parse_csv(text)
+        assert text == _per_cell_csv(table) and parsed.render_csv() == text, argv
+        # a float cell that prints without a fraction (theta 0, omega 1) re-parses as an int
+        mixed += len({tuple(map(type, row)) for row in parsed.rows}) > 1
+    assert mixed
     big = 2 ** 53 + 1
     rows = [[math.nan, True, np.int64(-7), np.float64(0.1), big],
             [math.inf, False, np.int64(2 ** 62), np.float64(5e-324), -big],
@@ -525,6 +531,9 @@ def test_csv_rows_render_as_the_per_cell_join(tmp_path):
         "-0,0,1,-0,0"]
     empty = CsvTable(["x"], ["-"], [], ["no rows"])
     assert empty.render_csv() == _per_cell_csv(empty) == "# schema: x\n# units: -\n# no rows\nx\n"
+    ragged = CsvTable(["x", "y"], ["-", "-"], [[0, 1], [0.5, math.nan], [3]])
+    assert ragged.render_csv() == _per_cell_csv(ragged)
+    assert ragged.render_csv().splitlines()[-3:] == ["0,1", "0.5,nan", "3"]
 
 
 def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
