@@ -209,9 +209,13 @@ def _moment(magnetic: bool, l: int, f: DecomposedField, q: BallQuadrature) -> Mo
     if f.poly_degree is not None and f.poly_degree + copies > q.degree:
         warnings.warn(f"integrand degree {f.poly_degree + copies} exceeds quadrature exactness {q.degree}",
                       stacklevel=3)
-    letters = "abcd"[:copies]
-    spec = "p,pi" + "".join(f",p{c}" for c in letters) + "->i" + letters
-    entries = np.einsum(spec, q.weights, getattr(f, part)(q.points), *[q.points] * copies)
+    # one real product: the weighted y-products, N 3^copies reals (27 per node at magnetic l = 4), times the
+    # (N, 6) real and imaginary columns of the samples
+    ys = q.weights[:, None]
+    for _ in range(copies):
+        ys = (ys[:, :, None] * q.points[:, None, :]).reshape(len(ys), -1)
+    samples = np.ascontiguousarray(getattr(f, part)(q.points)).view(float)
+    entries = (ys.T @ samples).view(complex).T.reshape((3,) * (copies + 1))
     return MomentTensor(kind, l, entries * l if shift else entries)
 
 
@@ -227,6 +231,15 @@ def magnetic_moment(l: int, f: DecomposedField, q: BallQuadrature) -> MomentTens
 def electric_moment(l: int, f: DecomposedField, q: BallQuadrature) -> MomentTensor:
     """Electric l-moment: \\int_B grad p(y) (x) y (x) ... (x) y dy (l copies)."""
     return _moment(False, l, f, q)
+
+
+_NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    """a x b of two 3-vectors with np.cross's arithmetic (a_1 b_2 - a_2 b_1, ...), not its per-call cost."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[_NEXT] * b[_AFTER_NEXT] - a[_AFTER_NEXT] * b[_NEXT]
 
 
 _TRUNCATIONS = {
@@ -265,7 +278,7 @@ def amplitude_from_moments(moments, delta: float, tau: complex, omega: complex,
         for _ in range(l - shift):
             vec = vec @ xhat
         if shift:
-            vec = np.cross(vec, xhat)
+            vec = _cross(vec, xhat)
         total = total + (-1j * delta * omega) ** l / math.factorial(l) * vec
     total = total - xhat * np.dot(xhat, total)
     return tau * omega ** 2 * delta ** 3 / (4 * math.pi) * total

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import IncidentWave, _incidence, _single_field, multipole_field
 from .mie import _arguments
-from .multipole import _harmonic_grid, ball_quadrature
+from .multipole import _cross, _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel, _radius, quasi_static_prediction
 from .specfun import (_finite, _radius_split, bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1,
                       sph_bessel_j, sph_harmonic)
@@ -183,13 +183,11 @@ def scatter_fn_general(omega: complex, omega0: complex, c_tau: complex) -> compl
     return -8 / math.pi ** 2 * omega ** 2 * omega0 * _finite("c_tau", c_tau) / (omega - omega0)
 
 
-def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_tau: complex,
-                       c_m1: float, lambda0: float) -> complex:
+def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_m1: float, lambda0: float) -> complex:
     """Two-term pole expansion coefficient
     -w0/(2(w-w0)) + delta w0^2 c_{-1} w^2 lambda0 / (4 (w-w0)^2);
-    c_tau enters only through omega0, and is checked to be finite."""
+    the contrast enters only through omega0."""
     _guard_pole(omega, omega0, "blow-up coefficient")
-    _finite("c_tau", c_tau)
     eps = omega - omega0
     # delta = 0 leaves the simple pole alone
     return (-omega0 / (2 * eps) + _finite("delta", delta) * omega0 ** 2 * _finite("c_m1", c_m1) * omega ** 2
@@ -241,7 +239,7 @@ def dipole_approximation(w: IncidentWave, omega: float, delta: float,
     # (1/2 + K*)^{-1}[nu] = (3/2) nu on degree-1 densities; with
     # int x (x) x = (4 pi/3) I the electric factor collapses to 2 pi.
     p = 2 * math.pi * _radius(delta) ** 3 * w.polarization.astype(complex)
-    drive = np.cross(w.direction, w.polarization)
+    drive = _cross(w.direction, w.polarization)
     m = (
         model.c_tau * omega ** 2 * delta ** 3
         * (-omega0 / (2 * (omega - omega0)))
@@ -254,8 +252,8 @@ def dipole_approximation(w: IncidentWave, omega: float, delta: float,
 def dipole_far_field(pair: DipolePair, omega: float, xhat) -> np.ndarray:
     """Amplitude (w^2/4pi)(xhat x (p x xhat) + m x xhat) of a dipole pair."""
     xhat = np.asarray(xhat, dtype=float)
-    p_part = np.cross(xhat, np.cross(pair.p, xhat))
-    m_part = np.cross(pair.m, xhat)
+    p_part = _cross(xhat, _cross(pair.p, xhat))
+    m_part = _cross(pair.m, xhat)
     return omega ** 2 / (4 * math.pi) * (p_part + m_part)
 
 
@@ -323,7 +321,7 @@ def resonant_moments(w: IncidentWave, omega: float, delta: float, model: Contras
     proj_te = _incidence(1, d.tobytes(), e0.tobytes())[0, 1:]
     overlaps = math.sqrt(2) * proj_te * np.sum(wr * prof * sph_bessel_j(1, delta * omega * r))
 
-    c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
+    c_m = blowup_coefficient(omega, delta, omega0, model.c_minus1, lam0)
 
     # second blow-up term (K_B E_j, (T_B|_W)^{-1} P_w incident): the ball
     # potential of a ground mode is lambda0 * mode, and the gradient-sector

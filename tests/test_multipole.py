@@ -8,6 +8,7 @@ from dieres.multipole import (
     BallQuadrature,
     DecomposedField,
     MomentTensor,
+    _cross,
     _harmonic_grid,
     amplitude_from_moments,
     ball_quadrature,
@@ -181,6 +182,44 @@ def test_quadrature_convergence(ball_quad):
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
+def _seeded_field(seed):
+    """A field whose two samplers are seeded complex combinations of 1, y and y * y."""
+    coefficients = np.random.default_rng(seed).normal(size=(2, 7, 6)).view(complex)  # (2, 7, 3)
+
+    def sampler(c):
+        return lambda pts: np.concatenate([np.ones((len(pts), 1)), pts, pts ** 2], axis=1) @ c
+    return DecomposedField(*map(sampler, coefficients))
+
+
+def test_every_moment_order_matches_an_einsum_reference():
+    q = ball_quadrature(6, 8, 16)
+    f = _seeded_field(28)
+    radius = np.linalg.norm(q.points, axis=1)
+    for moment, samples, top, shift in ((magnetic_moment, f.curl_part(q.points), 4, 1),
+                                        (electric_moment, f.grad_part(q.points), 2, 0)):
+        for l in range(top + 1):
+            got = moment(l, f, q).entries
+            if shift and l == 0:
+                assert got.shape == () and got == 0
+                continue
+            copies, factor = l - shift, l if shift else 1
+            letters = "abc"[:copies]
+            spec = "p,pi" + "".join(f",p{c}" for c in letters) + "->i" + letters
+            want = factor * np.einsum(spec, q.weights, samples, *[q.points] * copies)
+            scale = factor * np.sum(q.weights * np.linalg.norm(samples, axis=1) * radius ** copies)
+            assert got.shape == (3,) * (copies + 1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (moment.__name__, l)
+
+
+def test_moments_accept_samplers_that_return_views():
+    # a broadcast row and a Fortran-ordered array are not C-contiguous
+    q = ball_quadrature(6, 8, 16)
+    g = np.array([1 + 2j, -0.5j, 0.3])
+    f = DecomposedField(lambda y: np.asfortranarray(np.ones((len(y), 1)) * g), lambda y: np.broadcast_to(g, y.shape))
+    for m in (magnetic_moment(1, f, q), electric_moment(0, f, q)):
+        assert_allclose(m.entries, 4 * math.pi / 3 * g, rtol=1e-13)
+
+
 # --- amplitude assembly ---------------------------------------------------------
 
 def _moment_set(ball_quad):
@@ -223,6 +262,45 @@ def test_order_l_skips_a_magnetic_zero_moment(ball_quad, rng):
     without = amplitude_from_moments(moments, 0.1, 100.0, 2.0, xh, "orderL")
     assert np.array_equal(amplitude_from_moments([m0, *moments], 0.1, 100.0, 2.0, xh, "orderL"), without)
     assert np.array_equal(amplitude_from_moments(moments, 0.1, 100.0, 2.0, xh, "order4"), without)
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    real = [*rng.normal(size=(40, 3)), np.array([0.0, -0.0, 1.0]), np.array([-0.0, 2.0, -0.0])]
+    complex_ = [*(rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))), np.array([-0.0, 1j, 0.5 - 0.0j])]
+    for left in (real, complex_):
+        for right in (real, complex_):
+            for a, b in zip(left, right[::-1]):
+                got, want = _cross(a, b), np.cross(a, b)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_amplitude_matches_a_reference_assembly_bit_for_bit():
+    # the reference: the same sum of brackets with np.cross
+    q = ball_quadrature(6, 8, 16)
+    f = _seeded_field(30)
+    moments = [electric_moment(l, f, q) for l in range(3)] + [magnetic_moment(l, f, q) for l in range(1, 5)]
+    dipole_pair = [("electric", 0), ("magnetic", 1)]
+    truncations = {"dipole-pair": dipole_pair, "order4": dipole_pair + [("electric", 1), ("magnetic", 2)],
+                   "orderL": sorted(((m.kind, m.order_l) for m in moments), key=lambda km: km[1])}
+    entries = {(m.kind, m.order_l): m.entries for m in moments}
+    delta, tau, omega = 0.3, complex(40.0, 2.0), 2.5
+    rng = np.random.default_rng(31)
+    for xh in [np.array([0.0, 0.0, 1.0]), *rng.normal(size=(7, 3))]:
+        xh /= np.linalg.norm(xh)
+        for truncation, wanted in truncations.items():
+            total = np.zeros(3, dtype=complex)
+            for kind, l in wanted:
+                vec = entries[(kind, l)]
+                for _ in range(l - (kind == "magnetic")):
+                    vec = vec @ xh
+                if kind == "magnetic":
+                    vec = np.cross(vec, xh)
+                total = total + (-1j * delta * omega) ** l / math.factorial(l) * vec
+            total = total - xh * np.dot(xh, total)
+            want = tau * omega ** 2 * delta ** 3 / (4 * math.pi) * total
+            got = amplitude_from_moments(moments, delta, tau, omega, xh, truncation)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), truncation
 
 
 def test_amplitude_missing_moment_error(ball_quad):

@@ -306,20 +306,20 @@ def test_scatter_functions_pole_and_residue_agreement():
 def test_blowup_coefficient_values():
     w0 = math.pi
     assert_allclose(
-        blowup_coefficient(3.3, 0.1, w0, 1.0, 0.0, 1 / w0 ** 2),
+        blowup_coefficient(3.3, 0.1, w0, 0.0, 1 / w0 ** 2),
         -w0 / (2 * (3.3 - w0)),
         rtol=1e-13,
     )
     # independent arithmetic for the two-term value
     w, d, cm1, lam0 = 3.3, 0.1, 1.0, 1 / math.pi ** 2
     expect = -w0 / (2 * (w - w0)) + d * w0 ** 2 * cm1 * w ** 2 * lam0 / (4 * (w - w0) ** 2)
-    assert_allclose(blowup_coefficient(w, d, w0, 1.0, cm1, lam0), expect, rtol=1e-13)
+    assert_allclose(blowup_coefficient(w, d, w0, cm1, lam0), expect, rtol=1e-13)
 
 
 def test_blowup_simple_pole_scaling():
     w0 = math.pi
     for eps in (1e-2, 1e-3):
-        val = blowup_coefficient(w0 * (1 + eps), 0.0, w0, 1.0, 0.0, 1 / w0 ** 2)
+        val = blowup_coefficient(w0 * (1 + eps), 0.0, w0, 0.0, 1 / w0 ** 2)
         assert_allclose(abs(val), 1 / (2 * eps), rtol=1e-10)
 
 
@@ -485,7 +485,7 @@ def _cartesian_moments(w, omega, delta, model, quad, n_sh=10):
     prof = -math.sqrt(2) * k0 * np.asarray(sph_bessel_j(1, k0 * r)).real
     radial = np.einsum("r,ra->a", wr * prof, phase)
     overlaps = np.einsum("a,jai,i->j", wa * radial, np.conj(v1), e0)
-    c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, lam0)
+    c_m = blowup_coefficient(omega, delta, omega0, model.c_minus1, lam0)
     b = np.einsum("ka,a->k", np.conj(harm), wa * trace_inc)
     rad = np.array([np.sum(wr * prof * r ** p) for p in range(n_sh + 1)])
     n = deg[1:]
@@ -556,7 +556,7 @@ def test_resonant_moments_m1_matches_phase_grid_overlaps(seed):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # M1 is linear in the overlaps through the blow-up coefficient
     rm = resonant_moments(IncidentWave(d, e0, omega), omega, delta, model, quad=quad)
-    c_m = blowup_coefficient(omega, delta, omega0, model.c_tau, model.c_minus1, 1 / k0 ** 2)
+    c_m = blowup_coefficient(omega, delta, omega0, model.c_minus1, 1 / k0 ** 2)
     m1 = rm.m1_hat + c_m * sum((o_ref - o) * mode_potential_integral(j) for j, o_ref, o in zip((-1, 0, 1), ref, got))
     assert np.linalg.norm(rm.m1_hat - m1) <= 1e-13 * np.linalg.norm(m1)
 

@@ -312,7 +312,7 @@ def test_cluster_resonances_single_family():
     (lambda: find_resonance("TE", 1, 1, math.nan, UNIT_MODEL), "delta"),
     (lambda: find_resonance("TE", 1, 1, math.inf, UNIT_MODEL), "delta"),
     (lambda: scatter_fn_general(math.nan, math.pi, 1.0), "omega"),
-    (lambda: blowup_coefficient(math.nan, 0.1, math.pi, 1.0, 0.0, 0.1), "omega"),
+    (lambda: blowup_coefficient(math.nan, 0.1, math.pi, 0.0, 0.1), "omega"),
     (lambda: dipole_approximation(WAVE, math.nan, 0.1, UNIT_MODEL), "omega"),
     (lambda: resonant_moments(WAVE, math.inf, 0.1, UNIT_MODEL), "omega"),
     (lambda: averaged_cross_sections(complex(3.3, math.nan), 0.1, UNIT_MODEL), "omega"),
@@ -320,19 +320,17 @@ def test_cluster_resonances_single_family():
     (lambda: dipole_approximation(WAVE, 3.3, math.nan, UNIT_MODEL), "delta"),
     (lambda: averaged_cross_sections(3.3, math.nan, UNIT_MODEL), "delta"),
     (lambda: averaged_cross_sections(3.3, math.inf, UNIT_MODEL), "delta"),
-    (lambda: blowup_coefficient(3.3, math.nan, math.pi, 1.0, 0.0, 0.1), "delta"),
+    (lambda: blowup_coefficient(3.3, math.nan, math.pi, 0.0, 0.1), "delta"),
     pytest.param(lambda: scatter_fn_general(3.3, math.nan, 1.0), "omega0", id="scatter_fn_general-omega0"),
-    pytest.param(lambda: blowup_coefficient(3.3, 0.1, complex(math.pi, math.nan), 1.0, 0.0, 0.1), "omega0",
+    pytest.param(lambda: blowup_coefficient(3.3, 0.1, complex(math.pi, math.nan), 0.0, 0.1), "omega0",
                  id="blowup_coefficient-omega0"),
-    (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, 0.3, math.nan), "lambda0"),
+    (lambda: blowup_coefficient(3.3, 0.1, math.pi, 0.3, math.nan), "lambda0"),
     (lambda: find_resonance("TE", 1, 1, 0.1, UNIT_MODEL, tol=math.nan), "tol"),
     (lambda: muller_root(lambda z: z - 1, 0.5, 1.5, 1j, tol=math.inf), "tol"),
     (lambda: first_order_correction(math.nan, UNIT_MODEL, 0.1), "omega_i"),
     pytest.param(lambda: first_order_correction(3.0, UNIT_MODEL, math.inf), "delta", id="first_order_correction-delta"),
-    (lambda: blowup_coefficient(3.3, 0.1, math.pi, 1.0, math.nan, 0.1), "c_m1"),
+    (lambda: blowup_coefficient(3.3, 0.1, math.pi, math.nan, 0.1), "c_m1"),
     pytest.param(lambda: scatter_fn_general(3.3, math.pi, math.nan), "c_tau", id="scatter_fn_general-c_tau"),
-    pytest.param(lambda: blowup_coefficient(3.3, 0.1, math.pi, complex(1.0, math.inf), 0.3, 0.1), "c_tau",
-                 id="blowup_coefficient-c_tau"),
 ])
 def test_non_finite_parameters_are_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):

@@ -1,4 +1,4 @@
-"""Time the Bessel, Mie and CLI layers of this checkout against those of another commit.
+"""Time the Bessel, Mie, CLI and multipole layers of this checkout against those of another commit.
 
     python tools/layer_pairs.py --base REF [--rounds R] [--repeat N]
 
@@ -21,8 +21,11 @@ n_max = 12, and ``cross_sections`` of that table; and the per-omega cost of one
 workload's ``cross-sections`` grids, taken as the library chain
 (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per point) and as
 the CLI path (``cli.run_config`` of that command on the same grid and incidence);
-and ``render_csv`` of an 800-row ``scatter-functions`` table, built once with
-``cli.run_config``, per row.
+``render_csv`` of an 800-row ``scatter-functions`` table, built once with
+``cli.run_config``, per row; the four Cartesian moments (magnetic 1 and 2,
+electric 0 and 1) of a seeded field on the 16x24x48 ball quadrature, as the
+field-maps workload's largest ``moments`` request; and ``amplitude_from_moments``
+of those moments at 8 seeded directions.
 """
 
 import argparse
@@ -69,6 +72,17 @@ def _layers(dieres, cli, repeat):
                               "omega_min": 2.3, "omega_max": 2.8, "omega_count": 800})
     rng = np.random.default_rng(8)
     points = (1 + 19 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
+    quad = dieres.ball_quadrature(16, 24, 48)
+    c, g = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    field = dieres.DecomposedField(lambda y: np.outer(y @ direction, c), lambda y: np.broadcast_to(g, y.shape).copy())
+
+    def moments():
+        return [dieres.magnetic_moment(1, field, quad), dieres.magnetic_moment(2, field, quad),
+                dieres.electric_moment(0, field, quad), dieres.electric_moment(1, field, quad)]
+
+    cartesian = moments()
+    directions = rng.normal(size=(8, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
 
     calls = {
         "_rows(12, 2.88) Miller": (lambda: specfun._rows(12, 2.88 + 0j, "j"), 2000, 1),
@@ -80,6 +94,9 @@ def _layers(dieres, cli, repeat):
         "126-point chain per omega": (chain, 1, len(grid)),
         "126-point CLI per omega": (lambda: cli.run_config(request), 1, len(grid)),
         "800-row CSV per row": (scatter.render_csv, 5, len(scatter.rows)),
+        "16x24x48 moments": (moments, 20, 1),
+        "amplitude at 8 directions": (lambda: [dieres.amplitude_from_moments(cartesian, 0.3, 40.0, 2.5, x)
+                                               for x in directions], 200, 1),
     }
     chain()  # fills the incidence memo and the caches of the first calls
 
