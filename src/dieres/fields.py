@@ -59,14 +59,17 @@ def _incidence(n_max, direction, polarization):
     one read-only stack of P_k^TE = 4 pi i^n / sqrt(n(n+1)) conj(V_n^m(d)).e0
     and P_k^TM (U for V) at k = n(n+1) + m, 1 <= n <= n_max, entry 0 set to 0.
     The plane wave is -sum_k (P_k^TE TE_{n,m} + P_k^TM TM_{n,m}) in entire
-    multipole fields.  Per entry np.dot, which the tests pin; stacked products
-    round differently."""
+    multipole fields.  Per entry the bits of np.dot, which the tests pin: a stack of
+    (1, 3) @ (3,) products is one BLAS dot each (a (K, 3) @ (3,) product rounds
+    differently), and the prefactor multiplies as Python complex does."""
     d, e0 = (np.frombuffer(v, dtype=float) for v in (direction, polarization))
     table = harmonic_table(n_max, d[None])
     u, v = table.vectors(slice(1, None))
-    prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
+    prefs = np.array([4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()])
+    dots = np.matmul(np.conj(np.stack([v, u])), e0)[..., 0]
     proj = np.zeros((2, len(table.y)), dtype=complex)
-    proj[:, 1:] = [[p * np.dot(np.conj(f[0]), e0) for p, f in zip(prefs, part)] for part in (v, u)]
+    proj.real[:, 1:] = prefs.real * dots.real - prefs.imag * dots.imag
+    proj.imag[:, 1:] = prefs.real * dots.imag + prefs.imag * dots.real
     proj.flags.writeable = False
     return proj
 
@@ -110,9 +113,9 @@ def multipole_field(variant: str, family: str, n: int, m: int, k: complex, x) ->
 @functools.lru_cache(maxsize=None)
 def _row_sources(n_max):
     """The rows (n, mu), 0 <= mu <= n <= n_max, of the real ladder in degree-major
-    order, as parts of the harmonic table: the degree n of each row and, per
-    sign of the order (+, -), per source and per row, the entry k of te and tm
-    (len(te) where there is none) and the factor that takes q_n^mu times
+    order, as parts of the harmonic table: the degree n and the order mu of each
+    row and, per sign of the order (+, -), per source and per row, the entry k
+    of te and tm (len(te) where there is none) and the factor that takes q_n^mu times
     z^mu (orders +m) or conj(z)^mu (orders -m), z = sin(theta) e^{i phi}, to
     that part of entry k.
 
@@ -135,13 +138,27 @@ def _row_sources(n_max):
     phi = -0.5j * sign * np.sqrt((2 * n_s + 1) / (2 * n_s - 1) * (n_s - t * m) * (n_s - t * m - 1)) * (m > 0)
     factor = np.concatenate([theta[:, :2], phi[:, 2:4], np.ones_like(theta[:, 4:])], axis=1)
     idx = np.where(valid, n_s * (n_s + 1) + sign * m, (n_max + 1) ** 2)
-    return n, idx, np.where(valid, factor * (-1.0) ** (m * (sign < 0)), 0)
+    return n, mu, idx, np.where(valid, factor * (-1.0) ** (m * (sign < 0)), 0)
 
 
 # the nine column sums of _field_sum, each of one radial factor (0, 1, 2 for
 # a, b, c) at the degree of its row (0) or the next one (1)
 _COLUMN_FACTOR = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
 _COLUMN_SHIFT = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0])
+# the ring contraction of _field_sum takes runs of at least _RING_RUN directions, each of one cos(theta)
+# to within _RING_ULPS units in the last place of its first direction's
+_RING_RUN, _RING_ULPS = 8, 4
+
+
+def _ring_length(cos_t):
+    """The length L of the runs of cos_t, (P,), when it falls into runs of one length L >= _RING_RUN,
+    each of one cos(theta) (the iso-latitude rings of a product grid), else 0."""
+    apart = np.abs(cos_t - cos_t[0]) > _RING_ULPS * np.spacing(abs(cos_t[0]))
+    run = int(apart.argmax()) or len(cos_t)
+    if run < _RING_RUN or len(cos_t) % run:
+        return 0
+    rings = cos_t.reshape(-1, run)
+    return run if np.all(np.abs(rings - rings[:, :1]) <= _RING_ULPS * np.spacing(np.abs(rings[:, :1]))) else 0
 
 
 def _field_sum(te, tm, a, b, c, xh):
@@ -159,11 +176,16 @@ def _field_sum(te, tm, a, b, c, xh):
     frame turn into the field.  The radial factors weight the table's rows
     where they are constant, and each degree's product where they vary over
     the points.
+
+    Constant factors on directions in iso-latitude rings (_ring_length), as
+    the theta-major nodes of a product grid, run the ladder once per ring and
+    contract the degrees before the directions (Driscoll & Healy, Adv. Appl.
+    Math. 15, 202 (1994)).
     """
     n_max = _top(te)
     _check_n_max(n_max)
     cos_t, sin_t, _, theta_hat, phi_hat = _direction_frame(xh)
-    degree, idx, factor = _row_sources(n_max)
+    degree, order, idx, factor = _row_sources(n_max)
     parts = np.append([te, tm], [[0], [0]], axis=1)[:, idx] * factor  # te, tm x sign x source x row
     # nine columns, each left with e^{-i phi} and e^{i phi}: the d_theta parts of te a (phi-hat), the
     # d_phi parts of te a (theta-hat), the d_theta parts of tm b (theta-hat), the d_phi parts of tm b
@@ -178,24 +200,40 @@ def _field_sum(te, tm, a, b, c, xh):
         # a constant weights the rows of its degree in the table
         table = table * factors[_COLUMN_FACTOR, degree[:, None] + _COLUMN_SHIFT, 0][:, None]
     table = np.concatenate([table.real, table.imag], axis=-1).reshape(-1, 18)
-    # one product per group of degrees: each degree where the factors vary over the points (they
-    # weight its product), else groups of at most 16 (n_max + 1) rows, a single product up to
-    # n_max = 14 and stored rows linear in n_max beyond
     e_phi = phi_hat[:, 1] - 1j * phi_hat[:, 0]  # phi-hat = (-sin phi, cos phi, 0)
     z, z_pow = sin_t * e_phi, np.ones_like(e_phi)
     z_parts = np.empty((n_max + 1, 2, len(z)))
-    rows = np.empty((min(len(table), (2 if per_point else 16) * (n_max + 1)), len(z)))
-    sums, start, used = 0, 0, 0
-    for n, q in enumerate(_legendre_rows(n_max, cos_t)):
-        z_parts[n, 0], z_parts[n, 1] = z_pow.real, z_pow.imag
+    for z_part in z_parts:
+        z_part[0], z_part[1] = z_pow.real, z_pow.imag
         z_pow = z_pow * z
-        np.multiply(q[:, None], z_parts[:n + 1], out=rows[used:used + 2 * n + 2].reshape(n + 1, 2, -1))
-        used += 2 * n + 2
-        if per_point or n == n_max or used + 2 * n + 4 > len(rows):
-            part = table[start:start + used].T @ rows[:used]
-            weight = factors[_COLUMN_FACTOR, n + _COLUMN_SHIFT] if per_point else 1
-            sums = sums + weight * (part[:9] + 1j * part[9:])
-            start, used = start + used, 0
+    run = 0 if per_point else _ring_length(cos_t)
+    if run:
+        # per order mu one product sums the table's rows (n, mu) over n, weighted by q_n^mu of each ring,
+        # then per ring one product meets those 2 (n_max + 1) rows with the z parts of its directions
+        rings = len(z) // run
+        q_rows = np.zeros((n_max + 1, rings, n_max + 1))  # q_n^mu at (mu, ring, n), 0 where n < mu
+        for n, q in enumerate(_legendre_rows(n_max, cos_t[::run])):
+            q_rows[:n + 1, :, n] = q
+        t_rows = np.zeros((n_max + 1, n_max + 1, 36))  # the real and imaginary rows (n, mu) at (mu, n)
+        t_rows[order, degree] = table.reshape(-1, 36)
+        coef = (q_rows @ t_rows).reshape(n_max + 1, rings, 2, 18).transpose(1, 3, 0, 2).reshape(rings, 18, -1)
+        part = np.empty((18, rings, run))
+        np.matmul(coef, z_parts.reshape(-1, rings, run).transpose(1, 0, 2), out=part.transpose(1, 0, 2))
+        sums = part[:9].reshape(9, -1) + 1j * part[9:].reshape(9, -1)
+    else:
+        # one product per group of degrees: each degree where the factors vary over the points (they
+        # weight its product), else groups of at most 16 (n_max + 1) rows, a single product up to
+        # n_max = 14 and stored rows linear in n_max beyond
+        rows = np.empty((min(len(table), (2 if per_point else 16) * (n_max + 1)), len(z)))
+        sums, start, used = 0, 0, 0
+        for n, q in enumerate(_legendre_rows(n_max, cos_t)):
+            np.multiply(q[:, None], z_parts[:n + 1], out=rows[used:used + 2 * n + 2].reshape(n + 1, 2, -1))
+            used += 2 * n + 2
+            if per_point or n == n_max or used + 2 * n + 4 > len(rows):
+                part = table[start:start + used].T @ rows[:used]
+                weight = factors[_COLUMN_FACTOR, n + _COLUMN_SHIFT] if per_point else 1
+                sums = sums + weight * (part[:9] + 1j * part[9:])
+                start, used = start + used, 0
     pairs = sums[[2, 3, 0, 1]] + sums[[4, 5, 6, 7]]  # theta-hat and phi-hat, left with e^{-i phi} and e^{i phi}
     theta, phi = pairs[0::2] * np.conj(e_phi) + pairs[1::2] * e_phi
     return theta[:, None] * theta_hat + phi[:, None] * phi_hat + sums[8][:, None] * np.reshape(xh, (-1, 3))

@@ -403,10 +403,12 @@ def bessel_zero(n: int, s: int) -> float:
 # ---------------------------------------------------------------------------
 
 def angles_to_unit(theta, phi):
-    """Unit vector (sin t cos p, sin t sin p, cos t) for polar/azimuthal angles."""
+    """Unit vector (sin t cos p, sin t sin p, cos t) for polar/azimuthal angles, broadcast against
+    each other: theta[:, None] and phi[None, :] give the theta-major product grid."""
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     for name, angle in (("theta", theta), ("phi", phi)):
         _finite(name, _probe(angle))
+    theta, phi = np.broadcast_arrays(theta, phi)
     return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
 
 

@@ -283,6 +283,26 @@ def test_jacobi_anger_matches_full_table_contraction(rng):
     assert_allclose(jacobi_anger_partial(w, 8, x), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
+def test_incidence_is_the_per_entry_dot_products_bit_for_bit():
+    # against one np.dot per entry and Python's complex product with the prefactor, compared as bytes,
+    # over seeded incidences, axial ones (signed zeros) among them, up to the order cap
+    from dieres.fields import _incidence
+    from dieres.specfun import harmonic_table
+
+    rng = np.random.default_rng(29)
+    for i, n_max in enumerate([1, 2, 3, 12, 12, 20, 33, 64, 64]):
+        d, e0 = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) if i % 4 == 0 else rng.normal(size=(2, 3))
+        d /= np.linalg.norm(d)
+        e0 = np.cross(d, e0)
+        e0 /= np.linalg.norm(e0)
+        table = harmonic_table(n_max, d[None])
+        u, v = table.vectors(slice(1, None))
+        prefs = [4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()]
+        ref = np.zeros((2, len(table.y)), dtype=complex)
+        ref[:, 1:] = [[p * np.dot(np.conj(f[0]), e0) for p, f in zip(prefs, part)] for part in (v, u)]
+        assert _incidence.__wrapped__(n_max, d.tobytes(), e0.tobytes()).tobytes() == ref.tobytes()
+
+
 def test_jacobi_anger_coefficients_match_frame_components(rng):
     # the coefficients -4 pi i^n / (n(n+1)) (conj(d_theta, d_phi) against the
     # frame components of e0) from a harmonic table of the incident direction

@@ -21,7 +21,9 @@ from dieres.mie import (
     _factor_table,
     scattered_field,
 )
-from dieres.specfun import MAX_ORDER, _series_j, _upward_j, radial_table, riccati_J, sph_bessel_j, vsh_table
+from dieres.multipole import sphere_quadrature
+from dieres.specfun import (MAX_ORDER, _series_j, _upward_j, angles_to_unit, radial_table, riccati_J, sph_bessel_j,
+                            vsh_table)
 
 
 def _wave(omega, d=None, e0=None):
@@ -607,6 +609,24 @@ def test_far_field_memory_stays_below_the_table(sphere_quad, rng):
     assert peak <= 21.4e6
 
 
+@pytest.mark.parametrize("directions, bound", [("cloud", 21.4e6), ("rings", 8.5e6)])
+def test_far_field_memory_on_rings_and_clouds(directions, bound, sphere_quad, rng):
+    # 8192 directions at n_max = 12: a cloud takes the row sum, whose real rows are 12 MB; the
+    # 64 x 128 nodes take the ring contraction, which stores no (182, P) rows
+    import tracemalloc
+
+    t = mie_coefficients(ScatterConfig(0.3, 120.0, 1.0), _random_incidence(1.0, rng))
+    xh = sphere_quad.points if directions == "rings" else rng.normal(size=(8192, 3))
+    far_field(t, xh[:8])
+    tracemalloc.start()
+    try:
+        far_field(t, xh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_grid_shaped_inputs_match_the_flattened_call(rng):
     cfg = ScatterConfig(0.2, 60.0, 1.5)
     t = mie_coefficients(cfg, _random_incidence(1.5, rng))
@@ -618,6 +638,53 @@ def test_grid_shaped_inputs_match_the_flattened_call(rng):
     got = scattered_field(t, grid)
     assert got.shape == (4, 5, 3)
     assert np.array_equal(got, scattered_field(t, flat).reshape(4, 5, 3))
+
+
+@pytest.mark.parametrize("shape, n_max, lossy", [((7, 9), 1, False), ((16, 32), 6, True), ((24, 48), 12, True),
+                                                  ((33, 65), 20, False), ((64, 128), 12, True)])
+def test_far_field_on_rings_matches_the_directions_in_any_order(shape, n_max, lossy, rng):
+    # theta-major quadrature nodes take the ring contraction; permuted, the same directions take the rows
+    from dieres.fields import _ring_length, farfield_pattern
+    from dieres.specfun import _direction_frame
+
+    pts = sphere_quadrature(*shape).points
+    perm = rng.permutation(len(pts))
+    assert _ring_length(_direction_frame(pts)[0]) == shape[1] and _ring_length(_direction_frame(pts[perm])[0]) == 0
+    cfg = ScatterConfig(0.3, complex(60.0, 2.0 if lossy else 0.0), 1.0, n_max=n_max)
+    t = mie_coefficients(cfg, _random_incidence(1.0, rng))
+    ring, rows = far_field(t, pts)[perm], far_field(t, pts[perm])
+    assert_allclose(ring, rows, rtol=0, atol=1e-14 * np.max(np.abs(rows)))
+    for family, m in (("TE", -n_max), ("TM", n_max // 2)):
+        ring = farfield_pattern(family, n_max, m, 1.5, pts)[perm]
+        rows = farfield_pattern(family, n_max, m, 1.5, pts[perm])
+        assert_allclose(ring, rows, rtol=0, atol=1e-14 * np.max(np.abs(rows)))
+
+
+def _off_ring_inputs():
+    """Direction sets that do not fall into rings _field_sum contracts: each takes the rows."""
+    from dieres.fields import _RING_RUN
+
+    theta, phi = np.arccos(np.polynomial.legendre.leggauss(16)[0]), np.linspace(0, 2 * math.pi, 32, endpoint=False)
+    grid = angles_to_unit(theta[:, None], phi[None, :]).reshape(-1, 3)
+    moved = grid.copy()
+    moved[5 * 32 + 7] = angles_to_unit(math.acos(math.cos(theta[5]) + 1e-9), phi[7])
+    short = angles_to_unit(theta[:, None], phi[None, :_RING_RUN - 1]).reshape(-1, 3)
+    meridian = [[math.sin(t), 0.0, math.cos(t)] for t in np.linspace(0.0, math.pi, 25)]  # as the CLI's amplitude
+    return {"one cos(theta) moved by 1e-9": moved, "unequal runs": np.concatenate([grid, grid[:40]]),
+            "runs below the minimum": short, "phi-major": grid.reshape(16, 32, 3).swapaxes(0, 1).reshape(-1, 3),
+            "one direction": grid[100], "meridian": np.array(meridian)}
+
+
+@pytest.mark.parametrize("name", list(_off_ring_inputs()))
+def test_directions_off_rings_take_the_rows_bit_for_bit(name, rng, monkeypatch):
+    from dieres import fields
+
+    xh = _off_ring_inputs()[name]
+    t = mie_coefficients(ScatterConfig(0.3, complex(60.0, 2.0), 1.0, n_max=12), _random_incidence(1.0, rng))
+    got = far_field(t, xh), fields.farfield_pattern("TM", 5, 2, 1.5, xh)
+    monkeypatch.setattr(fields, "_ring_length", lambda cos_t: 0)
+    assert got[0].tobytes() == far_field(t, xh).tobytes()
+    assert got[1].tobytes() == fields.farfield_pattern("TM", 5, 2, 1.5, xh).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -608,6 +608,14 @@ def test_zero_against_scipy_jn_zeros():
 
 # --- spherical harmonics -----------------------------------------------------
 
+def test_angles_broadcast_to_the_product_grid():
+    theta, phi = np.linspace(0.1, 3.0, 5), np.linspace(-1.0, 6.0, 7)
+    grid = angles_to_unit(theta[:, None], phi[None, :])
+    assert grid.shape == (5, 7, 3)
+    assert np.array_equal(grid, [[angles_to_unit(t, p) for p in phi] for t in theta])
+    assert np.array_equal(angles_to_unit(0.4, phi), [angles_to_unit(0.4, p) for p in phi])
+
+
 def test_harmonic_constant():
     x = angles_to_unit(1.1, 2.2)
     assert_allclose(sph_harmonic(0, 0, x), 1 / math.sqrt(4 * math.pi), rtol=1e-14)

@@ -24,8 +24,11 @@ the CLI path (``cli.run_config`` of that command on the same grid and incidence)
 ``render_csv`` of an 800-row ``scatter-functions`` table, built once with
 ``cli.run_config``, per row; the four Cartesian moments (magnetic 1 and 2,
 electric 0 and 1) of a seeded field on the 16x24x48 ball quadrature, as the
-field-maps workload's largest ``moments`` request; and ``amplitude_from_moments``
-of those moments at 8 seeded directions.
+field-maps workload's largest ``moments`` request; ``amplitude_from_moments``
+of those moments at 8 seeded directions; ``far_field`` of the n_max = 12 table
+on the 64x128 ``sphere_quadrature`` nodes (iso-latitude rings) and on a
+25-direction meridian, as the CLI's ``amplitude`` builds it; and the plane-wave
+expansion ``fields._incidence`` of a fresh incidence at n_max = 12, past its memo.
 """
 
 import argparse
@@ -83,6 +86,9 @@ def _layers(dieres, cli, repeat):
     cartesian = moments()
     directions = rng.normal(size=(8, 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
+    nodes = dieres.sphere_quadrature(64, 128).points
+    meridian = np.array([[np.sin(t), 0.0, np.cos(t)] for t in np.linspace(0.0, np.pi, 25)])
+    incidence = (wave.direction.tobytes(), wave.polarization.tobytes())
 
     calls = {
         "_rows(12, 2.88) Miller": (lambda: specfun._rows(12, 2.88 + 0j, "j"), 2000, 1),
@@ -97,6 +103,9 @@ def _layers(dieres, cli, repeat):
         "16x24x48 moments": (moments, 20, 1),
         "amplitude at 8 directions": (lambda: [dieres.amplitude_from_moments(cartesian, 0.3, 40.0, 2.5, x)
                                                for x in directions], 200, 1),
+        "far_field 64x128 nodes": (lambda: mie.far_field(table, nodes), 10, 1),
+        "far_field 25-point meridian": (lambda: mie.far_field(table, meridian), 500, 1),
+        "_incidence(12) fresh": (lambda: dieres.fields._incidence.__wrapped__(12, *incidence), 100, 1),
     }
     chain()  # fills the incidence memo and the caches of the first calls
 
