@@ -3,7 +3,7 @@ spherical nanoparticles: special functions, multipole fields, Mie series,
 complex resonance search, quasi-static eigenstructure, Cartesian moments
 and a data-emitting CLI."""
 
-from .fields import FieldSample, IncidentWave, farfield_pattern, harmonic_exterior, jacobi_anger_partial, multipole_field, plane_wave
+from .fields import IncidentWave, farfield_pattern, harmonic_exterior, jacobi_anger_partial, multipole_field, plane_wave
 from .mie import (
     CoefficientAsymptotics,
     CrossSectionReport,

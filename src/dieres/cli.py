@@ -30,19 +30,18 @@ class CsvTable:
     meta: list = field(default_factory=list)
 
     def render_csv(self) -> str:
-        """The CSV document. When every row has the cell types of the first, one
-        row format, repeated once per row, prints the body in one % operation;
-        any other table (a re-parsed one, say) is printed cell by cell."""
+        """The CSV document. Each run of rows that share one tuple of cell types
+        prints in one % operation, its row format repeated once per row."""
         lines = [f"# schema: {','.join(self.columns)}"]
         lines.append(f"# units: {','.join(self.units)}")
         lines.extend(f"# {m}" for m in self.meta)
         lines.append(",".join(self.columns))
-        if len({tuple(map(type, row)) for row in self.rows}) == 1:
-            row = ",".join(map(_conversion, self.rows[0])) + "\n"
-            body = row * len(self.rows) % tuple(itertools.chain.from_iterable(self.rows))
-        else:
-            body = "".join(",".join(map(_format_cell, row)) + "\n" for row in self.rows)
-        return "\n".join(lines) + "\n" + body
+        body = []
+        for _, run in itertools.groupby(self.rows, lambda row: tuple(map(type, row))):
+            run = list(run)
+            row = ",".join(map(_conversion, run[0])) + "\n"
+            body.append(row * len(run) % tuple(itertools.chain.from_iterable(run)))
+        return "\n".join(lines) + "\n" + "".join(body)
 
     def render_json(self) -> str:
         payload = {"columns": self.columns, "units": self.units, "meta": self.meta,
@@ -217,9 +216,6 @@ def _cmd_mie(cfg):
 def _cmd_cross_sections(cfg):
     delta, tau = _sphere(cfg)
     grid = _omega_grid(cfg)
-    # a bad sphere or wave fails the spectrum; a point rejected for its omega
-    # (zero, or too large for the truncation order) fails alone
-    mie._checked_sphere(delta, tau)
     points = list(zip(grid, mie._spectrum(delta, tau, grid, _incident(cfg, grid[0]))))
     return ([[om, r.Qs, r.Qext, r.Qabs, r.n_max_used, r.converged] for om, r in points if not isinstance(r, Exception)],
             [f"failed omega={om}: {r}" for om, r in points if isinstance(r, Exception)])

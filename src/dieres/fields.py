@@ -12,22 +12,6 @@ from .specfun import (_check_n_max, _check_order, _direction_frame, _finite, _le
                       harmonic_table, radial_table, solid_harmonic_gradient_deg1)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """One evaluated field value at a point."""
-
-    point: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        point = np.asarray(self.point, dtype=float)
-        value = np.asarray(self.value, dtype=complex)
-        if not (np.all(np.isfinite(point)) and np.all(np.isfinite(value.view(float)))):
-            raise ValueError("field samples must be finite")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)
-
-
 @dataclass(frozen=True)
 class IncidentWave:
     """Unit plane wave E0 exp(i w d.x) with transverse real polarization, d and E0 kept as read-only copies.

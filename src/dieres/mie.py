@@ -287,9 +287,9 @@ def _reports(te, tm, w, n_max, omegas):
 
 def _spectrum(delta, tau, omegas, w):
     """The cross sections of the sphere lit by w at each real frequency of omegas, in grid order: a
-    CrossSectionReport, or the ResonanceError or ValueError of the point.  ScatterConfig and _ratios run
-    per omega, the products and sums once per block of points of equal n_max."""
-    out, points = [None] * len(omegas), []
+    CrossSectionReport, or the ResonanceError or ValueError of the point; a bad sphere raises for all.
+    ScatterConfig and _ratios run per omega, the products and sums once per block of points of equal n_max."""
+    tau, out, points = _checked_sphere(delta, tau), [None] * len(omegas), []
     for i, omega in enumerate(map(float, omegas)):
         try:
             cfg = ScatterConfig(delta, tau, omega)

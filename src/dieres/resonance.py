@@ -109,6 +109,8 @@ def muller_root(f, z0: complex, z1: complex, z2: complex, tol: float = 1e-12,
             best, best_abs = x2, r
         if r <= tol or abs(step) <= tol * max(abs(x2), 1e-300):
             return best, best_abs, it
+    if best_abs <= tol:
+        return best, best_abs, it
     raise MullerNoConvergence(best, best_abs, it)
 
 

@@ -364,10 +364,6 @@ def _jn_real(n, x):
 def _refine_zero(n, lo, hi):
     flo = _jn_real(n, lo)
     fhi = _jn_real(n, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0:
         raise RuntimeError("bracket does not straddle a zero of j_n")
     for _ in range(100):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ def test_cross_sections_bad_sphere_is_one_error_record(capsys, sphere, message):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("delta, tau, message", [
+    (0.1, complex(math.nan, 0), r"contrast tau = \(nan\+0j\) is not finite"),
+    (0.0, 80.0, "radius delta must be positive"),
+    (-0.1, 80.0, "radius delta must be positive"),
+])
+def test_spectrum_fails_whole_on_a_bad_sphere(delta, tau, message):
+    # one ValueError for the spectrum, not one failure record per grid point
+    wave = IncidentWave([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mie._spectrum(delta, tau, [0.0, 1.0, 1.5], wave)
+
+
 def test_negative_floats_in_exponent_form_are_values(tmp_path, capsys):
     flags = {"delta": 0.1, "tau": [50.0, 0.0], "omega": 2.0, "phi": -1e-03, "theta_count": 5,
              "direction": [-2.5e-05, 0.0, 1.0], "polarization": [1.0, 0.0, 2.5e-05]}
@@ -493,6 +506,26 @@ def test_snapshot_compare_names_each_changed_file(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 5 files differ\n"
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_snapshot_help_prints_its_usage(tmp_path, monkeypatch, capsys, argv):
+    tool = _tool("cli_snapshot")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cli_snapshot.py", *argv])
+    assert tool.main() == 0
+    assert capsys.readouterr().out == tool.__doc__ + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_rejects_an_outdir_that_looks_like_a_flag(tmp_path, monkeypatch, capsys):
+    tool = _tool("cli_snapshot")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cli_snapshot.py", "--out"])
+    assert tool.main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == tool.__doc__ + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _per_cell_csv(table):
     """The reference render_csv is held to: every row joined from one _format_cell call per cell."""
     lines = [f"# schema: {','.join(table.columns)}", f"# units: {','.join(table.units)}",
@@ -534,6 +567,9 @@ def test_csv_rows_render_as_the_per_cell_join(tmp_path):
     ragged = CsvTable(["x", "y"], ["-", "-"], [[0, 1], [0.5, math.nan], [3]])
     assert ragged.render_csv() == _per_cell_csv(ragged)
     assert ragged.render_csv().splitlines()[-3:] == ["0,1", "0.5,nan", "3"]
+    alternating = CsvTable(["x", "y"], ["-", "-"], [[1, 2.0], [1.0, 2], [1, 2.0]])
+    assert alternating.render_csv() == _per_cell_csv(alternating)
+    assert alternating.render_csv().splitlines()[-3:] == ["1,2", "1,2", "1,2"]
 
 
 def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):

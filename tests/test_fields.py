@@ -241,17 +241,6 @@ def test_jacobi_anger_order_cap():
         jacobi_anger_partial(_wave(), 65, np.array([0.1, 0.2, 0.3]))
 
 
-def test_field_sample_validation():
-    from dieres.fields import FieldSample
-
-    s = FieldSample(np.array([0.1, 0.2, 0.3]), np.array([1 + 1j, 0.0, 0.5]))
-    assert s.value.dtype == complex
-    with pytest.raises(ValueError):
-        FieldSample(np.array([0.1, np.inf, 0.3]), np.array([1.0, 0, 0]))
-    with pytest.raises(ValueError):
-        FieldSample(np.array([0.1, 0.2, 0.3]), np.array([np.nan, 0, 0]))
-
-
 def _reference_jacobi_anger(w, N, x):
     # the expansion contracted against one stored harmonic table of every entry
     from dieres.specfun import harmonic_table, radial_table

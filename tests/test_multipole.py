@@ -19,7 +19,7 @@ from dieres.multipole import (
 from dieres.quasistatic import (DipolePair, ResonantMoments, dipole_approximation, dipole_far_field,
                                 mode_potential_curl_part)
 from dieres.resonance import ContrastModel
-from dieres.fields import FieldSample, IncidentWave
+from dieres.fields import IncidentWave
 from dieres.specfun import harmonic_table
 
 
@@ -135,7 +135,6 @@ def test_out_of_domain_calls_raise(call, message):
 def test_records_that_hold_arrays_compare_by_identity():
     e = np.array([1.0, 0.0, 0.0])
     makers = [
-        lambda: FieldSample(e, e),
         lambda: MomentTensor("electric", 0, e),
         lambda: sphere_quadrature(4, 8),
         lambda: ball_quadrature(2, 4, 8),

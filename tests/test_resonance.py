@@ -61,6 +61,14 @@ def test_muller_stops_on_a_constant_function():
     assert info.value.iterations == 1 and str(info.value).startswith("no convergence after 1 iterations")
 
 
+def test_muller_returns_a_best_iterate_within_tol_at_an_early_stop():
+    # 2 is an exact root among the starts; the parabola through them has a zero denominator
+    values = {0j: 4 + 0j, 1 + 0j: 1 + 0j, 2 + 0j: 0j}
+    assert muller_root(lambda z: values.get(z, 1 + 0j), 0, 1, 2) == (2, 0.0, 1)
+    # f == 0: the flat secant stops the first iteration at a start that already meets tol
+    assert muller_root(lambda z: 0j, 1, 2, 3) == (1, 0.0, 1)
+
+
 def test_muller_no_convergence_carries_iterate():
     with pytest.raises(MullerNoConvergence) as info:
         muller_root(lambda z: np.exp(z) + 3, 0.1, 0.2, 0.3, tol=1e-300, max_iter=5)
@@ -300,6 +308,23 @@ def test_cluster_resonances_single_family():
 
     roots = cluster_resonances("TE", 1, 1, 0.15, UNIT_MODEL, n_starts=4)
     assert len(roots) == 1
+    assert abs(roots[0].omega - (3.0501824861741624 - 0.0259543994027477j)) < 1e-9
+
+
+def test_cluster_resonances_skips_a_start_that_does_not_converge(monkeypatch):
+    from dieres import resonance
+
+    search, calls = resonance.find_resonance, []
+
+    def first_start_fails(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) == 1:
+            raise MullerNoConvergence(kwargs["seed"], 1.0, 50)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "find_resonance", first_start_fails)
+    roots = resonance.cluster_resonances("TE", 1, 1, 0.15, UNIT_MODEL, n_starts=4)
+    assert len(calls) == 4 and len(roots) == 1
     assert abs(roots[0].omega - (3.0501824861741624 - 0.0259543994027477j)) < 1e-9
 
 

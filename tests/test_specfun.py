@@ -600,6 +600,19 @@ def test_zero_interlacing_and_residual():
             assert sph_bessel_j(n, k - eps).real * sph_bessel_j(n, k + eps).real < 0
 
 
+def test_refine_zero_rejects_a_bracket_that_does_not_straddle(monkeypatch):
+    monkeypatch.setattr(specfun, "_jn_real", lambda n, x: 1.0 + x)
+    with pytest.raises(RuntimeError, match="bracket does not straddle a zero of j_n"):
+        specfun._refine_zero(1, 3.0, 4.0)
+
+
+def test_refine_zero_stops_on_an_exact_zero_at_a_midpoint(monkeypatch):
+    # f(x) = x - 3.5 is exactly 0 at the first midpoint of [3, 4], and the Newton polish leaves it there;
+    # bisecting on past it would close in on 4
+    monkeypatch.setattr(specfun, "_jn_real", lambda n, x: x - 3.5)
+    assert specfun._refine_zero(1, 3.0, 4.0) == 3.5
+
+
 def test_zero_against_scipy_jn_zeros():
     for n in range(4):
         k = bessel_zero(n, 3)

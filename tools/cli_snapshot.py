@@ -2,6 +2,7 @@
 
     python tools/cli_snapshot.py OUTDIR
     python tools/cli_snapshot.py --compare OUTDIR_A OUTDIR_B
+    python tools/cli_snapshot.py -h | --help
 
 Each command runs through ``dieres.cli.main``; its stdout, stderr and exit
 code go to OUTDIR/<name>.stdout, <name>.stderr and <name>.code.  The set
@@ -13,7 +14,8 @@ changed file with its largest relative cell change |b - a| / max(|a|, |b|)
 and the two cells, and exits 1 when a file differs.
 
 Exits 1 when a command's exit code differs from the one expected of it, so a
-command meant to succeed that fails is caught.
+command meant to succeed that fails is caught.  ``-h`` or ``--help`` prints
+this text; an OUTDIR that starts with ``-`` prints it to stderr and exits 2.
 """
 
 import contextlib
@@ -154,9 +156,12 @@ def compare(dir_a, dir_b) -> int:
 
 
 def main() -> int:
+    if sys.argv[1:] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         return compare(*sys.argv[2:])
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     outdir = sys.argv[1]
