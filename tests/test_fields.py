@@ -365,16 +365,18 @@ def test_field_evaluators_match_one_stored_table(n, m):
 
 
 def test_grid_shaped_points_match_the_flattened_call(rng):
-    grid = rng.normal(size=(4, 5, 3))
-    flat = grid.reshape(-1, 3)
     w = IncidentWave(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]), 1.3)
-    for f in (lambda x: multipole_field("radiating", "TM", 3, -2, 1.3, x),
-              lambda x: multipole_field("entire", "TE", 2, 1, 1.3, x),
-              lambda x: jacobi_anger_partial(w, 4, x),
-              lambda x: harmonic_exterior("curlEh", 2, 1, x)):
-        got = f(grid)
-        assert got.shape == (4, 5, 3)
-        assert np.array_equal(got, f(flat).reshape(4, 5, 3))
+    for shape in [(4, 5, 3), (0, 3), (2, 0, 3)]:  # no points give no values
+        grid = rng.normal(size=shape)
+        flat = grid.reshape(-1, 3)
+        for f in (lambda x: multipole_field("radiating", "TM", 3, -2, 1.3, x),
+                  lambda x: multipole_field("entire", "TE", 2, 1, 1.3, x),
+                  lambda x: jacobi_anger_partial(w, 4, x),
+                  lambda x: harmonic_exterior("curlEh", 2, 1, x),
+                  lambda x: farfield_pattern("TM", 3, 1, 1.3, x / np.linalg.norm(x, axis=-1, keepdims=True))):
+            got = f(grid)
+            assert got.shape == shape
+            assert np.array_equal(got, f(flat).reshape(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

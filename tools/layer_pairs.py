@@ -29,11 +29,18 @@ of those moments at 8 seeded directions; ``far_field`` of the n_max = 12 table
 on the 64x128 ``sphere_quadrature`` nodes (iso-latitude rings) and on a
 25-direction meridian, as the CLI's ``amplitude`` builds it; and the plane-wave
 expansion ``fields._incidence`` of a fresh incidence at n_max = 12, past its memo.
+
+Beside the times of the moments layer and the two ``far_field`` layers, the
+report gives each side's minor page faults per call (``ru_minflt`` taken around
+the timed repeats, median over the rounds): a call whose temporaries are
+allocated afresh faults their pages in again, a call that reuses its memory
+does not.
 """
 
 import argparse
 import importlib.util
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,8 +57,13 @@ def _load(src, name):
     return package, importlib.import_module(name + ".cli")
 
 
+# the layers whose minor page faults per call the report prints
+FAULT_LAYERS = ("16x24x48 moments", "far_field 64x128 nodes", "far_field 25-point meridian")
+
+
 def _layers(dieres, cli, repeat):
-    """{layer: timer} for one loaded tree; a timer returns the best of ``repeat`` in seconds per call."""
+    """{layer: timer} for one loaded tree; a timer returns the best of ``repeat`` in seconds per call and
+    the minor page faults per call over all the repeats."""
     import numpy as np
 
     mie, specfun = dieres.mie, dieres.specfun
@@ -110,7 +122,11 @@ def _layers(dieres, cli, repeat):
     chain()  # fills the incidence memo and the caches of the first calls
 
     def timer(call, number, per):
-        return lambda: min(timeit.repeat(call, number=number, repeat=repeat)) / number / per
+        def best():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            seconds = min(timeit.repeat(call, number=number, repeat=repeat)) / number / per
+            return seconds, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (number * repeat)
+        return best
     return {name: timer(*call) for name, call in calls.items()}
 
 
@@ -134,17 +150,23 @@ def main(argv=None) -> int:
     sides = {"base": _layers(*base, args.repeat),
              "head": _layers(*_load(os.path.join(root, "src"), "_layer_pairs_head"), args.repeat)}
     times = {side: {name: [] for name in sides["head"]} for side in sides}
+    faults = {side: {name: [] for name in sides["head"]} for side in sides}
     for r in range(args.rounds):
         for name in sides["head"]:
             for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
-                times[side][name].append(sides[side][name]())
-    print(f"base {args.base}, {args.rounds} rounds, best of {args.repeat}; medians in microseconds, ratio quartiles")
-    print(f"{'layer':<28}{'base':>10}{'head':>10}{'head/base':>11}{'q1':>8}{'q3':>8}")
+                seconds, per_call = sides[side][name]()
+                times[side][name].append(seconds)
+                faults[side][name].append(per_call)
+    print(f"base {args.base}, {args.rounds} rounds, best of {args.repeat}; medians in microseconds, ratio quartiles,"
+          " minor faults per call")
+    print(f"{'layer':<28}{'base':>10}{'head':>10}{'head/base':>11}{'q1':>8}{'q3':>8}{'base flt':>10}{'head flt':>10}")
     for name, base_times in times["base"].items():
         ratios = [h / b for h, b in zip(times["head"][name], base_times)]
         q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
         base_us, head_us = (statistics.median(times[side][name]) * 1e6 for side in ("base", "head"))
-        print(f"{name:<28}{base_us:>10.2f}{head_us:>10.2f}{statistics.median(ratios):>11.3f}{q1:>8.3f}{q3:>8.3f}")
+        flt = "".join(f"{statistics.median(faults[side][name]):>10.0f}" for side in ("base", "head"))
+        print(f"{name:<28}{base_us:>10.2f}{head_us:>10.2f}{statistics.median(ratios):>11.3f}{q1:>8.3f}{q3:>8.3f}"
+              f"{flt if name in FAULT_LAYERS else ''}")
     return 0
 
 
