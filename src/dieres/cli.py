@@ -221,24 +221,12 @@ def _cmd_cross_sections(cfg):
             [f"failed omega={om}: {r}" for om, r in points if isinstance(r, Exception)])
 
 
-def _off_pole(fn, *args):
-    """fn(*args), or a complex NaN where it has a pole."""
-    try:
-        return fn(*args)
-    except quasistatic.PoleError:
-        return complex(math.nan, math.nan)
-
-
 def _cmd_scatter_functions(cfg):
-    delta = float(cfg["delta"])
-    model = _model(cfg)
-    tau = model.evaluate(delta)
-    omega0 = quasistatic.quasi_static_pole(model)
-    rows = []
-    for om in _omega_grid(cfg):
-        s_tilde = _off_pole(quasistatic.scatter_fn_explicit, om, delta, tau)
-        s_hat = _off_pole(quasistatic.scatter_fn_general, om, omega0, model.c_tau)
-        rows.append([om, s_tilde.real, s_tilde.imag, s_hat.real, s_hat.imag])
+    delta, model = float(cfg["delta"]), _model(cfg)
+    model.evaluate(delta)  # the contrast's checks precede the grid's
+    grid = _omega_grid(cfg)
+    tilde, hat = quasistatic._scatter_grid(grid, delta, model)
+    rows = np.column_stack((grid, tilde.real, tilde.imag, hat.real, hat.imag)).tolist()
     return rows, [f"delta: {_format_cell(delta)}"]
 
 

@@ -3,6 +3,7 @@ built on it: spectrum and normalized eigenmodes, mode-potential integrals,
 the two scattering functions, blow-up coefficient, resonant dipole pair,
 resonant approximate moments and orientation-averaged cross sections."""
 
+import cmath
 import functools
 import heapq
 import math
@@ -17,8 +18,8 @@ from .fields import IncidentWave, _incidence, _single_field, multipole_field
 from .mie import _arguments
 from .multipole import _cross, _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel, _radius, quasi_static_prediction
-from .specfun import (_finite, _radius_split, bessel_zero, radial_pair, radial_table, solid_harmonic_gradient_deg1,
-                      sph_bessel_j, sph_harmonic)
+from .specfun import (_IM_OVERFLOW, _finite, _radius_split, bessel_zero, radial_pair, radial_table,
+                      solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic)
 
 _MAX_COUNT = 634  # the largest count of sphere_spectrum
 
@@ -181,6 +182,62 @@ def scatter_fn_general(omega: complex, omega0: complex, c_tau: complex) -> compl
     """Pole-pencil scattering function -(8/pi^2) w^2 w0 c_tau / (w - w0)."""
     _guard_pole(omega, omega0, "general scattering function")
     return -8 / math.pi ** 2 * omega ** 2 * omega0 * _finite("c_tau", c_tau) / (omega - omega0)
+
+
+def _complex(re, im):
+    """The complex array re + i im, bit for bit (re + 1j * im loses signed zeros, makes inf parts NaN)."""
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
+def _product(a, b):
+    """a * b of complex arrays, a real operand taken as x + 0j, as CPython's and numpy's scalar
+    complex products round it (numpy's array product may fuse a multiply-add)."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _quotient(a, b, scaled=False):
+    """a / b of complex arrays as CPython's complex division rounds it (Smith's method, branching on
+    |Re b| >= |Im b|; CPython 3.11 Objects/complexobject.c), or with scaled as numpy's scalar
+    division does: times the reciprocal of the denominator."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    re, im = np.where(wide, ar + ai * ratio, ar * ratio + ai), np.where(wide, ai - ar * ratio, ai * ratio - ar)
+    return _complex(re * (1.0 / denom), im * (1.0 / denom)) if scaled else _complex(re / denom, im / denom)
+
+
+def _scatter_grid(omegas, delta, model):
+    """scatter_fn_explicit and scatter_fn_general of the contrast model at delta and each Python float of
+    omegas, a complex NaN where one has a pole: one array pass, every cell the scalar calls' bits.  s~
+    takes the upward rows of j at y in CPython's complex arithmetic, s^ numpy's scalar arithmetic and
+    Python's float power (not w * w).  Points where a scalar call takes another pass, may meet a pole or
+    fails a check go to the scalar calls in grid order, so the first failing point raises its error."""
+    tau, c_tau = model.evaluate(delta), _finite("c_tau", model.c_tau)
+    omega0 = _finite("omega0", quasi_static_pole(model))  # scatter_fn_general's checks, once per grid
+    om = np.array(omegas, dtype=float)
+    with np.errstate(all="ignore"):  # where a part overflows, the point goes to the scalar calls
+        y = _product(delta * om, cmath.sqrt(1 + tau))  # mie._arguments
+        sin = np.sin(y)
+        j0, cos_y = _quotient(np.stack((sin, np.cos(y))), y)
+        j1 = _quotient(sin, _product(1, _product(y, y))) - cos_y  # y ** 2 is 1 * (y * y) in CPython
+        big = _product(y, j0) - _product(1, j1)  # specfun._riccati
+        den = big + j1
+        tilde = _quotient(_product(8 * math.pi ** 2 / 3, _product(2, j1) - big), den)
+        squares = np.array([math.nan if abs(w) > 1e154 else w ** 2 for w in omegas])  # ** raises past 1e154
+        eps = om - omega0
+        hat = _quotient(_product(_product(-8 / math.pi ** 2 * squares, omega0), c_tau), eps, scaled=True)
+        # to the scalar calls: the series pass (|y| <= 1), failing checks, and twice a pole's bound around it
+        rest = ((np.abs(y) <= 1 + 1e-12) | (np.abs(y.imag) > _IM_OVERFLOW) | ~np.isfinite(tilde) | ~np.isfinite(hat)
+                | (np.abs(den) < 2e-12 * (np.abs(big) + np.abs(j1))) | (np.abs(eps) <= 2e-12 * max(abs(omega0), 1.0)))
+    for i in np.flatnonzero(rest).tolist():
+        for out, fn, args in ((tilde, scatter_fn_explicit, (delta, tau)), (hat, scatter_fn_general, (omega0, c_tau))):
+            try:
+                out[i] = fn(omegas[i], *args)
+            except PoleError:
+                out[i] = complex(math.nan, math.nan)
+    return tilde, hat
 
 
 def blowup_coefficient(omega: complex, delta: float, omega0: complex, c_m1: float, lambda0: float) -> complex:

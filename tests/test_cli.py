@@ -585,7 +585,7 @@ def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
         assert cli.__name__ == "_layer_pairs_test.cli" and cli.mie is package.mie
         timers = tool._layers(package, cli, 1)
         timed = [timer() for timer in timers.values()]
-        assert len(timers) == 14 and all(seconds > 0 and faults >= 0 for seconds, faults in timed)
+        assert len(timers) == 15 and all(seconds > 0 and faults >= 0 for seconds, faults in timed)
         assert set(tool.FAULT_LAYERS) <= set(timers)
     assert "_layer_pairs_test" not in sys.modules
     assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(timers)

@@ -718,11 +718,15 @@ print(statistics.median(faults))
     assert float(out.stdout) <= 900
 
 
-def test_grid_shaped_inputs_match_the_flattened_call(rng):
+def test_grid_shaped_inputs_match_the_flattened_call():
+    # its own generator, so that the draws do not depend on which tests ran before; each point is moved
+    # out by the radius 0.2, since the scattered field is defined outside the sphere only
+    rng = np.random.default_rng(721)
     cfg = ScatterConfig(0.2, 60.0, 1.5)
     t = mie_coefficients(cfg, _random_incidence(1.5, rng))
     for shape in [(4, 5, 3), (0, 3), (2, 0, 3)]:  # no directions give no values
         grid = rng.normal(size=shape)
+        grid *= 1 + 0.2 / np.linalg.norm(grid, axis=-1, keepdims=True)
         flat = grid.reshape(-1, 3)
         got = far_field(t, grid)
         assert got.shape == shape

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import re
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dieres import quasistatic
 from dieres.fields import IncidentWave, harmonic_exterior
 from dieres.mie import MieTable, ScatterConfig, far_field, mie_coefficients
 from dieres.multipole import BallQuadrature, ball_quadrature, sphere_quadrature
@@ -299,6 +301,86 @@ def test_scatter_functions_pole_and_residue_agreement():
         res_exp = eps * scatter_fn_explicit(pole_exp + eps, delta, delta ** -2)
         ratio = res_exp / (-8 * math.pi)
         assert abs(ratio - 1) <= 1.1 * delta ** 2
+
+
+# --- scatter-functions grids: one array pass, the scalar calls' bits ------------------
+# A claim about how CPython and numpy round complex arithmetic; CI runs it on CPython 3.10 to 3.13.
+# CPython 3.14 multiplies and divides a float and a complex without making the float complex
+# (C99 Annex G), which changes signed zeros; these tests do not cover 3.14.
+
+def _per_point(omegas, delta, model):
+    """(s~, s^) of the scalar calls at each point in grid order, a complex NaN on a pole, and the first
+    error as (type, message), or None."""
+    tau, omega0 = model.evaluate(delta), quasi_static_pole(model)
+    cells = []
+    try:
+        for om in omegas:
+            for fn, args in ((scatter_fn_explicit, (delta, tau)), (scatter_fn_general, (omega0, model.c_tau))):
+                try:
+                    cells.append(fn(om, *args))
+                except PoleError:
+                    cells.append(complex(math.nan, math.nan))
+    except Exception as exc:  # noqa: BLE001 - the grid must raise the same
+        return None, (type(exc), str(exc))
+    return np.array(cells, dtype=complex).reshape(-1, 2).T, None
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed, c_tau, laurent", [(1, 1.0, ()), (2, 1.7, (0.4, -0.2)), (3, complex(1.2, 0.3), ()),
+                                                  (4, complex(0.6, 0.05), (-0.8,))])
+def test_scatter_grid_cells_are_the_scalar_calls_bit_for_bit(seed, c_tau, laurent, monkeypatch):
+    model = ContrastModel(c_tau, laurent)
+    omega0, lossless = quasi_static_pole(model), model.c_tau.imag == 0
+    rng = np.random.default_rng(seed)
+    handed = []  # the points the grid hands to the scalar calls
+    monkeypatch.setattr(quasistatic, "scatter_fn_explicit",
+                        lambda om, *args: handed.append(om) or scatter_fn_explicit(om, *args))
+    for wide in (True, False, True, False):
+        delta = rng.uniform(0.05, 0.3)
+        tau = model.evaluate(delta)
+        # one that reaches |y| <= 1 (the series pass), and the workload's window around omega_0
+        lo, hi = (0.05, 9.0) if wide else (omega0.real * rng.uniform(0.85, 0.95), omega0.real * rng.uniform(1.05, 1.15))
+        omegas = np.sort(rng.uniform(lo, hi, 300)).tolist()
+        if lossless:  # on omega_0, and on the pole y = pi of s~, where J_1 + j_1 = y j_0 = sin y vanishes
+            omegas[100:100] = [omega0.real, math.pi / (delta * math.sqrt(1 + tau.real))]
+        (tilde, hat), error = _per_point(omegas, delta, model)
+        assert error is None and np.isnan([hat[100], tilde[101]]).all() == lossless
+        handed.clear()
+        got = quasistatic._scatter_grid(omegas, delta, model)
+        assert np.array_equal(_bits(got[0]), _bits(tilde)) and np.array_equal(_bits(got[1]), _bits(hat))
+        y = np.abs(delta * np.array(omegas) * np.sqrt(1 + tau))
+        series = np.count_nonzero(y <= 1)
+        assert series <= len(handed) <= np.count_nonzero(y <= 1 + 1e-9) + 2 * lossless and (series > 0) == wide
+
+
+@pytest.mark.parametrize("omegas, c_tau", [
+    ([1.0, 2.0, math.nan, 3.0], 1.0),
+    ([1.0, math.inf], complex(1.0, 0.2)),
+    ([1.0, 2e5, 1e5], complex(1.0, 0.5)),  # |Im y| past 700 at 2e5: OverflowError of the radial pass
+    ([1.0, 1e200, math.nan], 1.0),  # omega ** 2 overflows in s^ before s~ fails at nan
+    ([1.0, math.nan, 1e200], 1.0),
+])
+def test_scatter_grid_raises_the_first_failing_points_error(omegas, c_tau):
+    model = ContrastModel(c_tau, (0.3,))
+    _, (kind, message) = _per_point(omegas, 0.1, model)
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        quasistatic._scatter_grid(omegas, 0.1, model)
+
+
+def test_numpy_sin_and_cos_of_complex_arrays_are_cmaths():
+    # the scatter-functions grid takes sin y and cos y from numpy where the scalar pass takes cmath's:
+    # the interior arguments of the grids, past them to |Im z| = 700, and signed zeros
+    rng = np.random.default_rng(17)
+    size = 10.0 ** rng.uniform(-3, 2.8, 4000)
+    z = np.concatenate([size * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000)),
+                        rng.uniform(-1e4, 1e4, 1000) + 1j * rng.uniform(-700, 700, 1000),
+                        rng.uniform(0.5, 40, 1000) + 0j, rng.uniform(-40, -0.5, 1000) - 0j])
+    z[-1000:].imag = -0.0
+    for numpy_fn, cmath_fn in ((np.sin, cmath.sin), (np.cos, cmath.cos)):
+        assert np.array_equal(_bits(numpy_fn(z)), _bits([cmath_fn(w) for w in z.tolist()]))
 
 
 # --- blow-up coefficient -----------------------------------------------------------

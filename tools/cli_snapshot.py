@@ -59,6 +59,15 @@ COMMANDS = [
     ("scatter-functions-json", ["scatter-functions", "--delta", "0.1", "--c-tau", "2", "0", "--laurent", "0.4",
                                 "--omega-min", "2.0", "--omega-max", "2.5", "--omega-count", "6",
                                 "--format", "json"], 0),
+    # the pole omega_0 = pi of c_tau = 1 as the grid's last point, a grid reaching |y| <= 1 (the series
+    # pass) and a lossy contrast with a Laurent term
+    ("scatter-functions-pole", ["scatter-functions", "--delta", "0.1", "--c-tau", "1", "0", "--omega-min", "3.0",
+                                "--omega-max", repr(math.pi), "--omega-count", "5"], 0),
+    ("scatter-functions-series", ["scatter-functions", "--delta", "0.1", "--omega-min", "0.1",
+                                  "--omega-max", "3", "--omega-count", "30"], 0),
+    ("scatter-functions-lossy", ["scatter-functions", "--delta", "0.12", "--c-tau", "1.5", "0.2",
+                                 "--laurent", "0.3", "-0.1", "--omega-min", "1", "--omega-max", "5",
+                                 "--omega-count", "40"], 0),
     ("amplitude", ["amplitude", "--delta", "0.15", "--tau", "44", "0", "--omega", "3.1", "--phi", "0.7",
                    "--theta-count", "9", *WAVE], 0),
     ("amplitude-json", ["amplitude", "--delta", "0.1", "--omega", "3.0", "--theta-count", "5",
@@ -77,6 +86,10 @@ COMMANDS = [
                           "--omega-count", "1"], 1),
     ("error-units", ["units", "--radius-nm", "-1", "--wavelength-nm", "600"], 1),
     ("error-nan-omega", ["mie", "--delta", "0.1", "--omega", "nan"], 1),
+    ("error-scatter-nan-omega", ["scatter-functions", "--delta", "0.1", "--omega-min", "nan",
+                                 "--omega-max", "2"], 1),
+    ("error-scatter-overflow", ["scatter-functions", "--delta", "0.1", "--c-tau", "1", "0.5",
+                                "--omega-min", "1e5", "--omega-max", "2e5"], 1),
     ("error-nan-tau", ["cross-sections", "--delta", "0.1", "--tau", "nan", "0", "--omega-min", "1",
                        "--omega-max", "2"], 1),
     ("error-zero-direction", ["amplitude", "--delta", "0.1", "--omega", "3", "--direction", "0", "0", "0"], 1),

@@ -22,10 +22,11 @@ workload's ``cross-sections`` grids, taken as the library chain
 (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per point) and as
 the CLI path (``cli.run_config`` of that command on the same grid and incidence);
 ``render_csv`` of an 800-row ``scatter-functions`` table, built once with
-``cli.run_config``, per row; the four Cartesian moments (magnetic 1 and 2,
-electric 0 and 1) of a seeded field on the 16x24x48 ball quadrature, as the
-field-maps workload's largest ``moments`` request; ``amplitude_from_moments``
-of those moments at 8 seeded directions; ``far_field`` of the n_max = 12 table
+``cli.run_config``, per row, and that 800-point request itself through
+``cli.run_config`` (the grid's array pass and its rows); the four Cartesian
+moments (magnetic 1 and 2, electric 0 and 1) of a seeded field on the
+16x24x48 ball quadrature, as the field-maps workload's largest ``moments``
+request; ``amplitude_from_moments`` of those moments at 8 seeded directions; ``far_field`` of the n_max = 12 table
 on the 64x128 ``sphere_quadrature`` nodes (iso-latitude rings) and on a
 25-direction meridian, as the CLI's ``amplitude`` builds it; and the plane-wave
 expansion ``fields._incidence`` of a fresh incidence at n_max = 12, past its memo.
@@ -83,8 +84,9 @@ def _layers(dieres, cli, repeat):
     request = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": grid[0],
                "omega_max": grid[-1], "omega_count": len(grid), "direction": direction.tolist(),
                "polarization": [0.8, 0.6, 0.0]}
-    scatter = cli.run_config({"command": "scatter-functions", "delta": 0.15, "c_tau": [1.5, 0.0],
-                              "omega_min": 2.3, "omega_max": 2.8, "omega_count": 800})
+    scatter_request = {"command": "scatter-functions", "delta": 0.15, "c_tau": [1.5, 0.0],
+                       "omega_min": 2.3, "omega_max": 2.8, "omega_count": 800}
+    scatter = cli.run_config(scatter_request)
     rng = np.random.default_rng(8)
     points = (1 + 19 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
     quad = dieres.ball_quadrature(16, 24, 48)
@@ -112,6 +114,7 @@ def _layers(dieres, cli, repeat):
         "126-point chain per omega": (chain, 1, len(grid)),
         "126-point CLI per omega": (lambda: cli.run_config(request), 1, len(grid)),
         "800-row CSV per row": (scatter.render_csv, 5, len(scatter.rows)),
+        "800-point scatter-functions request": (lambda: cli.run_config(scatter_request), 5, 1),
         "16x24x48 moments": (moments, 20, 1),
         "amplitude at 8 directions": (lambda: [dieres.amplitude_from_moments(cartesian, 0.3, 40.0, 2.5, x)
                                                for x in directions], 200, 1),
@@ -159,13 +162,13 @@ def main(argv=None) -> int:
                 faults[side][name].append(per_call)
     print(f"base {args.base}, {args.rounds} rounds, best of {args.repeat}; medians in microseconds, ratio quartiles,"
           " minor faults per call")
-    print(f"{'layer':<28}{'base':>10}{'head':>10}{'head/base':>11}{'q1':>8}{'q3':>8}{'base flt':>10}{'head flt':>10}")
+    print(f"{'layer':<36}{'base':>10}{'head':>10}{'head/base':>11}{'q1':>8}{'q3':>8}{'base flt':>10}{'head flt':>10}")
     for name, base_times in times["base"].items():
         ratios = [h / b for h, b in zip(times["head"][name], base_times)]
         q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
         base_us, head_us = (statistics.median(times[side][name]) * 1e6 for side in ("base", "head"))
         flt = "".join(f"{statistics.median(faults[side][name]):>10.0f}" for side in ("base", "head"))
-        print(f"{name:<28}{base_us:>10.2f}{head_us:>10.2f}{statistics.median(ratios):>11.3f}{q1:>8.3f}{q3:>8.3f}"
+        print(f"{name:<36}{base_us:>10.2f}{head_us:>10.2f}{statistics.median(ratios):>11.3f}{q1:>8.3f}{q3:>8.3f}"
               f"{flt if name in FAULT_LAYERS else ''}")
     return 0
 
