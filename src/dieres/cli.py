@@ -190,9 +190,10 @@ def _cmd_resonance_sweep(cfg):
     if "deltas" in cfg:
         deltas = [float(d) for d in cfg["deltas"]]
     else:
-        deltas = list(np.linspace(float(cfg.get("delta_min", 0.02)),
-                                  float(cfg.get("delta_max", 0.2)),
-                                  int(cfg.get("delta_count", 10))))
+        count = int(cfg.get("delta_count", 10))
+        if count < 1:
+            raise ValueError("delta_count must be >= 1")
+        deltas = list(np.linspace(float(cfg.get("delta_min", 0.02)), float(cfg.get("delta_max", 0.2)), count))
     limit = resonance.quasi_static_prediction(family, n, s, model)
     # seed chaining makes the sweep sequential by contract
     points = resonance.sweep_resonance(family, n, s, deltas, model)
@@ -235,6 +236,8 @@ def _cmd_amplitude(cfg):
     omega = float(cfg["omega"])
     phi = float(cfg.get("phi", 0.0))
     count = int(cfg.get("theta_count", 37))
+    if count < 1:
+        raise ValueError("theta_count must be >= 1")
     config = mie.ScatterConfig(delta, tau, omega)
     table = mie.mie_coefficients(config, _incident(cfg, omega))
     thetas = np.linspace(0.0, math.pi, count)
@@ -371,14 +374,14 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         table = run_config(cfg)
         text = table.render_json() if args.format == "json" else table.render_csv()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except Exception as exc:  # noqa: BLE001 - the CLI contract wants a record
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (_check_n_max, _check_order, _direction_frame, _finite, _legendre_rows, _radius_split, _top,
-                      harmonic_table, radial_table, solid_harmonic_gradient_deg1)
+from .specfun import (_check_n_max, _check_order, _direction_frame, _finite, _legendre_rows, _product, _radius_split,
+                      _top, harmonic_table, radial_table, solid_harmonic_gradient_deg1)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def _incidence(n_max, direction, polarization):
     prefs = np.array([4 * math.pi * 1j ** n / math.sqrt(n * (n + 1)) for n in table.degree[1:].tolist()])
     dots = np.matmul(np.conj(np.stack([v, u])), e0)[..., 0]
     proj = np.zeros((2, len(table.y)), dtype=complex)
-    proj.real[:, 1:] = prefs.real * dots.real - prefs.imag * dots.imag
-    proj.imag[:, 1:] = prefs.real * dots.imag + prefs.imag * dots.real
+    proj[:, 1:] = _product(prefs, dots)
     proj.flags.writeable = False
     return proj
 

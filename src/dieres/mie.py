@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import IncidentWave, _far_field_sum, _incidence, _multipole_sum
-from .specfun import (MAX_ORDER, _degree, _finite, _keys, _one_pass, _radius_split, _riccati, _rows, _top, radial_pair,
-                      riccati_H, riccati_J)
+from .specfun import (MAX_ORDER, _degree, _finite, _keys, _one_pass, _product, _radius_split, _riccati, _rows, _top,
+                      radial_pair, riccati_H, riccati_J)
 
 
 class ResonanceError(ArithmeticError):
@@ -220,13 +220,10 @@ def mie_coefficients(cfg: ScatterConfig, w: IncidentWave) -> MieTable:
 
 def _products(ratios, n_max, w):
     """The (G, 2, K) stacks of the plane-wave expansion of w up to n_max times the radial factors of
-    the G lists of _ratios; the products as Python complex rounds them, with no fused multiply-add."""
+    the G lists of _ratios, as Python complex rounds the products."""
     proj = _incidence(n_max, w.direction.tobytes(), w.polarization.tobytes())
     ratios = np.array(ratios).reshape(len(ratios), -1, 2).swapaxes(1, 2)[..., _degree(n_max)]
-    pr, pi, rr, ri = proj.real, proj.imag, ratios.real, ratios.imag
-    stacks = np.empty(ratios.shape, dtype=complex)  # in C order, so that _reports sums along contiguous rows
-    stacks.real, stacks.imag = pr * rr - pi * ri, pr * ri + pi * rr
-    return stacks
+    return _product(proj, ratios)  # in C order, so that _reports sums along contiguous rows
 
 
 def scattered_field(t: MieTable, x) -> np.ndarray:

@@ -18,8 +18,8 @@ from .fields import IncidentWave, _incidence, _single_field, multipole_field
 from .mie import _arguments
 from .multipole import _cross, _harmonic_grid, ball_quadrature
 from .resonance import ContrastModel, _radius, quasi_static_prediction
-from .specfun import (_IM_OVERFLOW, _finite, _radius_split, bessel_zero, radial_pair, radial_table,
-                      solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic)
+from .specfun import (_IM_OVERFLOW, _finite, _product, _quotient, _radius_split, bessel_zero, radial_pair,
+                      radial_table, solid_harmonic_gradient_deg1, sph_bessel_j, sph_harmonic)
 
 _MAX_COUNT = 634  # the largest count of sphere_spectrum
 
@@ -184,30 +184,6 @@ def scatter_fn_general(omega: complex, omega0: complex, c_tau: complex) -> compl
     return -8 / math.pi ** 2 * omega ** 2 * omega0 * _finite("c_tau", c_tau) / (omega - omega0)
 
 
-def _complex(re, im):
-    """The complex array re + i im, bit for bit (re + 1j * im loses signed zeros, makes inf parts NaN)."""
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
-
-
-def _product(a, b):
-    """a * b of complex arrays, a real operand taken as x + 0j, as CPython's and numpy's scalar
-    complex products round it (numpy's array product may fuse a multiply-add)."""
-    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _quotient(a, b, scaled=False):
-    """a / b of complex arrays as CPython's complex division rounds it (Smith's method, branching on
-    |Re b| >= |Im b|; CPython 3.11 Objects/complexobject.c), or with scaled as numpy's scalar
-    division does: times the reciprocal of the denominator."""
-    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
-    wide = np.abs(br) >= np.abs(bi)
-    ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    re, im = np.where(wide, ar + ai * ratio, ar * ratio + ai), np.where(wide, ai - ar * ratio, ai * ratio - ar)
-    return _complex(re * (1.0 / denom), im * (1.0 / denom)) if scaled else _complex(re / denom, im / denom)
-
-
 def _scatter_grid(omegas, delta, model):
     """scatter_fn_explicit and scatter_fn_general of the contrast model at delta and each Python float of
     omegas, a complex NaN where one has a pole: one array pass, every cell the scalar calls' bits.  s~
@@ -307,10 +283,10 @@ def dipole_approximation(w: IncidentWave, omega: float, delta: float,
 
 
 def dipole_far_field(pair: DipolePair, omega: float, xhat) -> np.ndarray:
-    """Amplitude (w^2/4pi)(xhat x (p x xhat) + m x xhat) of a dipole pair."""
+    """Amplitude (w^2/4pi)(xhat x (p x xhat) + m x xhat) of a dipole pair at the direction(s) xhat, (..., 3)."""
     xhat = np.asarray(xhat, dtype=float)
-    p_part = _cross(xhat, _cross(pair.p, xhat))
-    m_part = _cross(pair.m, xhat)
+    p_part = np.cross(xhat, np.cross(pair.p, xhat))
+    m_part = np.cross(pair.m, xhat)
     return omega ** 2 / (4 * math.pi) * (p_part + m_part)
 
 

@@ -61,6 +61,33 @@ def _select(flags, a, b):
     return np.where(flags, a, b)
 
 
+def _complex(re, im):
+    """The complex array re + i im of real arrays of one shape, bit for bit (re + 1j * im loses signed
+    zeros and makes inf parts NaN)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _product(a, b):
+    """a * b of complex arrays (or an array and a number), a real operand taken as x + 0j, as CPython's
+    and numpy's scalar complex products round it (numpy's array product may fuse a multiply-add)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _quotient(a, b, scaled=False):
+    """a / b of complex arrays (a may be a number) as CPython's complex division rounds it (Smith's method,
+    branching on |Re b| >= |Im b|; CPython 3.11 Objects/complexobject.c), or with scaled as numpy's
+    scalar division does: times the reciprocal of the denominator."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    re, im = np.where(wide, ar + ai * ratio, ar * ratio + ai), np.where(wide, ai - ar * ratio, ai * ratio - ar)
+    return _complex(re * (1.0 / denom), im * (1.0 / denom)) if scaled else _complex(re / denom, im / denom)
+
+
 def _finite(name, value):
     """A real or complex scalar value, checked to be finite; name names it in the error."""
     if not cmath.isfinite(value):

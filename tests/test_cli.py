@@ -466,6 +466,30 @@ def test_zero_n_max_is_rejected_not_replaced_by_the_default(capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "n_max must be >= 1"}
 
 
+def test_unopenable_out_path_is_one_error_record(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "units", "--radius-nm", "75", "--wavelength-nm", "600", "--out", str(path))
+    assert code == 1 and out == "" and not path.parent.exists()
+    assert json.loads(err) == {"error": "FileNotFoundError",
+                               "message": f"[Errno 2] No such file or directory: '{path}'"}
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_theta_count_below_one_is_one_error_record(capsys, count):
+    code, out, err = _run(capsys, "amplitude", "--delta", "0.1", "--omega", "3", "--theta-count", count)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "theta_count must be >= 1"}
+    code, out, _ = _run(capsys, "amplitude", "--delta", "0.1", "--omega", "3", "--theta-count", "1")
+    assert code == 0 and len(parse_csv(out).rows) == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_delta_count_below_one_is_one_error_record(capsys, count):
+    code, out, err = _run(capsys, "resonance-sweep", "--delta-count", count)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "delta_count must be >= 1"}
+
+
 def _tool(name):
     import importlib.util
     import pathlib

@@ -752,6 +752,15 @@ def test_dipole_far_field_helper():
     val = dipole_far_field(pair, 2.0, xh)
     expect = 4 / (4 * math.pi) * (np.array([1.0, 0, 0]) + np.cross([0, 1.0, 0], xh))
     assert_allclose(val, expect, rtol=1e-13)
+    # directions stacked as (..., 3): every row the bits of its own call
+    rng = np.random.default_rng(33)
+    pair = DipolePair(*(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))))
+    dirs = rng.normal(size=(2, 3, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    for batch in (dirs, dirs[0], dirs[0, :2]):
+        got = dipole_far_field(pair, 2.0, batch)
+        want = [dipole_far_field(pair, 2.0, x) for x in batch.reshape(-1, 3)]
+        assert got.shape == batch.shape and got.tobytes() == np.array(want).tobytes()
 
 
 def test_resonant_moments_repeat_bit_identically_on_the_memoized_grid():

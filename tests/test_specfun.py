@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 
@@ -905,3 +906,40 @@ def test_bessel_zero_table_concurrent_access():
     baseline = results[0]
     assert all(results[i] == baseline for i in results)
     assert_allclose(baseline[0], math.pi, atol=1e-12)
+
+
+def _assert_same_bits(got, want):
+    """Every finite part of got has the bits of want's, and the NaN parts sit at the same places
+    (CPython returns its own NaN for a NaN divisor, numpy's carries another sign)."""
+    got, want = np.asarray(got).view(float), np.array(want, dtype=complex).view(float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_complex_helpers_are_the_scalar_operators_bit_for_bit():
+    # _product against Python's complex *, _quotient against / and with scaled against numpy's scalar
+    # division, on parts over 200 decades (both of Smith's branches), signed zeros, inf and NaN, and int
+    # and float operands taken as (x, 0.0) as CPython 3.10-3.13 take them.  CPython 3.14's mixed-operand
+    # arithmetic (C99 Annex G: no conversion of the real operand) is not covered.  A zero divisor is
+    # left out: Python raises there, and numpy's scalar division has a branch of its own.
+    rng = np.random.default_rng(33)
+    parts = rng.choice([-1.0, 1.0], size=(2, 2000, 2)) * 10.0 ** rng.uniform(-100, 100, size=(2, 2000, 2))
+    special = [complex(*p) for p in itertools.product([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan], repeat=2)]
+    a = np.concatenate([parts[0].view(complex)[:, 0], np.repeat(special, len(special))])
+    b = np.concatenate([parts[1].view(complex)[:, 0], np.tile(special, len(special))])
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    assert wide.sum() > 1000 and (~wide).sum() > 1000
+    with np.errstate(all="ignore"):
+        _assert_same_bits(specfun._product(a, b), [x * y for x, y in zip(a.tolist(), b.tolist())])
+        a, b = a[b != 0], b[b != 0]
+        _assert_same_bits(specfun._quotient(a, b), [x / y for x, y in zip(a.tolist(), b.tolist())])
+        _assert_same_bits(specfun._quotient(a, b, scaled=True),
+                          [np.complex128.__truediv__(np.complex128(x), y) for x, y in zip(a.tolist(), b.tolist())])
+        for x in (0, 1, -3, 0.0, -0.0, 2.5, 8 * math.pi ** 2 / 3, math.inf, math.nan):
+            _assert_same_bits(specfun._product(x, b), [x * y for y in b.tolist()])
+            _assert_same_bits(specfun._product(a, x), [y * x for y in a.tolist()])
+            _assert_same_bits(specfun._quotient(x, b), [x / y for y in b.tolist()])
+            if x != 0:  # a real divisor, as an array
+                _assert_same_bits(specfun._quotient(a, np.full(len(a), x)), [y / x for y in a.tolist()])
+                _assert_same_bits(specfun._quotient(a, np.full(len(a), x), scaled=True),
+                                  [np.complex128.__truediv__(np.complex128(y), np.complex128(x)) for y in a.tolist()])
