@@ -162,6 +162,8 @@ def _mode(cfg):
 def _cmd_bessel_zeros(cfg):
     order = int(cfg.get("order", 0))
     count = int(cfg.get("count", 5))
+    if count < 1:
+        raise ValueError("count must be >= 1")
     return [[order, s, bessel_zero(order, s)] for s in range(1, count + 1)], []
 
 

@@ -27,8 +27,13 @@ takes one dispatch, _rows, as a Python complex: plain branches check it and
 choose its pass, run with cmath; the Mie denominators and factor table read its
 rows.  An array of any shape runs the same passes on arrays of that shape,
 never flattened, boolean masks of the same flags (C order, like its ravel)
-splitting the elements.  The two agree to rounding.  On both, y and h^(1) past
-the double range (high orders at small arguments) raise OverflowError.
+splitting the elements; so does the pair type _Pairs, a complex array held as
+its real and imaginary parts whose operators round as CPython's complex
+scalars do.  Pair arrays are the 0-d passes bit for bit, element by element.
+numpy complex arrays agree with them to rounding.  The pass and the Miller
+start order of an element are the same on all three, |z| being the hypot of
+its parts.  On all, y and h^(1) past the double range (high orders at small
+arguments) raise OverflowError.
 
 See Wiscombe, Appl. Opt. 19, 1505 (1980) for the recurrence choices.
 """
@@ -58,6 +63,8 @@ def _select(flags, a, b):
     """a where flags hold, else b."""
     if isinstance(flags, bool):
         return a if flags else b
+    if isinstance(a, _Pairs):
+        return _Pairs(np.where(flags, a.real, b.real), np.where(flags, a.imag, b.imag))
     return np.where(flags, a, b)
 
 
@@ -69,23 +76,133 @@ def _complex(re, im):
     return out
 
 
-def _product(a, b):
-    """a * b of complex arrays (or an array and a number), a real operand taken as x + 0j, as CPython's
-    and numpy's scalar complex products round it (numpy's array product may fuse a multiply-add)."""
+def _times(a, b):
+    """The parts of a * b (numbers, complex arrays or pairs; a real operand as x + 0j), as CPython's and
+    numpy's scalar complex products round them (numpy's array product may fuse a multiply-add)."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _smith(br, bi):
+    """Smith's terms (x, y, denom) of the divisor br + i bi (Smith, CACM 5, 435 (1962)): x = 1, y = bi/br
+    and denom = br + bi y where |br| >= |bi|, else x = br/bi, y = 1 and denom = br x + bi; a term is None
+    where it is 1 for all elements.  They depend on the divisor alone."""
+    if not isinstance(br, np.ndarray) and not isinstance(bi, np.ndarray):
+        br, bi = float(br), float(bi)
+        wide = abs(br) >= abs(bi)
+    else:
+        wide = np.abs(br) >= np.abs(bi)
+        wide = True if wide.all() else False if not wide.any() else wide
+    if wide is True:
+        ratio = bi / br
+        return None, ratio, br + bi * ratio
+    if wide is False:
+        ratio = br / bi
+        return ratio, None, br * ratio + bi
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not select
+        ratio = np.where(wide, bi / br, br / bi)
+    return np.where(wide, 1.0, ratio), np.where(wide, ratio, 1.0), np.where(wide, br + bi * ratio, br * ratio + bi)
+
+
+def _over(a, smith, scaled=False):
+    """The parts of a / b from the _smith terms of b, as CPython's complex division rounds them (CPython
+    3.11 Objects/complexobject.c): (ar x + ai y, ai x - ar y) / denom, a product with a term 1 being
+    exact; or with scaled as numpy's scalar division does, times 1 / denom."""
+    x, y, denom = smith
+    ar, ai = a.real, a.imag
+    re, im = (ar, ai) if x is None else (ar * x, ai * x)
+    re, im = (re + ai, im - ar) if y is None else (re + ai * y, im - ar * y)
+    if scaled:
+        denom = 1.0 / denom
+        return re * denom, im * denom
+    return re / denom, im / denom
+
+
+def _product(a, b):
+    """a * b of complex arrays (or an array and a number) as a complex array: _times."""
+    return _complex(*_times(a, b))
 
 
 def _quotient(a, b, scaled=False):
-    """a / b of complex arrays (a may be a number) as CPython's complex division rounds it (Smith's method,
-    branching on |Re b| >= |Im b|; CPython 3.11 Objects/complexobject.c), or with scaled as numpy's
-    scalar division does: times the reciprocal of the denominator."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    wide = np.abs(br) >= np.abs(bi)
-    ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    re, im = np.where(wide, ar + ai * ratio, ar * ratio + ai), np.where(wide, ai - ar * ratio, ai * ratio - ar)
-    return _complex(re * (1.0 / denom), im * (1.0 / denom)) if scaled else _complex(re / denom, im / denom)
+    """a / b of complex arrays or numbers, one of them an array, as a complex array: _over, or with
+    scaled as numpy's scalar division rounds it."""
+    return _complex(*_over(a, _smith(b.real, b.imag), scaled))
+
+
+class _Pairs:
+    """A complex array held as its real and imaginary parts, whose + - * / ** 2, conjugate and abs
+    round as CPython's complex scalars do: a number or real array operand enters as x + 0j, * is
+    _times, / is _over, z ** 2 is 1 * (z * z) and abs the hypot of the parts.  The passes and the Mie
+    matching run on it unchanged, so each element gets the bits of its 0-d pass.  An index selects
+    along the last axes; a divisor keeps its _smith terms for its next quotient."""
+
+    __slots__ = ("real", "imag", "_terms")
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
+
+    def __init__(self, real, imag):
+        self.real, self.imag, self._terms = real, imag, None
+
+    @property
+    def shape(self):
+        return self.real.shape
+
+    def complex(self):
+        return _complex(self.real, self.imag)
+
+    def copy(self):
+        return _Pairs(self.real.copy(), self.imag.copy())
+
+    def __getitem__(self, index):
+        return _Pairs(self.real[..., index], self.imag[..., index])
+
+    def __setitem__(self, index, value):
+        self.real[..., index], self.imag[..., index] = value.real, value.imag
+
+    def __add__(self, b):
+        return _Pairs(self.real + b.real, self.imag + b.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, b):
+        return _Pairs(self.real - b.real, self.imag - b.imag)
+
+    def __neg__(self):
+        return _Pairs(-self.real, -self.imag)
+
+    def __mul__(self, b):
+        return _Pairs(*_times(self, b))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, b):
+        return _Pairs(*_over(self, b._divisor() if isinstance(b, _Pairs) else _smith(b.real, b.imag)))
+
+    def __rtruediv__(self, a):
+        return _Pairs(*_over(a, self._divisor()))
+
+    def __pow__(self, exponent):
+        if exponent != 2:
+            return NotImplemented
+        return 1 * (self * self)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def conjugate(self):
+        return _Pairs(self.real, -self.imag)
+
+    def _divisor(self):
+        if self._terms is None:
+            self._terms = _smith(self.real, self.imag)
+        return self._terms
+
+    # numpy's complex exp, sin and cos, cmath's bits for every element
+    exp, sin, cos = (staticmethod(lambda z, fn=fn: _Pairs.of(fn(z.complex()))) for fn in (np.exp, np.sin, np.cos))
+
+    @staticmethod
+    def of(values):
+        """The complex array values as pairs."""
+        return _Pairs(values.real, values.imag)
 
 
 def _finite(name, value):
@@ -112,8 +229,10 @@ def _check(n, z, kind):
 
 
 def _probe(z):
-    """The element of the array z that _check (or _finite) reads for all of
-    them: the first to fail the earliest check that any element fails, else 1j."""
+    """The element of the array (or pairs) z that _check (or _finite) reads for all
+    of them: the first to fail the earliest check that any element fails, else 1j."""
+    if isinstance(z, _Pairs):
+        z = z.complex()
     fails = [f for f in (~np.isfinite(z), np.abs(z.imag) > _IM_OVERFLOW, z == 0) if f.any()]
     return complex(z[fails[0]][0]) if fails else 1j
 
@@ -152,7 +271,7 @@ def _riccati(k, z, rows, kind):
     j_{-1} = cos z / z, y_{-1} = sin z / z, h_{-1}^(1) = e^{iz} / z."""
     if k:
         return z * rows[k - 1] - k * rows[k]
-    xp = cmath if isinstance(z, complex) else np
+    xp = cmath if isinstance(z, complex) else _Pairs if isinstance(z, _Pairs) else np
     if kind == "h":
         return xp.exp(1j * z)
     return xp.cos(z) if kind == "j" else xp.sin(z)
@@ -160,7 +279,7 @@ def _riccati(k, z, rows, kind):
 
 def _upward(top, z, kind):
     """f_0..f_top by upward recurrence from the closed forms of f_0 and f_1 (z nonzero)."""
-    xp = cmath if isinstance(z, complex) else np
+    xp = cmath if isinstance(z, complex) else _Pairs if isinstance(z, _Pairs) else np
     if kind == "h":
         e = xp.exp(1j * z)
         rows = [-1j * e / z, -e * (z + 1j) / z ** 2]
@@ -178,7 +297,7 @@ def _miller(top, z, kind):
     # iterates 0 before, so an array element gets the rows of its one-element pass.  Public
     # entries pass only n <= MAX_ORDER and |Im z| <= 700, and _upward_j leaves only
     # |Re z| < N + 10 |Im z| <= 7064 here, where the iterates stay below 1e-24: no rescaling.
-    start = top + 30 + (int(abs(z)) if isinstance(z, complex) else np.abs(z).astype(int))
+    start = top + 30 + (int(abs(z)) if isinstance(z, complex) else _modulus(z).astype(int))
     starts = [0] + ([start] if isinstance(z, complex) else np.unique(start).tolist())  # ascending, 0 never reached
     f_hi = f_lo = zero = 0 * z
     seed = 1e-280 + zero
@@ -210,8 +329,14 @@ def _reflected(top, z, kind):
     return [_select(lower, f.conjugate(), f) for f in rows]
 
 
+def _modulus(z):
+    """|z| as Python's abs rounds it: the hypot of the parts (numpy's abs of a complex array may differ in
+    the last bit, and an element near |z| = 1 or an integer would then take another pass)."""
+    return abs(z) if isinstance(z, (complex, _Pairs)) else np.hypot(z.real, z.imag)
+
+
 def _series_j(z):
-    return abs(z) <= 1.0
+    return (abs(z) if isinstance(z, complex) else _modulus(z)) <= 1.0
 
 
 def _upward_j(top, z):
@@ -254,7 +379,7 @@ def _masked_pass(top, z, kind):
             return method(top, z, kind)
         if mask.any():
             part = method(top, z[mask], kind)
-            rows = rows or [np.empty_like(z) for _ in part]
+            rows = rows or [z.copy() if isinstance(z, _Pairs) else np.empty_like(z) for _ in part]
             for row, value in zip(rows, part):
                 row[mask] = value
             rest &= ~mask
@@ -264,19 +389,20 @@ def _masked_pass(top, z, kind):
 def _one_pass(n, z, kind):
     """z and the rows of its pass: a 0-d z (a Python number, a numpy scalar
     or a 0-d array) as a Python complex with the rows of _rows, else z as a
-    complex array with rows of its shape, checked alike."""
+    complex array (or pairs, as given) with rows of its shape, checked alike."""
     # numpy scalars subclass complex or float: only a Python complex skips the conversion
-    if type(z) is not complex and (isinstance(z, (float, int)) or np.ndim(z) == 0):
+    if type(z) is not complex and not isinstance(z, _Pairs) and (isinstance(z, (float, int)) or np.ndim(z) == 0):
         z = complex(z)
     if type(z) is complex:
         return z, _rows(n, z, kind)
-    z = np.asarray(z, dtype=np.complex128)
+    if not isinstance(z, _Pairs):
+        z = np.asarray(z, dtype=np.complex128)
     _check(n, _probe(z), kind)
     if kind == "j":
         return z, _masked_pass(max(n, 1), z, kind)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _masked_pass(max(n, 1), z, kind)
-    if not np.isfinite(rows[-1]).all():
+    if not (np.isfinite(rows[-1].real) & np.isfinite(rows[-1].imag)).all():
         raise _overflow(kind, n)
     return z, rows
 

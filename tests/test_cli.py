@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import json
 import math
 import re
@@ -275,6 +277,80 @@ def test_cross_sections_rows_are_the_per_point_chain(delta, tau, lo, hi, count, 
         assert len({row[4] for row in rows}) >= 3
 
 
+def _series_boundary(delta, tau):
+    """A frequency within 200 ulps of |y| = 1, y = delta omega sqrt(1 + tau) the interior argument, at
+    which numpy's abs of a complex array and Python's abs put y on two sides of the series pass's
+    bound |y| <= 1; else the frequency of |y| = 1."""
+    s = cmath.sqrt(1 + tau)
+    omegas = [1 / (delta * abs(s))]
+    for direction in (math.inf, -math.inf):
+        omega = omegas[0]
+        for _ in range(200):
+            omega = math.nextafter(omega, direction)
+            omegas.append(omega)
+    ys = [delta * complex(om) * s for om in omegas]
+    for om, y, size in zip(omegas, ys, np.abs(np.array(ys)).tolist()):
+        if (size <= 1.0) != (abs(y) <= 1.0):
+            return om
+    return omegas[0]
+
+
+def _array_pass_grids():
+    """(delta, tau, omega_min, omega_max, count) of grids whose runs of one n_max take the array pass."""
+    boundary = _series_boundary(0.1, complex(60, 1.5))
+    return [
+        # |x| = |delta omega| crosses 1 inside the n_max = 16 run: series and Miller passes of j(x) mix
+        pytest.param(0.1, complex(50, 0), 9.0, 11.0, 200, id="lossless-x-crosses-1"),
+        pytest.param(0.1, complex(50, 2), 9.0, 11.0, 200, id="lossy-x-crosses-1"),
+        # omega = 0 in the middle of the grid, runs of n_max = 11, 10, 9 on either side (one run of 9)
+        pytest.param(0.1, complex(80, 0.5), -3.0, 3.0, 385, id="zero-omega"),
+        # |y| past 56: n_max 62..66, the 89 points past MAX_ORDER failing their ScatterConfig
+        pytest.param(0.1, complex(80, 0), 60.0, 64.0, 200, id="past-max-order"),
+        # |x| = |y| / 1.2 crosses 4 inside the n_max = 13 run: two Miller start orders of j(x); at
+        # this exterior size the partial-wave sums are not converged at n_max (converged = 0 rows)
+        *(pytest.param(1.0, tau, 3.4, 4.16, 80, id=name, marks=pytest.mark.filterwarnings(
+            "ignore:partial-wave sum not converged:UserWarning"))
+          for tau, name in ((complex(0.44, 0), "x-miller-starts"), (complex(0.44, 0.05), "lossy-x-miller-starts"))),
+        # the last point at |y| = 1, where numpy's abs would send j(y) to Miller's pass, not the series
+        pytest.param(0.1, complex(60, 1.5), boundary * 0.99, boundary, 60, id="y-series-boundary"),
+    ]
+
+
+@pytest.mark.parametrize("delta, tau, lo, hi, count", _array_pass_grids())
+def test_large_grids_take_the_array_pass_bit_for_bit(monkeypatch, delta, tau, lo, hi, count):
+    # runs of at least mie._ARRAY_RUN points of one n_max take mie._pair_ratios; every row and meta line
+    # of cross-sections, as repr, against ScatterConfig, mie_coefficients and cross_sections per point
+    taken, pair_ratios = [], mie._pair_ratios
+
+    def counted(n_max, delta, tau, omegas):
+        taken.append(len(omegas))
+        return pair_ratios(n_max, delta, tau, omegas)
+
+    monkeypatch.setattr(mie, "_pair_ratios", counted)
+    d, e0 = _unit([0.3, -0.4, 0.87]), _unit([0.8, 0.6, 0.0])
+    grid = np.linspace(lo, hi, count).tolist()
+    wave = IncidentWave(d, e0, grid[0])
+    rows, meta, n_maxes = [], [], []
+    for om in grid:
+        try:
+            cfg = mie.ScatterConfig(delta, tau, om)
+            n_maxes.append(cfg.n_max)
+            rep = mie.cross_sections(mie.mie_coefficients(cfg, wave))
+        except (mie.ResonanceError, ValueError) as exc:
+            meta.append(f"failed omega={om}: {exc}")
+            continue
+        rows.append([om, rep.Qs, rep.Qext, rep.Qabs, rep.n_max_used, rep.converged])
+    table = run_config({"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": lo,
+                        "omega_max": hi, "omega_count": count, "direction": list(d), "polarization": list(e0)})
+    assert repr(table.rows) == repr(rows) and table.meta == meta
+    runs = [len(list(run)) for _, run in itertools.groupby(n_maxes)]
+    assert sum(taken) == sum(n for n in runs if n >= mie._ARRAY_RUN) >= len(grid) // 2
+    if lo < 0:
+        assert meta == ["failed omega=0.0: omega = 0j must be nonzero"] and len(runs) == 5  # 9 on both sides of 0
+    if hi > 60:
+        assert set(n_maxes) == {62, 63, 64} and len(meta) == 89 and "exceeds the supported maximum 64" in meta[-1]
+
+
 @pytest.mark.parametrize("sphere, message", [
     (["--delta", "-0.1"], "radius delta must be positive"),
     (["--delta", "0.1", "--tau", "-1", "0"], "contrast must satisfy Re tau > 0 and Im tau >= 0"),
@@ -474,6 +550,15 @@ def test_unopenable_out_path_is_one_error_record(tmp_path, capsys):
                                "message": f"[Errno 2] No such file or directory: '{path}'"}
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_bessel_zeros_count_below_one_is_one_error_record(capsys, count):
+    code, out, err = _run(capsys, "bessel-zeros", "--count", count)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "count must be >= 1"}
+    code, out, _ = _run(capsys, "bessel-zeros", "--count", "1")
+    assert code == 0 and len(parse_csv(out).rows) == 1
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_theta_count_below_one_is_one_error_record(capsys, count):
     code, out, err = _run(capsys, "amplitude", "--delta", "0.1", "--omega", "3", "--theta-count", count)
@@ -609,7 +694,7 @@ def test_layer_pairs_times_a_tree_loaded_beside_dieres(capsys):
         assert cli.__name__ == "_layer_pairs_test.cli" and cli.mie is package.mie
         timers = tool._layers(package, cli, 1)
         timed = [timer() for timer in timers.values()]
-        assert len(timers) == 15 and all(seconds > 0 and faults >= 0 for seconds, faults in timed)
+        assert len(timers) == 16 and all(seconds > 0 and faults >= 0 for seconds, faults in timed)
         assert set(tool.FAULT_LAYERS) <= set(timers)
     assert "_layer_pairs_test" not in sys.modules
     assert {"_rows(12, 2.88) Miller", "radial_table(8, 128 points)"} <= set(timers)

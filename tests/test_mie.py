@@ -831,3 +831,27 @@ def test_scatter_config_takes_an_integer_n_max():
     assert ScatterConfig(0.1, 40.0, 3.0, np.int64(4)).n_max == 4
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         ScatterConfig(0.1, 40.0, 3.0, 3.5)
+
+
+def test_pair_ratios_fail_each_point_at_its_first_degenerate_denominator(monkeypatch):
+    # a degenerate denominator (its size against the products' made infinite here) fails its point
+    # with the ResonanceError of the per-point _ratios: the lowest order, TE before TM; the other
+    # points keep the rows of _ratios, bit for bit
+    from dieres import mie
+
+    delta, tau, n_max = 0.1, complex(80.0, 0.5), 10
+    omegas = np.linspace(1.2, 1.6, 6).tolist()
+    matching = mie._matching
+
+    def degenerate(orders, *args):
+        (te, tm), = matching(orders, *args)
+        te[2][4, 2], tm[2][4, 0], tm[2][1, 3] = math.inf, math.inf, math.inf  # point 4: n = 3 TE, n = 1 TM
+        return [(te, tm)]
+
+    monkeypatch.setattr(mie, "_matching", degenerate)
+    ratios, errors = mie._pair_ratios(n_max, delta, tau, omegas)
+    monkeypatch.setattr(mie, "_matching", matching)
+    assert [None if e is None else (e.n, e.family) for e in errors] == [None, (4, "TM"), None, None, (1, "TM"), None]
+    for i, omega in enumerate(omegas):
+        if errors[i] is None:
+            assert ratios[i].tobytes() == np.array(mie._ratios(n_max, delta, tau, complex(omega))).tobytes()

@@ -383,6 +383,25 @@ def test_numpy_sin_and_cos_of_complex_arrays_are_cmaths():
         assert np.array_equal(_bits(numpy_fn(z)), _bits([cmath_fn(w) for w in z.tolist()]))
 
 
+def test_numpy_exp_and_hypot_of_complex_arrays_are_pythons():
+    # the pair type of the spectrum's array pass takes exp(i z) from numpy's complex exp and |z| as
+    # np.hypot of the parts where the scalar pass takes cmath.exp and Python's abs: arguments to
+    # |Im z| = 700 and signed zeros, i z formed as Python's product.  numpy's abs of a complex array
+    # is not Python's abs (on these 25 000 arguments 6963 differ in the last bit), so
+    # the pair type does not use it.
+    rng = np.random.default_rng(34)
+    size = 10.0 ** rng.uniform(-3, 2.8, 15000)
+    z = np.concatenate([size * np.exp(1j * rng.uniform(-math.pi, math.pi, 15000)),
+                        rng.uniform(-1e4, 1e4, 5000) + 1j * rng.uniform(-700, 700, 5000),
+                        rng.uniform(0.5, 40, 2500) + 0j, rng.uniform(-40, -0.5, 2500) - 0j])
+    z[-2500:].imag = -0.0
+    iz = np.array([1j * w for w in z.tolist()])
+    assert np.array_equal(_bits(np.exp(iz)), _bits([cmath.exp(w) for w in iz.tolist()]))
+    python_abs = np.array([abs(w) for w in z.tolist()])
+    assert np.hypot(z.real, z.imag).tobytes() == python_abs.tobytes()
+    assert (np.abs(z) != python_abs).sum() > 0
+
+
 # --- blow-up coefficient -----------------------------------------------------------
 
 def test_blowup_coefficient_values():

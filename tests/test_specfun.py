@@ -943,3 +943,63 @@ def test_complex_helpers_are_the_scalar_operators_bit_for_bit():
                 _assert_same_bits(specfun._quotient(a, np.full(len(a), x)), [y / x for y in a.tolist()])
                 _assert_same_bits(specfun._quotient(a, np.full(len(a), x), scaled=True),
                                   [np.complex128.__truediv__(np.complex128(y), np.complex128(x)) for y in a.tolist()])
+        for x in (2, -3, 2.5, -0.75, 1e-300, -7.5e250):  # a number as the divisor, either sign
+            _assert_same_bits(specfun._quotient(a, x), [y / x for y in a.tolist()])
+
+
+def _pair(values):
+    values = np.asarray(values, dtype=complex)
+    return specfun._Pairs(values.real.copy(), values.imag.copy())
+
+
+def test_pair_type_operators_are_the_scalar_operators_bit_for_bit():
+    # each element of a _Pairs result against the Python complex operation on its elements: pairs, int,
+    # float and complex operands on either side, a divisor used twice (its Smith terms kept) and divisors
+    # all of one Smith branch or mixed, over 100 decades with signed zeros among the parts
+    rng = np.random.default_rng(35)
+    size = 3000
+    parts = rng.choice([-1.0, 1.0], size=(4, size)) * 10.0 ** rng.uniform(-50, 50, size=(4, size))
+    parts[:, :40] *= rng.integers(0, 2, size=(4, 40))  # signed zeros: 0 times either sign
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    a[:40].real, a[:40].imag = parts[0, :40], parts[1, :40]
+    b[:40].real = np.where(parts[2, :40] == 0, 1.5, parts[2, :40])  # no zero divisor
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    one_branch = (b.real * 1e-60 + 1j * (np.abs(b.imag) + 1), np.abs(b.real) + 1 + 1j * b.imag * 1e-60)
+    numbers = (3, -2, 0.5, -1e-3, 1j, -1j, complex(2.5, -0.0), complex(-0.0, 4.0))
+    pa, pb = _pair(a), _pair(b)
+    cases = [(pa + pb, np.add), (pa - pb, np.subtract), (pa * pb, lambda x, y: x * y),
+             (pa / pb, lambda x, y: x / y), (pa / pb, lambda x, y: x / y)]
+    with np.errstate(all="ignore"):
+        assert wide.any() and not wide.all()
+        for got, op in cases:
+            _assert_same_bits(got.complex(), [op(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        for divisor in one_branch:
+            _assert_same_bits((pa / _pair(divisor)).complex(), [x / y for x, y in zip(a.tolist(), divisor.tolist())])
+        _assert_same_bits((pb / pb).complex(), [y / y for y in b.tolist()])
+        _assert_same_bits((pa ** 2).complex(), [x ** 2 for x in a.tolist()])
+        _assert_same_bits((-pa).complex(), [-x for x in a.tolist()])
+        _assert_same_bits(pa.conjugate().complex(), [x.conjugate() for x in a.tolist()])
+        assert np.array_equal(abs(pa), [abs(x) for x in a.tolist()])
+        for c in numbers:
+            for got, want in ((pa + c, [x + c for x in a.tolist()]), (c + pa, [c + x for x in a.tolist()]),
+                              (pa - c, [x - c for x in a.tolist()]),
+                              (pa * c, [x * c for x in a.tolist()]), (c * pa, [c * x for x in a.tolist()]),
+                              (pa / c, [x / c for x in a.tolist()]), (c / pb, [c / y for y in b.tolist()])):
+                _assert_same_bits(got.complex(), want)
+
+
+def test_array_pass_flags_read_the_modulus_as_the_scalar_pass_does():
+    # |z| is the hypot of the parts for arrays too, so an element near |z| = 1 takes the series pass
+    # exactly when its 0-d call does, and an element near an integer |z| enters Miller's recurrence at
+    # the order its 0-d call does (numpy's abs of a complex array differs in the last bit on some)
+    rng = np.random.default_rng(36)
+    circle = np.exp(2j * math.pi * rng.random(200_000))
+    circle = np.append(circle, complex(0.022071720335460267, -0.9997563899077782))
+    flags = specfun._series_j(circle)
+    assert np.array_equal(flags, [abs(z) <= 1.0 for z in circle.tolist()])
+    assert not np.array_equal(np.abs(circle) <= 1.0, flags)  # numpy's abs would send some past the series
+    near = rng.integers(2, 60, 50_000) * np.exp(2j * math.pi * rng.random(50_000))
+    starts = specfun._modulus(near).astype(int)
+    assert np.array_equal(starts, [int(abs(z)) for z in near.tolist()])
+    assert np.array_equal(specfun._modulus(_pair(near)).astype(int), starts)
+    assert not np.array_equal(np.abs(near).astype(int), starts)  # where the pass would go astray

@@ -95,6 +95,7 @@ COMMANDS = [
     ("error-zero-direction", ["amplitude", "--delta", "0.1", "--omega", "3", "--direction", "0", "0", "0"], 1),
     ("error-nan-radius", ["units", "--radius-nm", "nan", "--wavelength-nm", "600"], 1),
     ("error-n-max-zero", ["mie", "--delta", "0.1", "--omega", "3", "--n-max", "0"], 1),
+    ("error-bessel-zeros-count", ["bessel-zeros", "--count", "-2"], 1),
     ("error-bad-choice", ["resonance", "--delta", "0.1", "--family", "XX"], 2),
     ("help", ["--help"], 0),
     *((f"help-{name}", [name, "--help"], 0) for name in (

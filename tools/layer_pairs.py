@@ -20,7 +20,9 @@ n_max = 12, and ``cross_sections`` of that table; and the per-omega cost of one
 126-point cross-section spectrum around the interior size pi, as the xs-sweep
 workload's ``cross-sections`` grids, taken as the library chain
 (``ScatterConfig``, ``mie_coefficients``, ``cross_sections`` per point) and as
-the CLI path (``cli.run_config`` of that command on the same grid and incidence);
+the CLI path (``cli.run_config`` of that command on the same grid and incidence),
+and the CLI path of a 24-point grid over the same sizes: the two lie on either
+side of the run length from which ``mie._spectrum`` takes its array pass;
 ``render_csv`` of an 800-row ``scatter-functions`` table, built once with
 ``cli.run_config``, per row, and that 800-point request itself through
 ``cli.run_config`` (the grid's array pass and its rows); the four Cartesian
@@ -84,6 +86,7 @@ def _layers(dieres, cli, repeat):
     request = {"command": "cross-sections", "delta": delta, "tau": [tau.real, tau.imag], "omega_min": grid[0],
                "omega_max": grid[-1], "omega_count": len(grid), "direction": direction.tolist(),
                "polarization": [0.8, 0.6, 0.0]}
+    small_request = dict(request, omega_count=24)
     scatter_request = {"command": "scatter-functions", "delta": 0.15, "c_tau": [1.5, 0.0],
                        "omega_min": 2.3, "omega_max": 2.8, "omega_count": 800}
     scatter = cli.run_config(scatter_request)
@@ -113,6 +116,7 @@ def _layers(dieres, cli, repeat):
         "cross_sections": (lambda: mie.cross_sections(table), 500, 1),
         "126-point chain per omega": (chain, 1, len(grid)),
         "126-point CLI per omega": (lambda: cli.run_config(request), 1, len(grid)),
+        "24-point CLI per omega": (lambda: cli.run_config(small_request), 5, 24),
         "800-row CSV per row": (scatter.render_csv, 5, len(scatter.rows)),
         "800-point scatter-functions request": (lambda: cli.run_config(scatter_request), 5, 1),
         "16x24x48 moments": (moments, 20, 1),
